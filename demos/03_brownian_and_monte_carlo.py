@@ -17,7 +17,8 @@ rng = RngStreamSpec(7)
 
 print("P(tau > t) for drift 1, barrier (-1, 1):")
 print("t     series          quadrature      Monte Carlo")
-samples = ed.simulate_exit_bm(DriftSpec(LAM, B), 1e-3, 30.0, 40_000, rng)
+samples = ed.simulate_exit_bm(DriftSpec(LAM, B), 1e-3, 30.0, 40_000,
+                             rng.child(0))
 for t in (0.25, 0.5, 1.0, 2.0):
     s = ed.drifted_survival(DriftSpec(LAM, B), t)
     q, _ = ed.drifted_survival_quad(DriftSpec(LAM, B), t)

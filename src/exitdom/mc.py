@@ -1,16 +1,42 @@
 """Monte Carlo engine: drifted Brownian exits, path reweighting, coupled SDEs.
 
 Reproducibility contract: every batch of paths owns a Philox counter-based
-substream derived from (master_seed, substream index), and batch results are
-combined in fixed batch order, so output is bit-identical no matter how many
-worker threads run the batches.
+stream, ``rng.child(batch index)``, and batch results are combined in fixed
+batch order, so output is bit-identical no matter how many worker threads
+run the batches.  Streams of different specs never overlap (see
+``RngStreamSpec``).
+
+Draws of one exit batch.  The batch simulates its live paths a chunk of
+steps at a time and splits each chunk into blocks of live paths, taken in
+path order, of 2**15 path-steps each (256 paths at the longest chunk).  For
+each block it draws, from the batch's generator:
+
+1. the chunk's standard normals, step-major (every path's first step, then
+   every path's second step, ...);
+2. with the bridge correction on, one uniform per candidate step at the
+   upper barrier, then one per candidate step at the lower barrier, each in
+   step-major order.
+
+A step from x_i to x_{i+1} is a candidate at the upper barrier when
+q = (b - x_i)(b - x_{i+1}) <= (53 ln 2 / 2) dt, that is when its crossing
+probability exp(-2q/dt) is at least 2**-53; at the lower barrier q is
+(x_i + b)(x_{i+1} + b).  Uniforms are multiples of 2**-53 in [0, 1), so a
+non-candidate step could only have fired on a uniform of exactly 0: skipping
+its draw moves that step's crossing probability by less than 2**-53 and
+leaves the law of the scheme otherwise unchanged.
+
+The chunk length is the power of two in [16, 128] nearest a quarter of the
+expected exit time in steps, b tanh(lam b) / (lam dt), or b^2 / dt at
+lam = 0.  Short chunks waste fewer steps after a path's exit; long ones cut
+the number of passes over the shrinking set of live paths.  A block's
+working arrays, about 1 MiB, stay inside a 2 MiB L2 cache.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,16 +45,31 @@ from scipy.stats import chi2
 from .bm import DriftSpec, drift_y
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 128
+_MIN_CHUNK = 16
+_MAX_CHUNK = 128
+_BLOCK_CELLS = 1 << 15
+_Y_BLOCK_CELLS = 1 << 16
+# exp(-2 q / dt) >= 2**-53  <=>  q <= (53 ln 2 / 2) dt
+_Q_CUT = 53.0 * math.log(2.0) / 2.0
 
 
 @dataclass(frozen=True)
 class RngStreamSpec:
-    """Master seed plus substream id for a counter-based generator family."""
+    """Master seed plus substream id for a counter-based generator family.
+
+    The Philox key is (master_seed, substream).  ``child(i)`` keeps the key
+    and gives the child its own region of the 256-bit Philox counter: the
+    path of child indices, each stored as index + 1, fills the counter's high
+    words from the top down, and the low word is left for the draws (2**64
+    blocks of four 64-bit outputs per stream).  A stream never carries out of
+    its low word, so two specs with different keys or different paths never
+    share a draw; up to three levels of children are available.
+    """
 
     master_seed: int
     substream: int = 0
     algorithm: str = "philox"
+    path: tuple = field(default=(), init=False)
 
     def __post_init__(self):
         if self.algorithm != "philox":
@@ -36,10 +77,19 @@ class RngStreamSpec:
 
     def generator(self) -> np.random.Generator:
         key = [self.master_seed & _MASK64, self.substream & _MASK64]
-        return np.random.Generator(np.random.Philox(key=key))
+        counter = np.zeros(4, dtype=np.uint64)
+        for depth, index in enumerate(self.path):
+            counter[3 - depth] = index + 1
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def child(self, index: int) -> "RngStreamSpec":
-        return replace(self, substream=self.substream + index)
+        if len(self.path) == 3:
+            raise ValueError("child streams nest at most three levels deep")
+        if not 0 <= index < _MASK64:
+            raise ValueError(f"child index must lie in [0, 2**64 - 1), got {index}")
+        spec = replace(self)
+        object.__setattr__(spec, "path", self.path + (index,))
+        return spec
 
 
 @dataclass
@@ -76,8 +126,60 @@ class ExitSamples:
         return self.times[self.sides != 0]
 
 
+def _chunk_length(lam, b, dt):
+    """Steps per chunk, a power of two in [16, 128].
+
+    It is the one nearest a quarter of the mean exit in steps; the mean exit
+    time from (-b, b) is b tanh(lam b) / lam, or b^2 at lam = 0.
+    """
+    mean = b * b if lam == 0.0 else b * math.tanh(lam * b) / lam
+    length = 2 ** round(math.log2(mean / dt / 4))
+    return min(_MAX_CHUNK, max(_MIN_CHUNK, length))
+
+
+def _first_exits(fired, rows):
+    """First fired cell of each path in a step-major block.
+
+    ``fired`` holds sorted flat indices step * rows + path; returns the
+    exiting paths and their first fired flat index.
+    """
+    paths, first = np.unique(fired % rows, return_index=True)
+    return paths, fired[first]
+
+
+def _bridge_hits(path, b, dt, gen):
+    """Bridge crossing test for every step of a step-major path block.
+
+    Returns per-step hit codes (bit 1: the upper barrier fired, bit 2: the
+    lower one) and the products q = (b - x_i)(b - x_{i+1}) and
+    (x_i + b)(x_{i+1} + b), all flattened step-major.  Only candidate
+    (step, barrier) pairs, those with q <= _Q_CUT * dt, draw a uniform: the
+    upper barrier's candidates first, then the lower one's, each in
+    step-major order.
+    """
+    gap = np.subtract(b, path)
+    q_up = (gap[:-1] * gap[1:]).ravel()
+    np.add(path, b, out=gap)
+    q_dn = (gap[:-1] * gap[1:]).ravel()
+    q_cut = _Q_CUT * dt
+    cand_up = np.flatnonzero(q_up <= q_cut)
+    cand_dn = np.flatnonzero(q_dn <= q_cut)
+    u = gen.random(cand_up.size + cand_dn.size)
+    hit = np.zeros(q_up.size, dtype=np.int8)
+    hit[cand_up[u[:cand_up.size] < _bridge_prob(q_up[cand_up], dt)]] = 1
+    hit[cand_dn[u[cand_up.size:] < _bridge_prob(q_dn[cand_dn], dt)]] += 2
+    return hit, q_up, q_dn
+
+
+def _bridge_prob(q, dt):
+    """Brownian-bridge crossing probability exp(-2 q / dt), capped at 1."""
+    return np.exp(np.minimum(-2.0 / dt * q, 0.0))
+
+
 def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
     sqdt = math.sqrt(dt)
+    drift = lam * dt
+    chunk = _chunk_length(lam, b, dt)
     times = np.full(n, n_steps * dt)
     sides = np.zeros(n, dtype=np.int8)
     terminal = np.zeros(n)
@@ -85,48 +187,49 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
     active = np.arange(n)
     step = 0
     while active.size and step < n_steps:
-        c = min(_CHUNK, n_steps - step)
-        z = gen.standard_normal((active.size, c))
-        if bridge:
-            uu = gen.random((active.size, c))
-            ud = gen.random((active.size, c))
-        path = x[active, None] + np.cumsum(lam * dt + sqdt * z, axis=1)
-        prev = np.concatenate([x[active, None], path[:, :-1]], axis=1)
-        if bridge:
-            pu = np.exp(np.minimum(-2.0 * (b - prev) * (b - path) / dt, 0.0))
-            pd = np.exp(np.minimum(-2.0 * (prev + b) * (path + b) / dt, 0.0))
-            cross_up = uu < pu
-            cross_dn = ud < pd
-        else:
-            cross_up = path >= b
-            cross_dn = path <= -b
-        exited = cross_up | cross_dn
-        has_exit = exited.any(axis=1)
-        rows = np.nonzero(has_exit)[0]
-        if rows.size:
-            cols = exited[rows].argmax(axis=1)
-            pv = path[rows, cols]
+        c = min(chunk, n_steps - step)
+        rows = _BLOCK_CELLS // c
+        alive = np.ones(active.size, dtype=bool)
+        for lo in range(0, active.size, rows):
+            ids = active[lo:lo + rows]
+            r = ids.size
+            # step-major path block: row 0 is the start point, row j + 1 the
+            # position after step j of the chunk
+            path = np.empty((c + 1, r))
+            inc = path[1:]
+            gen.standard_normal(out=inc)
+            inc *= sqdt
+            if drift:
+                inc += drift
+            path[0] = x[ids]
+            np.cumsum(path, axis=0, out=path)
+            x[ids] = path[-1]
+            if bridge:
+                hit, q_up, q_dn = _bridge_hits(path, b, dt, gen)
+                fired = np.flatnonzero(hit)
+            else:
+                fired = np.flatnonzero((inc >= b) | (inc <= -b))
+            if not fired.size:
+                continue
+            paths, cell = _first_exits(fired, r)
+            pv = inc.ravel()[cell]
             side = np.where(pv >= b, 1, np.where(pv <= -b, -1, 0)).astype(np.int8)
             unresolved = side == 0
             if np.any(unresolved):
-                su = cross_up[rows, cols]
-                sd = cross_dn[rows, cols]
-                if bridge:
-                    # both-barrier bridge fire in one step: take the likelier one
-                    prefer_up = pu[rows, cols] >= pd[rows, cols]
-                else:
-                    prefer_up = su
-                pick = np.where(su & ~sd, 1,
-                                np.where(sd & ~su, -1,
-                                         np.where(prefer_up, 1, -1))).astype(np.int8)
-                side = np.where(unresolved, pick, side)
-            ids = active[rows]
-            times[ids] = (step + cols + 1) * dt
-            sides[ids] = side
-            terminal[ids] = pv
-        keep = ~has_exit
-        x[active[keep]] = path[keep, -1]
-        active = active[keep]
+                # only a bridge fire leaves the endpoint inside; if both
+                # barriers fired in the step, take the likelier one
+                cu = cell[unresolved]
+                code = hit[cu]
+                prefer_up = _bridge_prob(q_up[cu], dt) >= _bridge_prob(q_dn[cu], dt)
+                side[unresolved] = np.where(code == 1, 1,
+                                            np.where(code == 2, -1,
+                                                     np.where(prefer_up, 1, -1)))
+            out = ids[paths]
+            times[out] = (step + cell // r + 1) * dt
+            sides[out] = side
+            terminal[out] = pv
+            alive[lo + paths] = False
+        active = active[alive]
         step += c
     terminal[active] = x[active]
     return times, sides, terminal
@@ -140,7 +243,15 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     With ``bridge_correction`` on, within-step barrier crossings are detected
     with the Brownian-bridge probability exp(-2(b-x_i)(b-x_{i+1})/dt) per
     barrier, removing the O(sqrt(dt)) late-exit bias of endpoint monitoring.
-    Paths alive at the horizon are censored (side 0).
+    A step that fires at both barriers exits at the likelier one.  Uniforms
+    are drawn only for steps whose crossing probability is at least 2**-53,
+    which changes each step's law by less than 2**-53; the module docstring
+    lists which numbers each batch draws and in what order.  Paths alive at
+    the horizon are censored (side 0).
+
+    Batch i of ``batch_size`` paths draws from ``rng.child(i)``, so a spec
+    passed here should not also feed another simulation; give each call its
+    own spec or child.
     """
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("dt and horizon must be positive")
@@ -321,8 +432,13 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     sq = np.empty_like(Y)
     viol = np.zeros(max(L - 1, 1), dtype=np.int64)
     lam_arr = np.array(lambdas)[:, None]
+    # one (steps, n_paths) draw per block of steps: the same numbers, in the
+    # same order, as one standard_normal(n_paths) call per step
+    block = max(1, _Y_BLOCK_CELLS // n_paths)
     for step in range(1, n_steps + 1):
-        z = gen.standard_normal(n_paths)
+        if (step - 1) % block == 0:
+            zs = gen.standard_normal((min(block, n_steps - step + 1), n_paths))
+        z = zs[(step - 1) % block]
         np.sqrt(np.maximum(Y, 0.0), out=sq)
         drift = 1.0 + 2.0 * lam_arr * sq * np.tanh(lam_arr * sq)
         Y = np.maximum(Y + drift * dt + 2.0 * sq * (sqdt * z), 0.0)

@@ -104,8 +104,9 @@ def _tail_bound(spec_from: WalkSpec, r: float, z: float, truncation: int,
     k = spec_from.k
     zmax = max(z**k, z**-k)
     A, rho = walk.interior_decay_envelope(spec_from)
-    # r * rho equals the Perron value at the target bias, hence < 1 always
-    geo = A * r ** (truncation + 1) * rho**truncation / (1.0 - r * rho)
+    # r * rho equals the Perron value at the target bias, hence < 1 always;
+    # powering the product rather than r alone keeps r > 1 from overflowing
+    geo = A * r * (r * rho) ** truncation / (1.0 - r * rho)
     bound = zmax * geo
     if r <= 1.0:
         bound = min(bound, r**truncation * zmax * residual_at_truncation)
@@ -131,10 +132,12 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
     r, z = _rz(pf, pt)
     log_r, log_z = math.log(r), math.log(z)
     est = 0.0
+    # each term is weight * mass, formed as exp(log weight + log mass): the
+    # weight alone overflows for r > 1 long before the product does
     for m in range(n + 1, truncation + 1):
-        wu = math.exp(m * log_r + k * log_z)
-        wd = math.exp(m * log_r - k * log_z)
-        est += wu * table.up[m] + wd * table.down[m]
+        for mass, side in ((table.up[m], k), (table.down[m], -k)):
+            if mass > 0.0:
+                est += math.exp(m * log_r + side * log_z + math.log(mass))
     bound = _tail_bound(spec, r, z, truncation, table.residual[truncation])
     if tail_tol is not None and bound > tail_tol:
         warnings.warn(
@@ -153,7 +156,7 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
 
     are computed independently: the left from a direct DP at p2, the right
     entirely from the p1 exit table.  Requires 1/2 <= p1 < p2 < 1 so that
-    r < 1 (asserted).
+    r < 1; a pair so close that r rounds to 1 raises ValueError.
     """
     p1f = _check_bias(p1, "p1")
     p2f = _check_bias(p2, "p2")
@@ -162,7 +165,10 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     if truncation <= n:
         raise ValueError(f"truncation {truncation} must exceed n={n}")
     r, _ = _rz(p1f, p2f)
-    assert r < 1.0, "r-contraction must hold for 1/2 <= p1 < p2"
+    if not r < 1.0:
+        raise ValueError(
+            f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
+            "the identity needs r < 1")
     spec1 = WalkSpec(p1f, k)
     table = exit_joint(spec1, truncation, MODE_FLOAT)
     pmf = [table.exit_pmf(m) for m in range(truncation + 1)]

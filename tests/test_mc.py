@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import exitdom as ed
+from exitdom import mc
 from exitdom.bm import DriftSpec
 from exitdom.mc import ExitSamples, RngStreamSpec
 
@@ -23,10 +24,31 @@ def samples1():
 
 
 def test_rng_stream_children():
-    assert RngStreamSpec(7, 3).child(4).substream == 7  # offsets are additive
+    # a child keeps the parent's Philox key and moves to its own counter
+    # region, so (s, 1).child(1) and (s, 2).child(0) no longer coincide
+    base = [RngStreamSpec(7, 1), RngStreamSpec(7, 2)]
+    specs = base + [s.child(i) for s in base for i in range(4)]
+    specs += [base[0].child(1).child(0), base[0].child(0).child(1),
+              base[0].child(1).child(0).child(2)]
+    # by construction: no two specs share a (key, counter region)
+    regions = set()
+    for s in specs:
+        state = s.generator().bit_generator.state["state"]
+        regions.add((*state["key"].tolist(), *state["counter"][1:].tolist()))
+    assert len(regions) == len(specs)
+    # and in fact: no 64-bit output is shared between any two streams
+    draws = [s.generator().bit_generator.random_raw(512) for s in specs]
+    assert np.unique(np.concatenate(draws)).size == 512 * len(specs)
+    # a root stream is the plain Philox stream of key (seed, substream)
+    plain = np.random.Generator(np.random.Philox(key=[7, 1])).standard_normal(8)
+    assert np.array_equal(base[0].generator().standard_normal(8), plain)
     a = RngStreamSpec(7, 3).generator().standard_normal(4)
     b = RngStreamSpec(7, 3).generator().standard_normal(4)
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        base[0].child(0).child(0).child(0).child(0)
+    with pytest.raises(ValueError):
+        base[0].child(-1)
     with pytest.raises(ValueError):
         RngStreamSpec(7, algorithm="mt19937")
 
@@ -159,11 +181,155 @@ def test_bridge_correction_reduces_coarse_grid_bias():
     assert err_with < 0.01
 
 
+def _dense_reference_batch(lam, b, dt, n_steps, n, gen, bridge):
+    """The exit kernel before row blocks and candidate-only bridge uniforms.
+
+    It draws one normal and, with the bridge on, two uniforms for every
+    path-step cell, so it samples the scheme's law with no 2**-53 cut.
+    """
+    sqdt = math.sqrt(dt)
+    times = np.full(n, n_steps * dt)
+    sides = np.zeros(n, dtype=np.int8)
+    terminal = np.zeros(n)
+    x = np.zeros(n)
+    active = np.arange(n)
+    step = 0
+    while active.size and step < n_steps:
+        c = min(128, n_steps - step)
+        z = gen.standard_normal((active.size, c))
+        if bridge:
+            uu = gen.random((active.size, c))
+            ud = gen.random((active.size, c))
+        path = x[active, None] + np.cumsum(lam * dt + sqdt * z, axis=1)
+        prev = np.concatenate([x[active, None], path[:, :-1]], axis=1)
+        if bridge:
+            pu = np.exp(np.minimum(-2.0 * (b - prev) * (b - path) / dt, 0.0))
+            pd = np.exp(np.minimum(-2.0 * (prev + b) * (path + b) / dt, 0.0))
+            cross_up = uu < pu
+            cross_dn = ud < pd
+        else:
+            cross_up = path >= b
+            cross_dn = path <= -b
+        exited = cross_up | cross_dn
+        has_exit = exited.any(axis=1)
+        rows = np.nonzero(has_exit)[0]
+        if rows.size:
+            cols = exited[rows].argmax(axis=1)
+            pv = path[rows, cols]
+            side = np.where(pv >= b, 1, np.where(pv <= -b, -1, 0)).astype(np.int8)
+            unresolved = side == 0
+            if np.any(unresolved):
+                su = cross_up[rows, cols]
+                sd = cross_dn[rows, cols]
+                if bridge:
+                    prefer_up = pu[rows, cols] >= pd[rows, cols]
+                else:
+                    prefer_up = su
+                pick = np.where(su & ~sd, 1,
+                                np.where(sd & ~su, -1,
+                                         np.where(prefer_up, 1, -1))).astype(np.int8)
+                side = np.where(unresolved, pick, side)
+            ids = active[rows]
+            times[ids] = (step + cols + 1) * dt
+            sides[ids] = side
+            terminal[ids] = pv
+        keep = ~has_exit
+        x[active[keep]] = path[keep, -1]
+        active = active[keep]
+        step += c
+    terminal[active] = x[active]
+    return times, sides, terminal
+
+
+@pytest.mark.parametrize("lam,b,dt,horizon,substream", [
+    (0.0, 0.25, 1e-3, 2.0, 21),   # short exits, near both barriers
+    (4.0, 0.25, 1e-3, 2.0, 22),
+    (0.0, 1.0, 0.02, 8.0, 23),    # coarse grid
+])
+def test_kernel_matches_dense_reference_and_analytic(lam, b, dt, horizon, substream):
+    n = 20_000
+    spec = DriftSpec(lam, b)
+    new = ed.simulate_exit_bm(spec, dt, horizon, n, RngStreamSpec(SEED, substream))
+    ref_times, _, _ = _dense_reference_batch(
+        lam, b, dt, int(round(horizon / dt)), n,
+        RngStreamSpec(SEED, substream).child(0).child(0).generator(), True)
+    mean = b * b if lam == 0.0 else b * math.tanh(lam * b) / lam
+    for f in (0.5, 1.5):
+        t = round(f * mean / dt) * dt  # a grid time: the scheme has no bias there
+        an = ed.drifted_survival(spec, t)
+        se = math.sqrt(an * (1 - an) / n)
+        emp_new = new.empirical_survival(t)
+        emp_ref = float(np.mean(ref_times > t))
+        assert abs(emp_new - an) < 4 * se
+        assert abs(emp_ref - an) < 4 * se
+        assert abs(emp_new - emp_ref) < 4 * math.sqrt(2.0) * se
+
+
+def test_endpoint_monitoring_matches_dense_reference():
+    # without the bridge both kernels sample the same (biased) coarse scheme
+    n, dt, horizon = 20_000, 0.02, 8.0
+    new = ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, n,
+                              RngStreamSpec(SEED, 26), bridge_correction=False)
+    ref_times, _, _ = _dense_reference_batch(
+        0.0, 1.0, dt, int(round(horizon / dt)), n,
+        RngStreamSpec(SEED, 26).child(0).child(0).generator(), False)
+    assert np.all(np.abs(new.terminal[new.sides != 0]) >= 1.0)
+    assert np.array_equal(np.sign(new.terminal[new.sides != 0]), new.sides[new.sides != 0])
+    for t in (0.5, 1.5):
+        p = float(np.mean(ref_times > t))
+        se = math.sqrt(p * (1 - p) / n)
+        assert abs(new.empirical_survival(t) - p) < 4 * math.sqrt(2.0) * se
+
+
+def test_thread_count_invariance_short_exits():
+    # three batches (one partial); 16-step chunks, so a full batch starts in
+    # two blocks of 2048 paths; many chunks
+    args = (DriftSpec(4.0, 0.25), 1e-3, 2.0, 2 * 4096 + 1000, RngStreamSpec(SEED, 24))
+    one = ed.simulate_exit_bm(*args, threads=1)
+    two = ed.simulate_exit_bm(*args, threads=2)
+    assert np.array_equal(one.times, two.times)
+    assert np.array_equal(one.sides, two.sides)
+    assert np.array_equal(one.terminal, two.terminal)
+    assert one.censored_fraction == 0.0
+
+
+def test_bridge_draws_one_uniform_per_candidate():
+    # a step whose q exceeds the cut fires with probability below 2**-53,
+    # which only a uniform of exactly 0 could have caught
+    assert math.exp(-2.0 * mc._Q_CUT) == pytest.approx(2.0**-53, rel=1e-12)
+    # two paths, two steps, b = 1, dt = 1e-3 (cut q <= 0.0184): path 0 ends
+    # 0.05 below +b (upper q = 0.005), path 1 jumps past -b (lower q < 0);
+    # every other (step, barrier) pair has q >= 0.06
+    path = np.array([[0.0, 0.0], [0.9, 0.5], [0.95, -1.01]])
+    gen = RngStreamSpec(SEED, 25).generator()
+    hit, q_up, q_dn = mc._bridge_hits(path, 1.0, 1e-3, gen)
+    u = RngStreamSpec(SEED, 25).generator().random(3)
+    assert hit.tolist() == [0, 0, int(u[0] < math.exp(-10.0)), 2]
+    assert gen.random() == u[2]  # exactly two uniforms were drawn
+
+
 def test_coupled_identical_drifts_are_bit_equal():
     stats = ed.simulate_y_coupled([1.0, 1.0], 0.0, 1e-3, 0.5, 200,
                                   RngStreamSpec(SEED, 11))
     assert np.array_equal(stats.final_values[0], stats.final_values[1])
     assert stats.violation_fraction == 0.0
+
+
+def test_coupled_blocked_draws_match_per_step_draws():
+    # the per-step loop simulate_y_coupled replaced: one draw call per step
+    lambdas, y0, dt, n_steps, n_paths = [0.0, 1.5], 0.2, 1e-3, 301, 700
+    rng = RngStreamSpec(SEED, 14)
+    stats = ed.simulate_y_coupled(lambdas, y0, dt, n_steps * dt, n_paths, rng)
+    gen = rng.generator()
+    lam_arr = np.array(lambdas)[:, None]
+    sqdt = math.sqrt(dt)
+    Y = np.full((2, n_paths), y0)
+    for _ in range(n_steps):
+        z = gen.standard_normal(n_paths)
+        sq = np.sqrt(np.maximum(Y, 0.0))
+        drift = 1.0 + 2.0 * lam_arr * sq * np.tanh(lam_arr * sq)
+        Y = np.maximum(Y + drift * dt + 2.0 * sq * (sqdt * z), 0.0)
+    assert np.array_equal(stats.final_values, Y)
 
 
 def test_coupled_ordering_small_violation_fraction():

@@ -91,6 +91,20 @@ def test_reweighted_identity_bias():
     assert est == pytest.approx(direct, abs=max(bound, 1e-14))
 
 
+def test_reweighting_from_bias_near_one_stays_finite():
+    # r ~ 3.9: the weight r^m alone overflows past m ~ 510, its product with
+    # the exit mass does not; at n = 0 the reweighted survival is exactly 1
+    est, bound = ed.reweighted_survival_walk(Fraction(60, 61), Fraction(31, 61),
+                                             3, 0, 600)
+    assert math.isfinite(est) and math.isfinite(bound)
+    assert abs(est - 1.0) <= max(bound, 1e-10)
+    for n in (10, 50):
+        est, bound = ed.reweighted_survival_walk(Fraction(60, 61), Fraction(31, 61),
+                                                 3, n, 600)
+        direct = ed.survival_pmf(WalkSpec(Fraction(31, 61), 3), n).values[n]
+        assert abs(est - direct) <= max(bound, 1e-10)
+
+
 def test_factorization_identity():
     for p1, p2 in [(0.5, 0.6), (0.5, 0.9), (0.6, 0.8), (0.8, 0.9)]:
         for k in (1, 2, 3):
@@ -105,6 +119,9 @@ def test_factorization_preconditions():
         ed.factorization_check_discrete(0.4, 0.6, 2, 5, 200)  # p1 < 1/2
     with pytest.raises(ValueError):
         ed.factorization_check_discrete(0.5, 0.6, 2, 5, 5)  # truncation <= n
+    with pytest.raises(ValueError):
+        # p2 is the next float above p1, so r rounds to exactly 1
+        ed.factorization_check_discrete(0.5, math.nextafter(0.5, 1.0), 2, 5, 200)
 
 
 def test_r_contraction_into_perron_value():
