@@ -18,7 +18,6 @@ from .walk import (
     upper_exit_prob,
 )
 from .walk_girsanov import (
-    WalkLikelihoodRatio,
     check_independence_discrete,
     factorization_check_discrete,
     likelihood_ratio_walk,

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from .dominance import DOMINATES, VIOLATES, DominanceReport, PairVerdict
+from .dominance import DominanceReport, _worst_gap
 
 # fraction of b^2 below which the reflection form replaces the eigenseries
 _SMALL_T = 0.05
@@ -240,17 +239,6 @@ def dominance_scan_continuous(lambdas, b: float, times,
               for l in lambdas]
     report = DominanceReport("lambda", lambdas, "t", times, values)
     for i in range(len(lambdas) - 1):
-        lo, hi = values[i], values[i + 1]
-        worst = None
-        for j, t in enumerate(times):
-            gap = hi[j] - lo[j]
-            if gap > tie_tol and (worst is None or gap > worst[0]):
-                worst = (gap, t)
-        if worst is None:
-            report.pairs.append(
-                PairVerdict(str(lambdas[i]), str(lambdas[i + 1]), DOMINATES))
-        else:
-            report.pairs.append(
-                PairVerdict(str(lambdas[i]), str(lambdas[i + 1]), VIOLATES,
-                            worst[0], worst[1]))
+        report.add_pair(str(lambdas[i]), str(lambdas[i + 1]),
+                        _worst_gap(values[i], values[i + 1], times, tie_tol))
     return report

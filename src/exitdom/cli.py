@@ -12,9 +12,6 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import bm, dominance, io, mc, verify, walk, walk_girsanov
 from .bm import DriftSpec

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import walk
-from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec
+from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, _parse_bias
 
 DOMINATES = "dominates"
 VIOLATES = "violates"
@@ -45,6 +44,14 @@ class DominanceReport:
     @property
     def n_violations(self) -> int:
         return sum(1 for p in self.pairs if p.verdict == VIOLATES)
+
+    def add_pair(self, lo_label: str, hi_label: str, worst) -> None:
+        """Record one pair's verdict from its ``_worst_gap`` (None: dominates)."""
+        if worst is None:
+            self.pairs.append(PairVerdict(lo_label, hi_label, DOMINATES))
+        else:
+            self.pairs.append(PairVerdict(lo_label, hi_label, VIOLATES,
+                                          float(worst[0]), worst[1]))
 
     def worst(self) -> PairVerdict | None:
         bad = [p for p in self.pairs if p.verdict == VIOLATES]
@@ -108,6 +115,20 @@ def tail_conditional_mean_check(values, weights, M):
     return cond, mean, cond <= mean + 1e-12 * max(1.0, abs(mean))
 
 
+def _worst_gap(lo, hi, index, tie_tol=0):
+    """(gap, location) of the largest hi - lo above ``tie_tol``, or None.
+
+    The gaps are formed in the curves' own numbers, so the comparison is
+    exact when they hold Fractions.
+    """
+    worst = None
+    for x, a, b in zip(index, lo, hi):
+        gap = b - a
+        if gap > tie_tol and (worst is None or gap > worst[0]):
+            worst = (gap, x)
+    return worst
+
+
 def dominance_scan_discrete(ps, k: int, horizon: int,
                             mode: str = MODE_RATIONAL) -> DominanceReport:
     """Pairwise survival comparison of adjacent biases on an ascending grid.
@@ -118,39 +139,24 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     falsify the dominance theorem, so a float-mode artifact must not survive).
     """
     ps = list(ps)
-    floats = [float(Fraction(p) if isinstance(p, str) else p) for p in ps]
+    floats = [_parse_bias(p) for p in ps]
     if any(f2 <= f1 for f1, f2 in zip(floats, floats[1:])):
         raise ValueError("bias grid must be strictly ascending")
     if any(not 0.5 <= f < 1.0 for f in floats):
         raise ValueError("all biases must lie in [1/2, 1)")
+    steps = list(range(horizon + 1))
     curves = [walk.survival_pmf(WalkSpec(p, k), horizon, mode).values for p in ps]
-    report = DominanceReport("p", ps, "n", list(range(horizon + 1)),
+    report = DominanceReport("p", ps, "n", steps,
                              [[float(v) for v in c] for c in curves])
     for i in range(len(ps) - 1):
-        lo, hi = curves[i], curves[i + 1]
-        worst = None
-        for n in range(horizon + 1):
-            if hi[n] > lo[n]:
-                gap = hi[n] - lo[n]
-                if worst is None or gap > worst[0]:
-                    worst = (gap, n)
+        worst = _worst_gap(curves[i], curves[i + 1], steps)
         if worst is not None and mode == MODE_FLOAT:
             # escalate to exact arithmetic before declaring a violation
-            lo_x = walk.survival_pmf(WalkSpec(ps[i], k), horizon,
-                                     MODE_RATIONAL).values
-            hi_x = walk.survival_pmf(WalkSpec(ps[i + 1], k), horizon,
-                                     MODE_RATIONAL).values
-            worst = None
-            for n in range(horizon + 1):
-                if hi_x[n] > lo_x[n]:
-                    gap = float(hi_x[n] - lo_x[n])
-                    if worst is None or gap > worst[0]:
-                        worst = (gap, n)
-        if worst is None:
-            report.pairs.append(PairVerdict(str(ps[i]), str(ps[i + 1]), DOMINATES))
-        else:
-            report.pairs.append(PairVerdict(str(ps[i]), str(ps[i + 1]), VIOLATES,
-                                            float(worst[0]), worst[1]))
+            lo_x, hi_x = (walk.survival_pmf(WalkSpec(p, k), horizon,
+                                            MODE_RATIONAL).values
+                          for p in ps[i:i + 2])
+            worst = _worst_gap(lo_x, hi_x, steps)
+        report.add_pair(str(ps[i]), str(ps[i + 1]), worst)
     return report
 
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import chi2
 
-from .bm import DriftSpec, drift_y
+from .bm import DriftSpec
 
 _MASK64 = (1 << 64) - 1
 _MIN_CHUNK = 16
@@ -282,21 +282,39 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     return ExitSamples(spec, dt, n_steps * dt, times, sides, terminal)
 
 
+def _girsanov_weights(lam_from: float, lam_to: float, b: float,
+                      times: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """exp(-(l1-l2) B_tau + (l1^2-l2^2)/2 tau) per exit, with B_tau = side * b.
+
+    Raises ValueError when a weight overflows: an infinite weight would turn
+    the estimate into inf and its standard error into nan.
+    """
+    expo = (-(lam_from - lam_to) * (sides * b)
+            + 0.5 * (lam_from**2 - lam_to**2) * times)
+    with np.errstate(over="ignore"):
+        weights = np.exp(expo)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(
+            f"Girsanov weight from drift {lam_from} to {lam_to} overflows "
+            f"(log weight up to {float(expo.max()):.4g}); reweight between "
+            "closer drifts or over shorter exit times")
+    return weights
+
+
 def likelihood_ratio_bm(samples: ExitSamples, lam_from: float,
                         lam_to: float) -> np.ndarray:
     """Girsanov weights exp(-(l1-l2) B_tau + (l1^2-l2^2)/2 tau) per path.
 
     Uses the recorded exit side (+-b) as B_tau.  Censored paths carry no
-    usable weight, so any censored sample in the collection is rejected.
+    usable weight, so any censored sample in the collection is rejected, and
+    so is a weight that overflows.
     """
     if np.any(samples.sides == 0):
         raise ValueError(
             "collection contains censored paths; extend the horizon or bound "
             "the censored mass before reweighting")
-    b_tau = samples.sides * samples.spec.b
-    expo = (-(lam_from - lam_to) * b_tau
-            + 0.5 * (lam_from**2 - lam_to**2) * samples.times)
-    return np.exp(expo)
+    return _girsanov_weights(lam_from, lam_to, samples.spec.b, samples.times,
+                             samples.sides)
 
 
 class ReweightedEstimate(NamedTuple):
@@ -324,10 +342,9 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float, t: float,
     contrib = np.zeros(samples.n)
     nc = samples.sides != 0
     if np.any(nc):
-        b_tau = samples.sides[nc] * samples.spec.b
-        expo = (-(lam_from - lam_to) * b_tau
-                + 0.5 * (lam_from**2 - lam_to**2) * samples.times[nc])
-        contrib[nc] = np.exp(expo) * (samples.times[nc] > t)
+        contrib[nc] = (_girsanov_weights(lam_from, lam_to, samples.spec.b,
+                                         samples.times[nc], samples.sides[nc])
+                       * (samples.times[nc] > t))
     if lam_to == lam_from:
         contrib[~nc] = 1.0  # censored paths certainly satisfy tau > t
     est = float(contrib.mean())

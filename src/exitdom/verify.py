@@ -10,7 +10,7 @@ reduced in fixed batch order, so the result list is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6e}"
 
 
-def _p_grid(step: float = 0.05):
+def _p_grid():
     # 0.5, 0.55, ..., 0.95 as exact rationals
     return [Fraction(1, 2) + Fraction(i, 20) for i in range(10)]
 

@@ -1,18 +1,21 @@
 """Exact law of the exit time of a biased nearest-neighbour walk from (-k, k).
 
 The walk starts at 0, steps +1 with probability p and -1 with probability
-q = 1 - p, and is absorbed at +-k.  Everything here is computed by dynamic
-programming on the interior states {-k+1, ..., k-1}, either in exact rational
-arithmetic (``fractions.Fraction``) or in 64-bit floats.
+q = 1 - p, and is absorbed at +-k.  Everything here is computed by one
+dynamic programme on the interior states {-k+1, ..., k-1}, run in either of
+two number types: exact rationals (``fractions.Fraction``, held in numpy
+object arrays) or 64-bit floats.  The ``mode`` argument picks the type; the
+recurrence, the mean-exit solve and the closed forms are shared.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .io import fmt_cell
 
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
@@ -48,9 +51,22 @@ def exact_fraction(x) -> Fraction:
     raise ValueError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _parse_bias(p, name: str = "bias p") -> float:
+    """A bias given as float, Fraction or "num/den" string, as a float in (0, 1)."""
+    pf = float(Fraction(p) if isinstance(p, str) else p)
+    if not 0.0 < pf < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {p!r}")
+    return pf
+
+
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {_MODES}")
+
+
+def _number(mode: str):
+    """The number type of an arithmetic mode."""
+    return Fraction if mode == MODE_RATIONAL else float
 
 
 @dataclass(frozen=True)
@@ -61,23 +77,17 @@ class WalkSpec:
     k: int
 
     def __post_init__(self):
-        pf = float(Fraction(self.p) if isinstance(self.p, str) else self.p)
-        if not 0.0 < pf < 1.0:
-            raise ValueError(f"bias p must lie strictly inside (0, 1), got {self.p!r}")
+        _parse_bias(self.p)
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"half-width k must be an integer >= 1, got {self.k!r}")
 
     def p_float(self) -> float:
-        return float(Fraction(self.p) if isinstance(self.p, str) else self.p)
+        return _parse_bias(self.p)
 
-    def p_exact(self) -> Fraction:
-        return exact_fraction(self.p)
-
-    def q_float(self) -> float:
-        return 1.0 - self.p_float()
-
-    def q_exact(self) -> Fraction:
-        return 1 - self.p_exact()
+    def pq(self, mode: str):
+        """(p, q) in the number type of ``mode``."""
+        p = exact_fraction(self.p) if mode == MODE_RATIONAL else self.p_float()
+        return p, 1 - p
 
 
 @dataclass
@@ -99,16 +109,8 @@ class SurvivalCurve:
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
 
-    def to_csv(self, fh) -> None:
-        fh.write("n,value\n")
-        for n, v in enumerate(self.values):
-            fh.write(f"{n},{format_value(v, self.mode)}\n")
-
     def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "values": [format_value(v, self.mode) for v in self.values],
-        }
+        return {"mode": self.mode, "values": [fmt_cell(v) for v in self.values]}
 
 
 @dataclass
@@ -132,25 +134,11 @@ class JointExitTable:
     def exit_pmf(self, n: int):
         return self.up[n] + self.down[n]
 
-    def survival(self, n: int):
-        return self.residual[n]
-
-    def survival_curve(self) -> SurvivalCurve:
-        return SurvivalCurve(list(self.residual), self.mode)
-
-    def to_csv(self, fh) -> None:
-        fh.write("n,value,side\n")
-        for n in range(len(self.up)):
-            fh.write(f"{n},{format_value(self.up[n], self.mode)},+\n")
-            fh.write(f"{n},{format_value(self.down[n], self.mode)},-\n")
-            fh.write(f"{n},{format_value(self.residual[n], self.mode)},interior\n")
-
     def to_json_obj(self) -> dict:
-        fmt = lambda seq: [format_value(v, self.mode) for v in seq]
+        fmt = lambda seq: [fmt_cell(v) for v in seq]
         return {
             "mode": self.mode,
-            "p": format_value(self.spec.p_exact() if self.mode == MODE_RATIONAL
-                              else self.spec.p_float(), self.mode),
+            "p": fmt_cell(self.spec.pq(self.mode)[0]),
             "k": self.spec.k,
             "up": fmt(self.up),
             "down": fmt(self.down),
@@ -158,66 +146,31 @@ class JointExitTable:
         }
 
 
-def format_value(v, mode: str) -> str:
-    if mode == MODE_RATIONAL:
-        f = v if isinstance(v, Fraction) else exact_fraction(v)
-        return f"{f.numerator}/{f.denominator}"
-    x = float(v)
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+def _dp(spec: WalkSpec, horizon: int, mode: str):
+    """(up, down, residual) lists for steps 0..horizon in the mode's numbers.
 
-
-def _dp_rational(spec: WalkSpec, horizon: int):
-    p = spec.p_exact()
-    q = 1 - p
+    The interior state vector is a numpy array of floats, or of Fractions
+    (dtype object), so one recurrence serves both modes.
+    """
+    p, q = spec.pq(mode)
+    num = _number(mode)
+    zero, one = num(0), num(1)
     k = spec.k
-    m = 2 * k - 1
-    zero = Fraction(0)
-    u = [zero] * m
-    u[k - 1] = Fraction(1)
+    u = np.full(2 * k - 1, zero, dtype=object if mode == MODE_RATIONAL else float)
+    u[k - 1] = one
+    new = u.copy()
     up = [zero]
     down = [zero]
-    residual = [Fraction(1)]
+    residual = [one]
     for _ in range(horizon):
-        a_up = p * u[m - 1]
-        a_dn = q * u[0]
-        new = [zero] * m
-        for i in range(m):
-            acc = zero
-            if i - 1 >= 0:
-                acc += p * u[i - 1]
-            if i + 1 < m:
-                acc += q * u[i + 1]
-            new[i] = acc
-        u = new
-        up.append(a_up)
-        down.append(a_dn)
-        residual.append(sum(u))
-    return up, down, residual
-
-
-def _dp_float(spec: WalkSpec, horizon: int):
-    p = spec.p_float()
-    q = 1.0 - p
-    k = spec.k
-    m = 2 * k - 1
-    u = np.zeros(m)
-    u[k - 1] = 1.0
-    up = np.zeros(horizon + 1)
-    down = np.zeros(horizon + 1)
-    residual = np.zeros(horizon + 1)
-    residual[0] = 1.0
-    new = np.zeros(m)
-    for n in range(1, horizon + 1):
-        up[n] = p * u[m - 1]
-        down[n] = q * u[0]
-        new[:] = 0.0
-        new[1:] += p * u[:-1]
+        up.append(p * u[-1])
+        down.append(q * u[0])
+        new[0] = zero
+        new[1:] = p * u[:-1]
         new[:-1] += q * u[1:]
         u, new = new, u
-        residual[n] = u.sum()
-    return list(up), list(down), list(residual)
+        residual.append(u.sum())
+    return up, down, residual
 
 
 def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExitTable:
@@ -228,11 +181,7 @@ def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExi
     _check_mode(mode)
     if horizon < spec.k:
         raise ValueError(f"horizon {horizon} is below the half-width k={spec.k}")
-    if mode == MODE_RATIONAL:
-        up, down, residual = _dp_rational(spec, horizon)
-    else:
-        up, down, residual = _dp_float(spec, horizon)
-    return JointExitTable(spec, up, down, residual, mode)
+    return JointExitTable(spec, *_dp(spec, horizon, mode), mode)
 
 
 def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> SurvivalCurve:
@@ -240,61 +189,39 @@ def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> Surviv
     _check_mode(mode)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if mode == MODE_RATIONAL:
-        _, _, residual = _dp_rational(spec, horizon)
-    else:
-        _, _, residual = _dp_float(spec, horizon)
-    return SurvivalCurve(residual, mode)
+    return SurvivalCurve(_dp(spec, horizon, mode)[2], mode)
 
 
 def mean_exit(spec: WalkSpec, mode: str = MODE_FLOAT):
     """E[sigma] from state 0, by solving the absorbing-chain linear system.
 
     The expected times h(j) over interior states satisfy
-    h(j) = 1 + p*h(j+1) + q*h(j-1) with h(+-k) = 0.
+    h(j) = 1 + p*h(j+1) + q*h(j-1) with h(+-k) = 0: a tridiagonal system
+    with diagonal 1, solved by the Thomas algorithm in the mode's numbers.
     """
     _check_mode(mode)
+    p, q = spec.pq(mode)
+    one = _number(mode)(1)
     k = spec.k
     m = 2 * k - 1
-    if mode == MODE_FLOAT:
-        p = spec.p_float()
-        q = 1.0 - p
-        A = np.eye(m)
-        for i in range(m):
-            if i + 1 < m:
-                A[i, i + 1] -= p
-            if i - 1 >= 0:
-                A[i, i - 1] -= q
-        h = np.linalg.solve(A, np.ones(m))
-        return float(h[k - 1])
-    p = spec.p_exact()
-    q = 1 - p
-    # Thomas algorithm on the tridiagonal system, exact rationals
-    one = Fraction(1)
-    diag = [one] * m
-    upper = [-p] * (m - 1)
-    lower = [-q] * (m - 1)
-    rhs = [one] * m
-    for i in range(1, m):
-        w = lower[i - 1] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    h = [Fraction(0)] * m
-    h[m - 1] = rhs[m - 1] / diag[m - 1]
-    for i in range(m - 2, -1, -1):
-        h[i] = (rhs[i] - upper[i] * h[i + 1]) / diag[i]
-    return h[k - 1]
+    # forward elimination of the sub-diagonal -q
+    diag = [one]
+    rhs = [one]
+    for _ in range(1, m):
+        w = q / diag[-1]
+        diag.append(one - w * p)
+        rhs.append(one + w * rhs[-1])
+    # back substitution through the super-diagonal -p, down to state 0
+    h = rhs[m - 1] / diag[m - 1]
+    for i in range(m - 2, k - 2, -1):
+        h = (rhs[i] + p * h) / diag[i]
+    return h
 
 
 def upper_exit_prob(spec: WalkSpec, mode: str = MODE_FLOAT):
     """P(S_sigma = +k): the classical gambler's-ruin split p^k / (p^k + q^k)."""
     _check_mode(mode)
-    if mode == MODE_RATIONAL:
-        p = spec.p_exact()
-        q = 1 - p
-        return p**spec.k / (p**spec.k + q**spec.k)
-    p = spec.p_float()
-    q = 1.0 - p
+    p, q = spec.pq(mode)
     return p**spec.k / (p**spec.k + q**spec.k)
 
 
@@ -308,13 +235,8 @@ def modulus_chain_up_prob(spec: WalkSpec, r: int, mode: str = MODE_FLOAT):
     if not isinstance(r, int) or r < 0 or r >= spec.k:
         raise ValueError(f"level r must be an integer in [0, k), got {r!r}")
     if r == 0:
-        return Fraction(1) if mode == MODE_RATIONAL else 1.0
-    if mode == MODE_RATIONAL:
-        p = spec.p_exact()
-        q = 1 - p
-        return (p ** (r + 1) + q ** (r + 1)) / (p**r + q**r)
-    p = spec.p_float()
-    q = 1.0 - p
+        return _number(mode)(1)
+    p, q = spec.pq(mode)
     return (p ** (r + 1) + q ** (r + 1)) / (p**r + q**r)
 
 
@@ -325,8 +247,7 @@ def interior_decay_envelope(spec: WalkSpec):
     interior transition matrix; A comes from symmetrising the matrix with the
     diagonal weights (q/p)^(j/2).
     """
-    p = spec.p_float()
-    q = 1.0 - p
+    p, q = spec.pq(MODE_FLOAT)
     k = spec.k
     rho = 2.0 * np.sqrt(p * q) * np.cos(np.pi / (2 * k))
     j = np.arange(-(k - 1), k)

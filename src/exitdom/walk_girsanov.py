@@ -13,41 +13,23 @@ reweighting and factorization identities below exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import walk
-from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, exit_joint
+from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, _parse_bias, exit_joint
 
 
-def _check_bias(p, name="p") -> float:
-    pf = float(Fraction(p) if isinstance(p, str) else p)
-    if not 0.0 < pf < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {p!r}")
-    return pf
-
-
-@dataclass(frozen=True)
-class WalkLikelihoodRatio:
-    n: int
-    s: int
-    p_from: object
-    p_to: object
-    value: object  # float, or Fraction in rational mode
-
-
-def likelihood_ratio_walk(n: int, s: int, p_from, p_to,
-                          mode: str = MODE_FLOAT) -> WalkLikelihoodRatio:
+def likelihood_ratio_walk(n: int, s: int, p_from, p_to, mode: str = MODE_FLOAT):
     """dQ_{p_to}/dQ_{p_from} on the sigma-field of the first n steps, at S_n = s.
 
     Because s and n share parity, the square roots cancel: with u = (n+s)/2
     up-steps and d = (n-s)/2 down-steps the value is
     (p_to/p_from)^u * (q_to/q_from)^d, which is exact in rational mode.
     Float mode works in log space to dodge under/overflow at large n.
+    Returns the value itself: a float, or a Fraction in rational mode.
     """
-    _check_bias(p_from, "p_from")
-    _check_bias(p_to, "p_to")
+    pf = _parse_bias(p_from, "p_from")
+    pt = _parse_bias(p_to, "p_to")
     if abs(s) > n:
         raise ValueError(f"|s|={abs(s)} exceeds the step count n={n}")
     if (n - s) % 2 != 0:
@@ -57,14 +39,9 @@ def likelihood_ratio_walk(n: int, s: int, p_from, p_to,
     if mode == MODE_RATIONAL:
         pf = walk.exact_fraction(p_from)
         pt = walk.exact_fraction(p_to)
-        value = (pt / pf) ** u * ((1 - pt) / (1 - pf)) ** d
-    else:
-        pf = float(Fraction(p_from) if isinstance(p_from, str) else p_from)
-        pt = float(Fraction(p_to) if isinstance(p_to, str) else p_to)
-        log_val = (u * (math.log(pt) - math.log(pf))
-                   + d * (math.log1p(-pt) - math.log1p(-pf)))
-        value = math.exp(log_val)
-    return WalkLikelihoodRatio(n, s, p_from, p_to, value)
+        return (pt / pf) ** u * ((1 - pt) / (1 - pf)) ** d
+    return math.exp(u * (math.log(pt) - math.log(pf))
+                    + d * (math.log1p(-pt) - math.log1p(-pf)))
 
 
 def martingale_one_step_check(p, mode: str = MODE_FLOAT):
@@ -76,9 +53,9 @@ def martingale_one_step_check(p, mode: str = MODE_FLOAT):
     """
     if mode == MODE_RATIONAL:
         pf = walk.exact_fraction(p)
-        _check_bias(pf)
+        _parse_bias(pf)
         return abs(pf + (1 - pf) - 1)
-    pf = _check_bias(p)
+    pf = _parse_bias(p)
     q = 1.0 - pf
     lhs = 0.5 * (math.sqrt(pf / q) + math.sqrt(q / pf))
     rhs = 1.0 / (2.0 * math.sqrt(pf * q))
@@ -123,8 +100,8 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
     """
     import warnings
 
-    pf = _check_bias(p_from, "p_from")
-    pt = _check_bias(p_to, "p_to")
+    pf = _parse_bias(p_from, "p_from")
+    pt = _parse_bias(p_to, "p_to")
     if truncation <= n:
         raise ValueError(f"truncation {truncation} must exceed n={n}")
     spec = WalkSpec(pf, k)
@@ -158,8 +135,8 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     entirely from the p1 exit table.  Requires 1/2 <= p1 < p2 < 1 so that
     r < 1; a pair so close that r rounds to 1 raises ValueError.
     """
-    p1f = _check_bias(p1, "p1")
-    p2f = _check_bias(p2, "p2")
+    p1f = _parse_bias(p1, "p1")
+    p2f = _parse_bias(p2, "p2")
     if not (0.5 <= p1f < p2f < 1.0):
         raise ValueError(f"need 1/2 <= p1 < p2 < 1, got p1={p1}, p2={p2}")
     if truncation <= n:
@@ -190,12 +167,5 @@ def check_independence_discrete(p, k: int, truncation: int,
     spec = WalkSpec(p, k)
     table = exit_joint(spec, truncation, mode)
     h = walk.upper_exit_prob(spec, mode)
-    if mode == MODE_RATIONAL:
-        worst = Fraction(0)
-    else:
-        worst = 0.0
-    for m in range(truncation + 1):
-        dev = abs(table.up[m] - table.exit_pmf(m) * h)
-        if dev > worst:
-            worst = dev
-    return worst
+    return max(abs(table.up[m] - table.exit_pmf(m) * h)
+               for m in range(truncation + 1))

@@ -113,6 +113,26 @@ def test_likelihood_ratio_rejects_censored():
         ed.likelihood_ratio_bm(samples, 0.0, 1.0)
 
 
+def test_reweight_overflowing_weight_fails_cleanly():
+    # reweighting lam = 40 -> 0 at an exit at t = 30 needs the weight
+    # exp(800 * 30 + 40), far beyond the float range
+    samples = ExitSamples(DriftSpec(40.0, 1.0), 1e-3, 40.0,
+                          np.array([0.02, 30.0]),
+                          np.array([1, -1], dtype=np.int8),
+                          np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="overflows"):
+        ed.reweighted_survival_bm(samples, 0.0, 0.01)
+    with pytest.raises(ValueError, match="overflows"):
+        ed.likelihood_ratio_bm(samples, 40.0, 0.0)
+
+
+def test_reweight_uses_the_likelihood_ratio_weights(samples1):
+    t = 0.5
+    est, _, _ = ed.reweighted_survival_bm(samples1, 0.0, t)
+    w = ed.likelihood_ratio_bm(samples1, 1.0, 0.0)
+    assert est == float((w * (samples1.times > t)).mean())
+
+
 def test_reweight_identity_equals_empirical(samples0):
     for t in (0.5, 1.0, 3.0):
         est, _, _ = ed.reweighted_survival_bm(samples0, 0.0, t)

@@ -199,13 +199,26 @@ def test_survival_curve_properties(num, k, horizon):
     assert np.all(np.diff(vals) <= 1e-15)
 
 
+@pytest.mark.parametrize("p,k", [("1/2", 1), ("3/10", 1), ("3/5", 2),
+                                 ("1/5", 3), ("9/10", 4), ("11/20", 6)])
+def test_float_dp_matches_rounded_rational_dp(p, k):
+    horizon = 120
+    exact = ed.exit_joint(WalkSpec(p, k), horizon, MODE_RATIONAL)
+    approx = ed.exit_joint(WalkSpec(float(Fraction(p)), k), horizon, MODE_FLOAT)
+    for name in ("up", "down", "residual"):
+        x = getattr(exact, name)
+        y = getattr(approx, name)
+        assert all(isinstance(v, Fraction) for v in x)
+        assert [float(v) for v in x] == pytest.approx(y, rel=1e-12, abs=1e-16)
+
+
 def test_serialization_roundtrip(tmp_path):
-    import io as _io
-    curve = ed.survival_pmf(WalkSpec(0.6, 2), 4)
-    buf = _io.StringIO()
-    curve.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,value"
-    assert lines[3] == "2,0.48"
+    obj = ed.survival_pmf(WalkSpec(0.6, 2), 4).to_json_obj()
+    assert obj["mode"] == MODE_FLOAT
+    assert obj["values"][:3] == ["1", "1", "0.48"]
+    assert ed.exit_joint(WalkSpec(0.6, 2), 4).to_json_obj()["up"][:2] == ["0", "0"]
+    obj = ed.survival_pmf(WalkSpec("3/5", 2), 4, MODE_RATIONAL).to_json_obj()
+    assert obj["values"][:3] == ["1/1", "1/1", "12/25"]
     obj = ed.exit_joint(WalkSpec("3/5", 2), 4, MODE_RATIONAL).to_json_obj()
+    assert obj["p"] == "3/5"
     assert obj["up"][2] == "9/25"

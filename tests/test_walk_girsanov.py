@@ -10,29 +10,29 @@ from exitdom.walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, interior_decay_env
 
 def test_likelihood_ratio_examples():
     # one step up: ratio is p_to / p_from
-    assert ed.likelihood_ratio_walk(1, 1, 0.5, 0.7).value == pytest.approx(1.4)
+    assert ed.likelihood_ratio_walk(1, 1, 0.5, 0.7) == pytest.approx(1.4)
     # two steps, net zero: (p_to q_to) / (p_from q_from)
-    assert ed.likelihood_ratio_walk(2, 0, 0.5, 0.6).value == pytest.approx(0.96)
+    assert ed.likelihood_ratio_walk(2, 0, 0.5, 0.6) == pytest.approx(0.96)
 
 
 def test_likelihood_ratio_exact():
     lr = ed.likelihood_ratio_walk(2, 0, "1/2", "3/5", MODE_RATIONAL)
-    assert lr.value == Fraction(24, 25)
+    assert lr == Fraction(24, 25) and isinstance(lr, Fraction)
     lr = ed.likelihood_ratio_walk(4, 2, "1/2", "7/10", MODE_RATIONAL)
-    assert lr.value == (Fraction(7, 5)) ** 3 * Fraction(3, 5)
+    assert lr == (Fraction(7, 5)) ** 3 * Fraction(3, 5)
 
 
 def test_likelihood_ratio_chain_rule():
     # composing p1 -> p2 -> p3 must equal p1 -> p3
-    a = ed.likelihood_ratio_walk(6, 2, "1/2", "3/5", MODE_RATIONAL).value
-    b = ed.likelihood_ratio_walk(6, 2, "3/5", "4/5", MODE_RATIONAL).value
-    c = ed.likelihood_ratio_walk(6, 2, "1/2", "4/5", MODE_RATIONAL).value
+    a = ed.likelihood_ratio_walk(6, 2, "1/2", "3/5", MODE_RATIONAL)
+    b = ed.likelihood_ratio_walk(6, 2, "3/5", "4/5", MODE_RATIONAL)
+    c = ed.likelihood_ratio_walk(6, 2, "1/2", "4/5", MODE_RATIONAL)
     assert a * b == c
 
 
 def test_likelihood_ratio_inverse():
-    a = ed.likelihood_ratio_walk(5, -1, 0.55, 0.8).value
-    b = ed.likelihood_ratio_walk(5, -1, 0.8, 0.55).value
+    a = ed.likelihood_ratio_walk(5, -1, 0.55, 0.8)
+    b = ed.likelihood_ratio_walk(5, -1, 0.8, 0.55)
     assert a * b == pytest.approx(1.0, abs=1e-14)
 
 
@@ -46,7 +46,7 @@ def test_likelihood_ratio_normalizes(p_from, p_to):
         s = 2 * u - n
         paths = math.comb(n, u)
         prob = paths * pf**u * (1 - pf) ** (n - u)
-        total += ed.likelihood_ratio_walk(n, s, p_from, p_to, MODE_RATIONAL).value * prob
+        total += ed.likelihood_ratio_walk(n, s, p_from, p_to, MODE_RATIONAL) * prob
     assert total == 1
 
 
