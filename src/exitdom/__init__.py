@@ -14,14 +14,17 @@ from .walk import (
     exit_joint,
     mean_exit,
     modulus_chain_up_prob,
+    survival_at,
     survival_pmf,
     upper_exit_prob,
 )
 from .walk_girsanov import (
     check_independence_discrete,
     factorization_check_discrete,
+    factorization_from_table,
     likelihood_ratio_walk,
     martingale_one_step_check,
+    reweighted_survival_from_table,
     reweighted_survival_walk,
 )
 from .bm import (

@@ -14,6 +14,7 @@ the independence of exit time and exit side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy import integrate
@@ -23,6 +24,9 @@ from .dominance import DominanceReport, _worst_gap
 
 # fraction of b^2 below which the reflection form replaces the eigenseries
 _SMALL_T = 0.05
+
+# largest lambda*b whose cosh is a finite float (about 710.48)
+_MAX_LAMBDA_B = math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -146,17 +150,28 @@ def _weighted_tail_series(b: float, t: float, g: float, ctl: SeriesControl) -> f
         f"weighted tail series did not converge within {ctl.max_terms} terms")
 
 
+def _cosh_lambda_b(lam: float, b: float) -> float:
+    """cosh(lam*b), the Girsanov factor of the drifted survival."""
+    if lam * b > _MAX_LAMBDA_B:
+        raise ValueError(
+            f"lambda*b = {lam * b:g} exceeds {_MAX_LAMBDA_B:.2f}, above which "
+            "cosh(lambda*b) overflows a float")
+    return math.cosh(lam * b)
+
+
 def drifted_survival(spec: DriftSpec, t: float,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """P(tau > t) for Brownian motion with drift lam exiting (-b, b).
 
     The exit-time law depends on the drift only through |lam|, so negative
-    drifts are served by symmetry.
+    drifts are served by symmetry.  Raises ValueError where cosh(lam*b)
+    overflows.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     lam = abs(spec.lam)
     b = spec.b
+    cosh_lb = _cosh_lambda_b(lam, b)
     g = 0.5 * lam * lam
     t_switch = _SMALL_T * b * b
     if t >= t_switch:
@@ -167,7 +182,7 @@ def drifted_survival(spec: DriftSpec, t: float,
             t, t_switch, limit=ctl.quad_limit,
             epsabs=ctl.tol, epsrel=1e-12)
         val = head + _weighted_tail_series(b, t_switch, g, ctl)
-    val *= math.cosh(lam * b)
+    val *= cosh_lb
     return min(1.0, max(0.0, val))
 
 
@@ -176,18 +191,20 @@ def drifted_survival_quad(spec: DriftSpec, t: float,
     """Quadrature route for P(tau > t): independent of the termwise series.
 
     Returns (value, cutoff_bound) where cutoff_bound dominates the mass of
-    the integrand beyond the truncation time.
+    the integrand beyond the truncation time.  The value is clamped to
+    [0, 1]; ValueError where cosh(lam*b) overflows.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     lam = abs(spec.lam)
     b = spec.b
+    cosh_lb = _cosh_lambda_b(lam, b)
     g = 0.5 * lam * lam
     a0 = math.pi**2 / (8.0 * b * b)
     # choose T_cut so the remaining weighted mass is far below tol
     target = ctl.tol / 10.0
     T_cut = max(t + b * b, 4.0 * b * b)
-    while math.cosh(lam * b) * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi) > target:
+    while cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi) > target:
         T_cut *= 1.5
     pieces = sorted({t, _SMALL_T * b * b, b * b, T_cut})
     pieces = [s for s in pieces if t <= s <= T_cut]
@@ -197,8 +214,8 @@ def drifted_survival_quad(spec: DriftSpec, t: float,
             lambda s: math.exp(-g * s) * driftless_exit_density(b, s, ctl),
             lo, hi, limit=ctl.quad_limit, epsabs=ctl.tol, epsrel=1e-11)
         total += part
-    cutoff_bound = math.cosh(lam * b) * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)
-    return math.cosh(lam * b) * total, cutoff_bound
+    cutoff_bound = cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)
+    return min(1.0, max(0.0, cosh_lb * total)), cutoff_bound
 
 
 def sign_given_modulus(lam: float, x: float):

@@ -83,16 +83,17 @@ def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
     worst = 0.0
     worst_excess = -math.inf
     for k in ks:
+        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
+                  for p in ps}
         for p_from in ps:
+            table = walk.exit_joint(WalkSpec(p_from, k), truncation, MODE_FLOAT)
             for p_to in ps:
                 if p_from == p_to:
                     continue
                 for n in ns:
-                    est, bound = walk_girsanov.reweighted_survival_walk(
-                        p_from, p_to, k, n, truncation)
-                    direct = walk.survival_pmf(WalkSpec(p_to, k), n,
-                                               MODE_FLOAT).values[n]
-                    diff = abs(est - direct)
+                    est, bound = walk_girsanov.reweighted_survival_from_table(
+                        table, p_to, n)
+                    diff = abs(est - direct[p_to][n])
                     worst = max(worst, diff)
                     worst_excess = max(worst_excess, diff - max(bound, 1e-10))
     return CheckResult(
@@ -105,11 +106,12 @@ def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
     ps = [0.5, 0.6, 0.7, 0.8, 0.9]
     worst = 0.0
     for k in ks:
-        for i, p1 in enumerate(ps):
+        for i, p1 in enumerate(ps[:-1]):
+            table = walk.exit_joint(WalkSpec(p1, k), truncation, MODE_FLOAT)
             for p2 in ps[i + 1:]:
                 for n in ns:
-                    worst = max(worst, walk_girsanov.factorization_check_discrete(
-                        p1, p2, k, n, truncation))
+                    worst = max(worst, walk_girsanov.factorization_from_table(
+                        table, p2, n))
     return CheckResult(
         "discrete-factorization-identity", worst <= 1e-10,
         f"max deviation {_fmt(worst)}", "<= 1e-10")
@@ -127,13 +129,17 @@ def check_sech_identity() -> CheckResult:
 
 
 def check_donsker_series(k: int) -> CheckResult:
+    """The walk at p = 1/2 against the driftless eigenseries at b = 1.
+
+    On the diffusive scale n = t*k^2 the walk's survival tends to the
+    Brownian one.  The walk law is evaluated at the four step counts only,
+    by the closed-form solution of the DP recurrence (``walk.survival_at``).
+    """
     times = [0.25, 0.5, 1.0, 2.0]
-    horizon = int(max(times) * k * k)
-    curve = walk.survival_pmf(WalkSpec(0.5, k), horizon, MODE_FLOAT)
+    walk_values = walk.survival_at(WalkSpec(0.5, k), [int(t * k * k) for t in times])
     worst = 0.0
-    for t in times:
-        dp = curve.values[int(t * k * k)]
-        worst = max(worst, abs(dp - bm.driftless_survival(1.0, t)))
+    for t, value in zip(times, walk_values):
+        worst = max(worst, abs(value - bm.driftless_survival(1.0, t)))
     return CheckResult(
         "donsker-series-crosscheck", worst <= 2e-3,
         f"max |walk DP - series| {_fmt(worst)}", "<= 2e-3",

@@ -6,10 +6,19 @@ dynamic programme on the interior states {-k+1, ..., k-1}, run in either of
 two number types: exact rationals (``fractions.Fraction``, held in numpy
 object arrays) or 64-bit floats.  The ``mode`` argument picks the type; the
 recurrence, the mean-exit solve and the closed forms are shared.
+
+``survival_at`` gives float survival probabilities at selected steps
+without running the recurrence: the interior matrix is tridiagonal Toeplitz,
+so P(sigma > n) has the eigen-expansion sum_v c_v (2 sqrt(pq) cos(pi v/2k))^n
+(Feller, Vol. I, XIV.5), which costs O(k^2) once and O(k) per step count.
+Away from p = 1/2 the expansion is ill-conditioned; a gate on the spread of
+its similarity weights hands those inputs back to the DP, which stays the
+exact reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +29,14 @@ from .io import fmt_cell
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
 _MODES = (MODE_RATIONAL, MODE_FLOAT)
+
+# survival_at uses its closed form only while (2k-1) * sqrt(R) is at most
+# this, where R = (max(p,q)/min(p,q))^(k-1) is the spread of the similarity
+# weights; the product bounds their sum relative to the centre weight, and
+# the rounding error of the expansion grows with it.  Against an
+# extended-precision DP over n <= 4k + 40 and k <= 2000, the worst error
+# was 1.8e-14 up to 2000, 8.0e-14 up to 8000 and 2.6e-13 up to 16000.
+_MAX_CONDITION = 2000.0
 
 
 def exact_fraction(x) -> Fraction:
@@ -190,6 +207,59 @@ def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> Surviv
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     return SurvivalCurve(_dp(spec, horizon, mode)[2], mode)
+
+
+def survival_at(spec: WalkSpec, ns) -> list:
+    """P(sigma > n) for each step count n in ``ns``, as floats.
+
+    Evaluates the closed-form solution of the DP recurrence instead of
+    running it.  The interior matrix is similar, through the diagonal
+    weights (p/q)^(j/2), to sqrt(pq) times the symmetric tridiagonal matrix
+    of ones, whose eigenpairs are known (Feller, Vol. I, XIV.5):
+
+        P(sigma > n) = sum over odd v < 2k of c_v * lambda_v^n,
+        lambda_v = 2*sqrt(pq)*cos(pi*v/(2k)),
+        c_v = (+-1/k) * sum_j sin(pi*v*j/(2k)) * (p/q)^((j-k)/2).
+
+    Each power is exp(n*log|lambda_v|) with the log formed through log1p,
+    which keeps it accurate at large n; the sign of lambda_v for v > k is
+    applied separately.  Below k steps the survival is exactly 1.  Far from
+    p = 1/2 the weights make the sum ill-conditioned: where
+    (2k-1) * sqrt(R), with R = (max(p,q)/min(p,q))^(k-1), exceeds
+    ``_MAX_CONDITION``, the values come from the float DP instead.
+    """
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError("step counts must be >= 0")
+    p, q = spec.pq(MODE_FLOAT)
+    k = spec.k
+    log_condition = math.log(2 * k - 1) + 0.5 * (k - 1) * abs(math.log(p / q))
+    if log_condition > math.log(_MAX_CONDITION):
+        values = survival_pmf(spec, max(ns, default=0), MODE_FLOAT).values
+        return [values[n] for n in ns]
+    v = np.arange(1, 2 * k, 2)  # modes of even index carry no weight
+    j = np.arange(1, 2 * k)
+    weights = (p / q) ** ((j - k) / 2)
+    sign = np.where(v % 4 == 1, 1.0, -1.0)  # sin(pi*v/2)
+    c = sign / k * (np.sin(np.outer(v, j) * (np.pi / (2 * k))) @ weights)
+    m = np.minimum(v, 2 * k - v)
+    # log|cos(pi*m/(2k))| = log1p(-2 sin^2(pi*m/(4k))); lambda = 0 at m = k
+    log_mod = np.full(v.size, -np.inf)
+    live = m != k
+    if live.any():  # k > 1, so the gate has kept p away from 0 and 1
+        log_mod[live] = (0.5 * math.log1p(-(p - q) ** 2)  # log(2 sqrt(pq))
+                         + np.log1p(-2.0 * np.sin(np.pi * m[live] / (4 * k)) ** 2))
+    negative = v > k
+    out = []
+    for n in ns:
+        if n < k:  # no path reaches +-k in fewer than k steps
+            out.append(1.0)
+            continue
+        terms = c * np.exp(n * log_mod)
+        if n % 2:
+            terms[negative] = -terms[negative]
+        out.append(min(1.0, max(0.0, float(terms.sum()))))
+    return out
 
 
 def mean_exit(spec: WalkSpec, mode: str = MODE_FLOAT):

@@ -16,7 +16,8 @@ import math
 from typing import NamedTuple
 
 from . import walk
-from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, _parse_bias, exit_joint
+from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec, _parse_bias,
+                   exit_joint)
 
 
 def likelihood_ratio_walk(n: int, s: int, p_from, p_to, mode: str = MODE_FLOAT):
@@ -47,14 +48,15 @@ def likelihood_ratio_walk(n: int, s: int, p_from, p_to, mode: str = MODE_FLOAT):
 def martingale_one_step_check(p, mode: str = MODE_FLOAT):
     """Deviation in E_{1/2}[(p/q)^(X/2)] = 1/(2*sqrt(pq)) for one +-1 step X.
 
-    In rational mode both sides are compared after clearing the common factor
-    sqrt(pq), where the identity reduces to p + q = 1; the deviation is then
-    an exact 0.
+    In rational mode both sides are squared, which clears the square roots:
+    (p/q + q/p + 2)/4 is compared with 1/(4pq) in exact arithmetic, so a
+    correct identity gives a deviation of exactly 0.
     """
     if mode == MODE_RATIONAL:
         pf = walk.exact_fraction(p)
         _parse_bias(pf)
-        return abs(pf + (1 - pf) - 1)
+        q = 1 - pf
+        return abs((pf / q + q / pf + 2) / 4 - 1 / (4 * pf * q))
     pf = _parse_bias(p)
     q = 1.0 - pf
     lhs = 0.5 * (math.sqrt(pf / q) + math.sqrt(q / pf))
@@ -94,19 +96,37 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
                              tail_tol: float | None = None) -> ReweightedSurvival:
     """Estimate P_{p_to}(sigma > n) from the p_from exit table by reweighting.
 
-    Sums r^m * z^(+-k) over the exit rows m = n+1..truncation and returns the
-    truncation error bound alongside.  A ``tail_tol`` only triggers a warning
-    path: the bound is still returned, never silently dropped.
+    Builds the float exit table at p_from up to ``truncation`` and reads it
+    with ``reweighted_survival_from_table``.
+    """
+    pf = _parse_bias(p_from, "p_from")
+    _parse_bias(p_to, "p_to")
+    if truncation <= n:
+        raise ValueError(f"truncation {truncation} must exceed n={n}")
+    table = exit_joint(WalkSpec(pf, k), truncation, MODE_FLOAT)
+    return reweighted_survival_from_table(table, p_to, n, tail_tol)
+
+
+def reweighted_survival_from_table(table: JointExitTable, p_to, n: int,
+                                   tail_tol: float | None = None
+                                   ) -> ReweightedSurvival:
+    """P_{p_to}(sigma > n) by reweighting a float exit table built at p_from.
+
+    Sums r^m * z^(+-k) over the exit rows m = n+1..truncation, where the
+    truncation is the table's horizon, and returns the truncation error
+    bound alongside.  A ``tail_tol`` only triggers a warning path: the bound
+    is still returned, never silently dropped.  One table serves every
+    (p_to, n) that shares its bias and half-width.
     """
     import warnings
 
-    pf = _parse_bias(p_from, "p_from")
     pt = _parse_bias(p_to, "p_to")
+    truncation = table.horizon
     if truncation <= n:
         raise ValueError(f"truncation {truncation} must exceed n={n}")
-    spec = WalkSpec(pf, k)
-    table = exit_joint(spec, truncation, MODE_FLOAT)
-    r, z = _rz(pf, pt)
+    spec = table.spec
+    k = spec.k
+    r, z = _rz(spec.p_float(), pt)
     log_r, log_z = math.log(r), math.log(z)
     est = 0.0
     # each term is weight * mass, formed as exp(log weight + log mass): the
@@ -123,18 +143,8 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
     return ReweightedSurvival(est, bound)
 
 
-def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> float:
-    """Discrepancy in the conditional-expectation factorization of the survival.
-
-    Both sides of
-
-        Q_{p2}(sigma > n) = E_{p1}[r^sigma | sigma > n] / E_{p1}[r^sigma]
-                            * Q_{p1}(sigma > n)
-
-    are computed independently: the left from a direct DP at p2, the right
-    entirely from the p1 exit table.  Requires 1/2 <= p1 < p2 < 1 so that
-    r < 1; a pair so close that r rounds to 1 raises ValueError.
-    """
+def _factorization_r(p1, p2, n: int, truncation: int):
+    """(r, p2 as a float) for the factorization identity, after its preconditions."""
     p1f = _parse_bias(p1, "p1")
     p2f = _parse_bias(p2, "p2")
     if not (0.5 <= p1f < p2f < 1.0):
@@ -146,13 +156,40 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
         raise ValueError(
             f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
             "the identity needs r < 1")
-    spec1 = WalkSpec(p1f, k)
-    table = exit_joint(spec1, truncation, MODE_FLOAT)
+    return r, p2f
+
+
+def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> float:
+    """Discrepancy in the conditional-expectation factorization of the survival.
+
+    Builds the float exit table at p1 up to ``truncation`` and reads it with
+    ``factorization_from_table``.  Requires 1/2 <= p1 < p2 < 1 so that
+    r < 1; a pair so close that r rounds to 1 raises ValueError.
+    """
+    _factorization_r(p1, p2, n, truncation)
+    table = exit_joint(WalkSpec(_parse_bias(p1, "p1"), k), truncation, MODE_FLOAT)
+    return factorization_from_table(table, p2, n)
+
+
+def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
+    """Factorization discrepancy at (p2, n) from a float exit table built at p1.
+
+    Both sides of
+
+        Q_{p2}(sigma > n) = E_{p1}[r^sigma | sigma > n] / E_{p1}[r^sigma]
+                            * Q_{p1}(sigma > n)
+
+    are computed independently: the left from a direct DP at p2, the right
+    entirely from the p1 exit table, truncated at the table's horizon.  One
+    table serves every (p2, n) that shares its bias and half-width.
+    """
+    truncation = table.horizon
+    r, p2f = _factorization_r(table.spec.p, p2, n, truncation)
     pmf = [table.exit_pmf(m) for m in range(truncation + 1)]
     e_r = sum(r**m * pmf[m] for m in range(truncation + 1))
     e_r_after = sum(r**m * pmf[m] for m in range(n + 1, truncation + 1))
     rhs = e_r_after / e_r
-    direct = walk.survival_pmf(WalkSpec(p2f, k), n, MODE_FLOAT).values[n]
+    direct = walk.survival_pmf(WalkSpec(p2f, table.spec.k), n, MODE_FLOAT).values[n]
     return abs(direct - rhs)
 
 

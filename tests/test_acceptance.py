@@ -4,6 +4,7 @@ the verdict lines alongside the pytest status.
 """
 
 import filecmp
+import json
 import math
 import subprocess
 import sys
@@ -124,6 +125,11 @@ def test_criterion_06_donsker_crosscheck():
     curve = ed.survival_pmf(WalkSpec(0.5, k), int(max(times) * k * k))
     worst = max(abs(curve.values[int(t * k * k)] - ed.driftless_survival(1.0, t))
                 for t in times)
+    # the battery reads these four values from the closed form; the DP is
+    # its independent reference
+    steps = [int(t * k * k) for t in times]
+    assert ed.survival_at(WalkSpec(0.5, k), steps) == pytest.approx(
+        [curve.values[n] for n in steps], rel=0, abs=1e-14)
     verdict(worst <= 2e-3,
             "criterion-6 donsker-crosscheck",
             f"max |walk DP (k=400) - eigenseries| = {worst:.3e} (require <= 2e-3)")
@@ -191,6 +197,19 @@ def test_criterion_10_coupled_sde_ordering():
             f"({'strictly decreasing' if decreasing else 'NOT decreasing'})")
 
 
+# value strings of the battery's non-Monte-Carlo checks at SEED: a change
+# that moves any of their digits shows here
+DETERMINISTIC_VALUES = {
+    "discrete-exact-dominance": "0 violations",
+    "discrete-exit-independence": "float max dev 5.551115e-17, exact max dev 0",
+    "discrete-girsanov-reweighting": "max |reweighted - direct| 2.553513e-15",
+    "discrete-factorization-identity": "max deviation 2.775558e-16",
+    "laplace-sech-identity": "max |cosh * integral - 1| 2.331468e-14",
+    "donsker-series-crosscheck": "max |walk DP - series| 4.333627e-06",
+    "continuous-analytic-dominance": "0 violations",
+}
+
+
 def test_criterion_11_deterministic_battery(tmp_path):
     def run(threads, outdir):
         outdir.mkdir()
@@ -207,6 +226,10 @@ def test_criterion_11_deterministic_battery(tmp_path):
                            shallow=False)
                for f in ("verify_all.txt", "verify_all.json"))
     all_pass = p1.returncode == 0 and p4.returncode == 0
+    with open(tmp_path / "t1" / "verify_all.json") as fh:
+        values = {r["name"]: r["value"] for r in json.load(fh)["results"]}
+    assert {name: values.get(name) for name in DETERMINISTIC_VALUES} == \
+        DETERMINISTIC_VALUES
     verdict(all_pass and same,
             "criterion-11 deterministic-battery",
             f"desk battery exit codes {p1.returncode}/{p4.returncode} "

@@ -90,6 +90,20 @@ def test_series_vs_quadrature_route():
                 assert a == pytest.approx(q, abs=1e-9 + bound)
 
 
+def test_quadrature_route_stays_in_the_unit_interval():
+    # unclamped, the short-time quadrature at lam = 40 overshoots 1 by 3e-8
+    val, bound = ed.drifted_survival_quad(DriftSpec(40.0, 1.0), 0.01)
+    assert 0.0 <= val <= 1.0
+    assert val == pytest.approx(1.0, abs=1e-7)
+
+
+def test_cosh_overflow_is_a_value_error():
+    assert ed.drifted_survival(DriftSpec(700.0, 1.0), 1.0) == 0.0
+    for fn in (ed.drifted_survival, ed.drifted_survival_quad):
+        with pytest.raises(ValueError, match=r"lambda\*b = 800 exceeds 710\.48"):
+            fn(DriftSpec(-400.0, 2.0), 1.0)
+
+
 def test_sech_identity():
     # cosh(lam b) * E0[exp(-lam^2 tau / 2)] = 1
     for lam in (0.3, 1.0, 2.0):

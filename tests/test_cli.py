@@ -139,6 +139,12 @@ def test_bm_survival_csv(tmp_path):
     assert data[2].startswith("1,1,0.24693790529559")
 
 
+def test_bm_survival_cosh_overflow_is_exit_1(tmp_path, capsys):
+    assert run(["bm-survival", "--lambdas", "800", "--outdir", str(tmp_path)]) == 1
+    assert ("error: lambda*b = 800 exceeds 710.48, above which cosh(lambda*b) "
+            "overflows a float") in capsys.readouterr().err
+
+
 def test_bm_dominance(tmp_path, capsys):
     assert run(["bm-dominance", "--lambdas", "0,1", "--times", "0.5,1",
                 "--outdir", str(tmp_path)]) == 0

@@ -174,6 +174,8 @@ def test_invalid_inputs():
         ed.modulus_chain_up_prob(WalkSpec(0.5, 3), 3)
     with pytest.raises(ValueError):
         ed.survival_pmf(WalkSpec(0.5, 2), 5, "decimal")
+    with pytest.raises(ValueError):
+        ed.survival_at(WalkSpec(0.5, 2), [3, -1])
 
 
 def test_exact_mode_rejects_unrepresentable():
@@ -210,6 +212,35 @@ def test_float_dp_matches_rounded_rational_dp(p, k):
         y = getattr(approx, name)
         assert all(isinstance(v, Fraction) for v in x)
         assert [float(v) for v in x] == pytest.approx(y, rel=1e-12, abs=1e-16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       k=st.integers(1, 12), horizon=st.integers(0, 400))
+def test_survival_at_matches_float_dp(p, k, horizon):
+    # closed-form values lie within 1e-13 of the DP; gated ones equal it
+    spec = WalkSpec(p, k)
+    dp = ed.survival_pmf(spec, horizon).values
+    assert ed.survival_at(spec, range(horizon + 1)) == pytest.approx(
+        dp, rel=0, abs=1e-13)
+
+
+def test_survival_at_above_the_gate_is_the_dp():
+    # at p = 0.95, k = 8 the similarity weights spread over 19^7, far past
+    # the conditioning gate, so the values come from the DP bit for bit
+    spec = WalkSpec(0.95, 8)
+    dp = ed.survival_pmf(spec, 200).values
+    ns = [0, 7, 8, 9, 50, 200, 3]
+    assert ed.survival_at(spec, ns) == [dp[n] for n in ns]
+    assert ed.survival_at(spec, []) == []
+
+
+def test_survival_at_selected_steps():
+    spec = WalkSpec("3/5", 3)
+    dp = ed.survival_pmf(spec, 60).values
+    assert ed.survival_at(spec, [60, 0, 2, 3]) == pytest.approx(
+        [dp[60], 1.0, 1.0, dp[3]], rel=0, abs=1e-15)
+    assert ed.survival_at(WalkSpec(0.5, 1), [0, 1, 5]) == [1.0, 0.0, 0.0]
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -61,7 +61,9 @@ def test_likelihood_ratio_input_validation():
 
 def test_martingale_one_step():
     assert ed.martingale_one_step_check(0.7) <= 1e-15
-    assert ed.martingale_one_step_check("7/10", MODE_RATIONAL) == 0
+    for p in ("7/10", "1/2", "1/3", "99/100", Fraction(31, 61)):
+        dev = ed.martingale_one_step_check(p, MODE_RATIONAL)
+        assert isinstance(dev, Fraction) and dev == Fraction(0)
 
 
 def test_reweighted_survival_matches_direct():
@@ -110,6 +112,21 @@ def test_factorization_identity():
         for k in (1, 2, 3):
             for n in (0, 5, 20):
                 assert ed.factorization_check_discrete(p1, p2, k, n, 600) <= 1e-10
+
+
+def test_table_readers_match_the_per_point_functions():
+    truncation = 300
+    for k in (1, 3):
+        for p_from in (0.5, 0.7, Fraction(3, 5)):
+            table = ed.exit_joint(WalkSpec(float(p_from), k), truncation)
+            for p_to in (0.5, 0.6, 0.9, "3/4"):
+                for n in (0, 7, 40):
+                    assert ed.reweighted_survival_from_table(table, p_to, n) == \
+                        ed.reweighted_survival_walk(p_from, p_to, k, n, truncation)
+                    if float(p_from) < float(Fraction(p_to)):
+                        assert ed.factorization_from_table(table, p_to, n) == \
+                            ed.factorization_check_discrete(p_from, p_to, k, n,
+                                                            truncation)
 
 
 def test_factorization_preconditions():
