@@ -9,6 +9,7 @@ the resolved configuration is echoed and embedded in every output file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -56,7 +57,8 @@ _SUBCOMMANDS: dict[str, dict] = {
         "k": (2, "barrier half-width (steps)"),
         "truncation": (300, "table truncation (steps)"),
         "mode": ("float", "arithmetic mode: rational|float"),
-        "tol": (1e-12, "max allowed factorization deviation (probability)"),
+        "tol": (verify.INDEPENDENCE_TOL,
+                "max allowed factorization deviation (probability)"),
     },
     "rw-reweight": {
         "p-from": ("0.5", "simulated bias (dimensionless)"),
@@ -64,7 +66,8 @@ _SUBCOMMANDS: dict[str, dict] = {
         "k": (3, "barrier half-width (steps)"),
         "n": (10, "survival step count n (steps)"),
         "truncation": (400, "table truncation (steps)"),
-        "tol": (1e-10, "allowed excess over the reported tail bound (probability)"),
+        "tol": (verify.REWEIGHT_FLOOR,
+                "allowed excess over the reported tail bound (probability)"),
     },
     "rw-factorization": {
         "p1": ("0.5", "smaller bias, >= 1/2 (dimensionless)"),
@@ -72,7 +75,7 @@ _SUBCOMMANDS: dict[str, dict] = {
         "k": (2, "barrier half-width (steps)"),
         "n": (4, "survival step count n (steps)"),
         "truncation": (400, "table truncation (steps)"),
-        "tol": (1e-10, "max allowed identity deviation (probability)"),
+        "tol": (verify.FACTORIZATION_TOL, "max allowed identity deviation (probability)"),
     },
     "bm-survival": {
         "lambdas": ("0,0.5,1", "drift rates (1/time, comma list)"),
@@ -83,7 +86,8 @@ _SUBCOMMANDS: dict[str, dict] = {
         "lambdas": ("0,0.5,1,2", "ascending nonnegative drift rates (1/time)"),
         "b": (1.0, "barrier half-width (length)"),
         "times": ("0.25,0.5,1,2", "evaluation times (time, comma list)"),
-        "tol": (1e-8, "tie tolerance for survival comparisons (probability)"),
+        "tol": (verify.DOMINANCE_TIE_TOL,
+                "tie tolerance for survival comparisons (probability)"),
     },
     "bm-couple": {
         "lambdas": ("0,0.5,1", "ascending drift rates (1/time)"),
@@ -93,7 +97,7 @@ _SUBCOMMANDS: dict[str, dict] = {
         "n-paths": (1000, "number of coupled paths (count)"),
         "level": (1.0, "first-hitting level for Y (length^2)"),
         "seed": (20240817, "master seed (64-bit integer)"),
-        "tol": (1e-3, "max allowed ordering-violation step fraction"),
+        "tol": (verify.COUPLED_TOL, "max allowed ordering-violation step fraction"),
     },
     "bm-independence": {
         "lam": (1.0, "drift rate (1/time)"),
@@ -102,7 +106,7 @@ _SUBCOMMANDS: dict[str, dict] = {
         "time-horizon": (30.0, "simulation horizon (time)"),
         "n-paths": (100000, "number of paths (count)"),
         "bins": (10, "equal-probability exit-time bins (count)"),
-        "alpha": (1e-3, "rejection level for the chi-square test"),
+        "alpha": (verify.INDEPENDENCE_ALPHA, "rejection level for the chi-square test"),
         "seed": (20240817, "master seed (64-bit integer)"),
         "threads": (1, "worker threads for path batches (count)"),
         "bridge": (1, "Brownian-bridge crossing correction: 1 on, 0 off"),
@@ -194,14 +198,17 @@ def _cmd_rw_survival(cfg: dict) -> int:
     return 0
 
 
+def _dominance_report(cfg: dict, stem: str, rep) -> int:
+    io.write_json(_out(cfg, stem, "json"), {"report": rep.to_json_obj()}, cfg)
+    print(rep.to_text())
+    return 0 if rep.n_violations <= verify.MAX_VIOLATIONS else 2
+
+
 def _cmd_rw_dominance(cfg: dict) -> int:
     ps = [s.strip() for s in cfg["ps"].split(",")]
     rep = dominance.dominance_scan_discrete(ps, cfg["k"], cfg["horizon"],
                                             cfg["mode"])
-    io.write_json(_out(cfg, "rw_dominance", "json"),
-                  {"report": rep.to_json_obj()}, cfg)
-    print(rep.to_text())
-    return 0 if rep.n_violations == 0 else 2
+    return _dominance_report(cfg, "rw_dominance", rep)
 
 
 def _cmd_rw_independence(cfg: dict) -> int:
@@ -223,7 +230,7 @@ def _cmd_rw_reweight(cfg: dict) -> int:
                    "direct": float(direct), "abs_diff": diff}, cfg)
     print(f"reweighted {est:.12g}  direct {float(direct):.12g}  "
           f"diff {diff:.3e}  tail bound {bound:.3e}")
-    return 0 if diff <= max(bound, cfg["tol"]) else 2
+    return 0 if verify.reweight_within(diff, bound, cfg["tol"]) else 2
 
 
 def _cmd_rw_factorization(cfg: dict) -> int:
@@ -254,10 +261,7 @@ def _cmd_bm_survival(cfg: dict) -> int:
 def _cmd_bm_dominance(cfg: dict) -> int:
     rep = bm.dominance_scan_continuous(cfg["lambdas"], cfg["b"], cfg["times"],
                                        tie_tol=cfg["tol"])
-    io.write_json(_out(cfg, "bm_dominance", "json"),
-                  {"report": rep.to_json_obj()}, cfg)
-    print(rep.to_text())
-    return 0 if rep.n_violations == 0 else 2
+    return _dominance_report(cfg, "bm_dominance", rep)
 
 
 def _cmd_bm_couple(cfg: dict) -> int:
@@ -275,20 +279,22 @@ def _cmd_bm_couple(cfg: dict) -> int:
     return 0 if stats.violation_fraction <= cfg["tol"] else 2
 
 
-def _dump_paths(cfg: dict, samples, stem: str) -> None:
-    rows = ((i, samples.times[i], int(samples.sides[i]), samples.terminal[i])
-            for i in range(samples.n))
-    io.write_csv(_out(cfg, stem, "csv"), ["path", "time", "side", "terminal"],
-                 rows, cfg)
-
-
-def _cmd_bm_independence(cfg: dict) -> int:
+def _simulate_exits(cfg: dict, lam: float, stem: str):
+    """Exit samples at drift ``lam``; with dump-paths, also the per-path CSV."""
     samples = mc.simulate_exit_bm(
-        DriftSpec(cfg["lam"], cfg["b"]), cfg["dt"], cfg["time-horizon"],
+        DriftSpec(lam, cfg["b"]), cfg["dt"], cfg["time-horizon"],
         cfg["n-paths"], mc.RngStreamSpec(cfg["seed"]),
         bridge_correction=bool(cfg["bridge"]), threads=cfg["threads"])
     if cfg["dump-paths"]:
-        _dump_paths(cfg, samples, "bm_independence_paths")
+        rows = ((i, samples.times[i], int(samples.sides[i]), samples.terminal[i])
+                for i in range(samples.n))
+        io.write_csv(_out(cfg, f"{stem}_paths", "csv"),
+                     ["path", "time", "side", "terminal"], rows, cfg)
+    return samples
+
+
+def _cmd_bm_independence(cfg: dict) -> int:
+    samples = _simulate_exits(cfg, cfg["lam"], "bm_independence")
     res = mc.check_independence_continuous(samples, cfg["bins"])
     io.write_json(_out(cfg, "bm_independence", "json"),
                   {"statistic": res.statistic, "dof": res.dof,
@@ -299,13 +305,7 @@ def _cmd_bm_independence(cfg: dict) -> int:
 
 
 def _cmd_bm_reweight(cfg: dict) -> int:
-    spec = DriftSpec(cfg["lambda-from"], cfg["b"])
-    samples = mc.simulate_exit_bm(
-        spec, cfg["dt"], cfg["time-horizon"], cfg["n-paths"],
-        mc.RngStreamSpec(cfg["seed"]),
-        bridge_correction=bool(cfg["bridge"]), threads=cfg["threads"])
-    if cfg["dump-paths"]:
-        _dump_paths(cfg, samples, "bm_reweight_paths")
+    samples = _simulate_exits(cfg, cfg["lambda-from"], "bm_reweight")
     est = mc.reweighted_survival_bm(samples, cfg["lambda-to"], cfg["t"])
     an = bm.drifted_survival(DriftSpec(cfg["lambda-to"], cfg["b"]), cfg["t"])
     z = abs(est.estimate - an) / est.stderr if est.stderr > 0 else math.inf
@@ -320,20 +320,15 @@ def _cmd_bm_reweight(cfg: dict) -> int:
 
 def _cmd_verify_all(cfg: dict) -> int:
     results = verify.run_battery(cfg["profile"], cfg["seed"], cfg["threads"])
-    lines = [r.line() for r in results]
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    text = "\n".join(lines) + "\n"
+    n_pass = sum(r.passed for r in results)
+    text = "".join(f"{r.line()}\n" for r in results)
+    text += f"{n_pass}/{len(results)} checks passed\n"
     with open(_out(cfg, "verify_all", "txt"), "w") as fh:
-        for k, v in io.embeddable_config(cfg).items():
-            fh.write(f"# {k} = {io.fmt_cell(v)}\n")
-        fh.write(text)
+        fh.write(io.config_header(cfg) + text)
     io.write_json(_out(cfg, "verify_all", "json"),
-                  {"results": [{"name": r.name, "passed": bool(r.passed),
-                                "value": r.value, "threshold": r.threshold,
-                                "detail": r.detail} for r in results]}, cfg)
+                  {"results": [dataclasses.asdict(r) for r in results]}, cfg)
     print(text, end="")
-    return 0 if n_fail == 0 else 2
+    return 0 if n_pass == len(results) else 2
 
 
 _HANDLERS = {

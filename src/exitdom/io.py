@@ -35,10 +35,15 @@ def embeddable_config(config: dict) -> dict:
     return {k: config[k] for k in sorted(config) if k not in _EXECUTION_KEYS}
 
 
+def config_header(config: dict) -> str:
+    """The ``# key = value`` comment lines that open every text output file."""
+    return "".join(f"# {k} = {fmt_cell(v)}\n"
+                   for k, v in embeddable_config(config).items())
+
+
 def write_csv(path: str, columns: list[str], rows, config: dict) -> None:
     with open(path, "w") as fh:
-        for k, v in embeddable_config(config).items():
-            fh.write(f"# {k} = {fmt_cell(v)}\n")
+        fh.write(config_header(config))
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(fmt_cell(v) for v in row) + "\n")

@@ -1,16 +1,23 @@
 """Bundled verification battery behind the ``verify-all`` command.
 
-Each check pins a target quantity and a tolerance; the battery returns one
-result per check so callers (CLI, test suite) can render or assert them.
-All Monte Carlo inside the battery is seeded from a single master seed and
-reduced in fixed batch order, so the result list is a pure function of
-(profile, seed), independent of worker thread count.
+This module is the one home of each check: its sizes per profile
+(``SIZES``), its threshold (a constant below, which the matching CLI
+subcommand reads too) and its pass rule.  The battery returns one
+``CheckResult`` per check for the CLI and the test suite to render or assert.
+All Monte Carlo is seeded from one master seed and reduced in fixed batch
+order, so the results are a pure function of (profile, seed), whatever the
+thread count.
+
+Two checks are statistical.  ``mc-survival-consistency`` makes 5 comparisons
+at 3 standard errors (0.27% each) and ``continuous-exit-independence`` one
+chi-square test at level 1e-3, so a correct desk run fails by chance on
+about 1.4% of seeds (5 x 0.27% + 0.1%).  That rate has not been measured.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +29,28 @@ from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec
 DESK = "desk"
 QUICK = "quick"
 
+# Per-profile sizes of every check: walk half-widths, horizons, table
+# truncations, reweighting step counts, the Donsker half-width, path counts.
+SIZES = {
+    DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200, trunc_float=400,
+               trunc_exact=60, ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
+               n_paths=100_000, coupled_paths=1000, refinement=True),
+    QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60, trunc_float=200,
+                trunc_exact=60, ns=[0, 10], trunc=300, donsker_k=100,
+                n_paths=20_000, coupled_paths=300, refinement=False),
+}
+
+# Thresholds, each shared by a battery check and the CLI subcommand named.
+MAX_VIOLATIONS = 0            # rw-dominance, bm-dominance: dominance violations
+INDEPENDENCE_TOL = 1e-12      # rw-independence: float joint-vs-product deviation
+REWEIGHT_FLOOR = 1e-10        # rw-reweight: floor under the tail bound
+FACTORIZATION_TOL = 1e-10     # rw-factorization: identity deviation
+DOMINANCE_TIE_TOL = 1e-8      # bm-dominance: tie tolerance of the survival scan
+COUPLED_TOL = 1e-3            # bm-couple: ordering-violation step fraction
+INDEPENDENCE_ALPHA = 1e-3     # bm-independence: chi-square rejection level
+
+DONSKER_TIMES = (0.25, 0.5, 1.0, 2.0)
+
 
 @dataclass
 class CheckResult:
@@ -31,6 +60,9 @@ class CheckResult:
     threshold: str
     detail: str = ""
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         out = f"[{status}] {self.name}: {self.value} (require {self.threshold})"
@@ -39,39 +71,31 @@ class CheckResult:
         return out
 
 
+def reweight_within(diff: float, bound: float, floor: float = REWEIGHT_FLOOR) -> bool:
+    """The reweighting pass rule: |reweighted - direct| <= max(tail bound, floor)."""
+    return diff <= max(bound, floor)
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.6e}"
 
 
-def _p_grid():
-    # 0.5, 0.55, ..., 0.95 as exact rationals
-    return [Fraction(1, 2) + Fraction(i, 20) for i in range(10)]
-
-
 def check_discrete_dominance_exact(ks, horizon) -> CheckResult:
-    ps = _p_grid()
-    total = 0
-    for k in ks:
-        rep = dominance.dominance_scan_discrete(ps, k, horizon, MODE_RATIONAL)
-        total += rep.n_violations
+    ps = [Fraction(1, 2) + Fraction(i, 20) for i in range(10)]  # 0.5, 0.55, ..., 0.95
+    total = sum(dominance.dominance_scan_discrete(ps, k, horizon, MODE_RATIONAL)
+                .n_violations for k in ks)
     return CheckResult(
-        "discrete-exact-dominance", total == 0, f"{total} violations",
+        "discrete-exact-dominance", total <= MAX_VIOLATIONS, f"{total} violations",
         "0 violations",
         f"k in {list(ks)}, {len(ps)}-point bias grid, horizon {horizon}, exact arithmetic")
 
 
 def check_discrete_independence(ks_float, trunc_float, ks_exact, trunc_exact) -> CheckResult:
-    worst_f = 0.0
-    for k in ks_float:
-        for p in [0.6, 0.7, 0.8, 0.9]:
-            worst_f = max(worst_f, walk_girsanov.check_independence_discrete(
-                p, k, trunc_float, MODE_FLOAT))
-    worst_x = Fraction(0)
-    for k in ks_exact:
-        for p in ["3/5", "7/10", "4/5", "9/10"]:
-            worst_x = max(worst_x, walk_girsanov.check_independence_discrete(
-                p, k, trunc_exact, MODE_RATIONAL))
-    ok = worst_f <= 1e-12 and worst_x == 0
+    worst_f = max(walk_girsanov.check_independence_discrete(p, k, trunc_float, MODE_FLOAT)
+                  for k in ks_float for p in [0.6, 0.7, 0.8, 0.9])
+    worst_x = max(walk_girsanov.check_independence_discrete(p, k, trunc_exact, MODE_RATIONAL)
+                  for k in ks_exact for p in ["3/5", "7/10", "4/5", "9/10"])
+    ok = worst_f <= INDEPENDENCE_TOL and worst_x == 0
     return CheckResult(
         "discrete-exit-independence", ok,
         f"float max dev {_fmt(worst_f)}, exact max dev {worst_x}",
@@ -81,23 +105,21 @@ def check_discrete_independence(ks_float, trunc_float, ks_exact, trunc_exact) ->
 def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
     ps = [0.5, 0.6, 0.7, 0.8, 0.9]
     worst = 0.0
-    worst_excess = -math.inf
+    ok = True
     for k in ks:
         direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
                   for p in ps}
         for p_from in ps:
             table = walk.exit_joint(WalkSpec(p_from, k), truncation, MODE_FLOAT)
-            for p_to in ps:
-                if p_from == p_to:
-                    continue
+            for p_to in (p for p in ps if p != p_from):
                 for n in ns:
                     est, bound = walk_girsanov.reweighted_survival_from_table(
                         table, p_to, n)
                     diff = abs(est - direct[p_to][n])
                     worst = max(worst, diff)
-                    worst_excess = max(worst_excess, diff - max(bound, 1e-10))
+                    ok &= reweight_within(diff, bound)
     return CheckResult(
-        "discrete-girsanov-reweighting", worst_excess <= 0.0,
+        "discrete-girsanov-reweighting", ok,
         f"max |reweighted - direct| {_fmt(worst)}",
         "within max(tail bound, 1e-10) everywhere")
 
@@ -113,16 +135,13 @@ def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
                     worst = max(worst, walk_girsanov.factorization_from_table(
                         table, p2, n))
     return CheckResult(
-        "discrete-factorization-identity", worst <= 1e-10,
+        "discrete-factorization-identity", worst <= FACTORIZATION_TOL,
         f"max deviation {_fmt(worst)}", "<= 1e-10")
 
 
 def check_sech_identity() -> CheckResult:
-    worst = 0.0
-    for lam in [0.0, 0.5, 1.0, 2.0, 3.0]:
-        for b in [0.5, 1.0, 2.0]:
-            val, _ = bm.drifted_survival_quad(DriftSpec(lam, b), 0.0)
-            worst = max(worst, abs(val - 1.0))
+    worst = max(abs(bm.drifted_survival_quad(DriftSpec(lam, b), 0.0)[0] - 1.0)
+                for lam in [0.0, 0.5, 1.0, 2.0, 3.0] for b in [0.5, 1.0, 2.0])
     return CheckResult(
         "laplace-sech-identity", worst <= 1e-6,
         f"max |cosh * integral - 1| {_fmt(worst)}", "<= 1e-6")
@@ -135,11 +154,10 @@ def check_donsker_series(k: int) -> CheckResult:
     Brownian one.  The walk law is evaluated at the four step counts only,
     by the closed-form solution of the DP recurrence (``walk.survival_at``).
     """
-    times = [0.25, 0.5, 1.0, 2.0]
-    walk_values = walk.survival_at(WalkSpec(0.5, k), [int(t * k * k) for t in times])
-    worst = 0.0
-    for t, value in zip(times, walk_values):
-        worst = max(worst, abs(value - bm.driftless_survival(1.0, t)))
+    walk_values = walk.survival_at(WalkSpec(0.5, k),
+                                   [int(t * k * k) for t in DONSKER_TIMES])
+    worst = max(abs(value - bm.driftless_survival(1.0, t))
+                for t, value in zip(DONSKER_TIMES, walk_values))
     return CheckResult(
         "donsker-series-crosscheck", worst <= 2e-3,
         f"max |walk DP - series| {_fmt(worst)}", "<= 2e-3",
@@ -149,9 +167,9 @@ def check_donsker_series(k: int) -> CheckResult:
 def check_continuous_dominance() -> CheckResult:
     lambdas = [0.25 * i for i in range(9)]
     rep = bm.dominance_scan_continuous(lambdas, 1.0, [0.25, 0.5, 1.0, 2.0],
-                                       tie_tol=1e-8)
+                                       tie_tol=DOMINANCE_TIE_TOL)
     return CheckResult(
-        "continuous-analytic-dominance", rep.n_violations == 0,
+        "continuous-analytic-dominance", rep.n_violations <= MAX_VIOLATIONS,
         f"{rep.n_violations} violations", "0 violations",
         "lambda 0..2 step 0.25, b=1")
 
@@ -172,26 +190,23 @@ def check_mc_consistency(samples0, samples1) -> CheckResult:
     msgs.append(f"E[tau] dev {_fmt(dev)} vs 3se {_fmt(3 * se)}")
     for s, lam in ((samples0, 0.0), (samples1, 1.0)):
         for t in (0.5, 1.0):
-            emp = s.empirical_survival(t)
             an = bm.drifted_survival(DriftSpec(lam, 1.0), t)
             se = math.sqrt(max(an * (1 - an), 1e-12) / s.n)
-            dev = abs(emp - an)
+            dev = abs(s.empirical_survival(t) - an)
             ok &= dev <= 3 * se
             msgs.append(f"lam={lam} t={t} dev {_fmt(dev)} vs 3se {_fmt(3 * se)}")
-    return CheckResult("mc-survival-consistency", bool(ok), "; ".join(msgs),
+    return CheckResult("mc-survival-consistency", ok, "; ".join(msgs),
                        "within 3 standard errors")
 
 
 def check_continuous_independence(samples1) -> CheckResult:
     res = mc.check_independence_continuous(samples1, time_bins=10)
-    control = mc.ExitSamples(
-        samples1.spec, samples1.dt, samples1.horizon,
-        samples1.times.copy(), samples1.sides.copy(), samples1.terminal.copy())
+    control = replace(samples1, sides=samples1.sides.copy())
     nc = control.sides != 0
     med = np.median(control.times[nc])
     control.sides[nc] = np.where(control.times[nc] > med, 1, -1).astype(np.int8)
     res_bad = mc.check_independence_continuous(control, time_bins=10)
-    ok = res.p_value >= 1e-3 and res_bad.p_value < 1e-6
+    ok = res.p_value >= INDEPENDENCE_ALPHA and res_bad.p_value < 1e-6
     return CheckResult(
         "continuous-exit-independence", ok,
         f"p {_fmt(res.p_value)}, control p {_fmt(res_bad.p_value)}",
@@ -202,47 +217,37 @@ def check_coupled_ordering(rng_base, n_paths, with_refinement: bool) -> CheckRes
     lambdas = [0.0, 0.5, 1.0]
     rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + 901)
     main = mc.simulate_y_coupled(lambdas, 0.0, 1e-4, 1.0, n_paths, rng)
-    ok = main.violation_fraction <= 1e-3
+    ok = main.violation_fraction <= COUPLED_TOL
     msg = f"fraction {_fmt(main.violation_fraction)} at dt=1e-4"
     if with_refinement:
-        fracs = []
-        for dt in (1e-3, 2.5e-4, 6.25e-5):
-            cs = mc.simulate_y_coupled(lambdas, 0.0, dt, 1.0, n_paths, rng)
-            fracs.append(cs.violation_fraction)
-        dec = fracs[0] > fracs[1] > fracs[2]
-        ok = ok and dec
+        fracs = [mc.simulate_y_coupled(lambdas, 0.0, dt, 1.0, n_paths, rng)
+                 .violation_fraction for dt in (1e-3, 2.5e-4, 6.25e-5)]
+        ok = ok and fracs[0] > fracs[1] > fracs[2]
         msg += "; refinement " + " > ".join(_fmt(f) for f in fracs)
     return CheckResult(
-        "coupled-sde-ordering", bool(ok), msg,
+        "coupled-sde-ordering", ok, msg,
         "<= 1e-3 and decreasing under refinement" if with_refinement else "<= 1e-3")
 
 
 def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
     """Run every check for the given profile; returns a list of CheckResult."""
-    if profile not in (DESK, QUICK):
+    if profile not in SIZES:
         raise ValueError(f"unknown profile {profile!r}")
-    desk = profile == DESK
+    s = SIZES[profile]
     rng_base = mc.RngStreamSpec(seed)
-    results = []
-    results.append(check_discrete_dominance_exact(
-        range(1, 5) if desk else range(1, 3), 200 if desk else 60))
-    results.append(check_discrete_independence(
-        range(1, 5) if desk else range(1, 3), 400 if desk else 200,
-        range(1, 4) if desk else range(1, 3), 60))
-    ns = [0, 10, 50, 100] if desk else [0, 10]
-    trunc = 600 if desk else 300
-    results.append(check_discrete_reweighting(
-        range(1, 5) if desk else range(1, 3), ns, trunc))
-    results.append(check_discrete_factorization(
-        range(1, 5) if desk else range(1, 3), ns, trunc))
-    results.append(check_sech_identity())
-    results.append(check_donsker_series(400 if desk else 100))
-    results.append(check_continuous_dominance())
-    n_paths = 100_000 if desk else 20_000
-    dt = 1e-3
-    samples0 = _mc_samples(0.0, 101, n_paths, dt, threads, rng_base)
-    samples1 = _mc_samples(1.0, 202, n_paths, dt, threads, rng_base)
+    results = [
+        check_discrete_dominance_exact(s["ks"], s["horizon"]),
+        check_discrete_independence(s["ks"], s["trunc_float"], s["ks_exact"],
+                                    s["trunc_exact"]),
+        check_discrete_reweighting(s["ks"], s["ns"], s["trunc"]),
+        check_discrete_factorization(s["ks"], s["ns"], s["trunc"]),
+        check_sech_identity(),
+        check_donsker_series(s["donsker_k"]),
+        check_continuous_dominance(),
+    ]
+    samples0 = _mc_samples(0.0, 101, s["n_paths"], 1e-3, threads, rng_base)
+    samples1 = _mc_samples(1.0, 202, s["n_paths"], 1e-3, threads, rng_base)
     results.append(check_mc_consistency(samples0, samples1))
     results.append(check_continuous_independence(samples1))
-    results.append(check_coupled_ordering(rng_base, 1000 if desk else 300, desk))
+    results.append(check_coupled_ordering(rng_base, s["coupled_paths"], s["refinement"]))
     return results

@@ -187,6 +187,8 @@ def _dp(spec: WalkSpec, horizon: int, mode: str):
         new[:-1] += q * u[1:]
         u, new = new, u
         residual.append(u.sum())
+    if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
+        residual = [min(r, one) for r in residual]
     return up, down, residual
 
 

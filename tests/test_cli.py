@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from exitdom import cli
 from exitdom.io import OUTDIR_ENV
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def run(args):
@@ -178,9 +182,26 @@ def test_bm_reweight(tmp_path):
     assert not (tmp_path / "bm_reweight_paths.csv").exists()  # dump is opt-in
 
 
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_verify_all_quick(tmp_path, capsys):
-    assert run(["verify-all", "--profile", "quick",
-                "--outdir", str(tmp_path)]) == 0
+    # under the benchmark's tracer, which rebinds the library's functions and
+    # reports one verify.<check>.s span total per battery check
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        root = tracer.open("verify-all", "bench")
+        status = run(["verify-all", "--profile", "quick", "--outdir", str(tmp_path)])
+        tracer.close(root)
+    finally:
+        restore()
+    assert status == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 10
     assert "10/10 checks passed" in out
@@ -188,6 +209,9 @@ def test_verify_all_quick(tmp_path, capsys):
     assert "10/10 checks passed" in txt
     doc = json.loads(read(tmp_path / "verify_all.json"))
     assert all(r["passed"] for r in doc["results"])
+    assert tuple(r["name"] for r in doc["results"]) == tracing.VERIFY_CHECKS
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, root)
+    assert all(metrics[f"verify.{name}.s"] > 0 for name in tracing.VERIFY_CHECKS)
 
 
 def test_verify_all_bad_profile(tmp_path, capsys):

@@ -243,6 +243,15 @@ def test_survival_at_selected_steps():
     assert ed.survival_at(WalkSpec(0.5, 1), [0, 1, 5]) == [1.0, 0.0, 0.0]
 
 
+def test_float_dp_stays_at_most_one():
+    # near p = 1/2 with a wide barrier, round-off once lifted the float
+    # survival to 1.0000000000000826 at n = 1500; survival_at's gate sends
+    # this input to the DP, so it read the same
+    spec = WalkSpec(0.49748, 320)
+    assert max(ed.survival_pmf(spec, 1500).values) == 1.0
+    assert ed.survival_at(spec, [1500]) == [1.0]
+
+
 def test_serialization_roundtrip(tmp_path):
     obj = ed.survival_pmf(WalkSpec(0.6, 2), 4).to_json_obj()
     assert obj["mode"] == MODE_FLOAT
