@@ -29,7 +29,6 @@ from .walk_girsanov import (
 )
 from .bm import (
     DriftSpec,
-    SeriesControl,
     dominance_scan_continuous,
     drift_y,
     drifted_survival,

@@ -9,6 +9,12 @@ obtained from the driftless exit density via the change-of-measure identity
 
 which combines the exponential reweighting on the stopped filtration with
 the independence of exit time and exit side.
+
+The evaluators share fixed numerical settings.  Each series stops at its
+first term below ``SERIES_TOL`` (1e-12) and raises ArithmeticError if that
+takes more than ``_MAX_TERMS`` (2000) terms.  Quadrature runs at absolute
+tolerance ``SERIES_TOL`` with at most ``_QUAD_LIMIT`` (200) subintervals.
+Below t = ``_SMALL_T`` b^2 the reflection forms replace the eigenseries.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ _SMALL_T = 0.05
 # largest lambda*b whose cosh is a finite float (about 710.48)
 _MAX_LAMBDA_B = math.acosh(sys.float_info.max)
 
+# truncation tolerance of every series and absolute tolerance of quadrature
+SERIES_TOL = 1e-12
+_MAX_TERMS = 2000
+_QUAD_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -43,35 +54,7 @@ class DriftSpec:
             raise ValueError(f"drift must be finite, got {self.lam!r}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation/quadrature knobs shared by the analytic evaluators."""
-
-    max_terms: int = 2000
-    tol: float = 1e-12
-    quad_limit: int = 200
-
-    def __post_init__(self):
-        if self.max_terms < 1 or self.tol <= 0.0:
-            raise ValueError("need max_terms >= 1 and tol > 0")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
-def _survival_series(b: float, t: float, ctl: SeriesControl) -> float:
-    acc = 0.0
-    for m in range(ctl.max_terms):
-        n = 2 * m + 1
-        term = (4.0 / (math.pi * n)) * math.exp(-n * n * math.pi**2 * t / (8.0 * b * b))
-        acc += term if m % 2 == 0 else -term
-        if term < ctl.tol:
-            return acc
-    raise ArithmeticError(
-        f"survival series did not converge within {ctl.max_terms} terms at t={t}")
-
-
-def _survival_reflection(b: float, t: float, ctl: SeriesControl) -> float:
+def _survival_reflection(b: float, t: float) -> float:
     rt = math.sqrt(t)
     acc = 0.0
     for k in range(-20, 21):
@@ -82,7 +65,7 @@ def _survival_reflection(b: float, t: float, ctl: SeriesControl) -> float:
     return float(acc)
 
 
-def driftless_survival(b: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def driftless_survival(b: float, t: float) -> float:
     """P0(tau > t) for the exit of standard Brownian motion from (-b, b)."""
     if b <= 0.0:
         raise ValueError("barrier b must be positive")
@@ -91,23 +74,23 @@ def driftless_survival(b: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL)
     if t == 0.0:
         return 1.0
     if t < _SMALL_T * b * b:
-        val = _survival_reflection(b, t, ctl)
+        val = _survival_reflection(b, t)
     else:
-        val = _survival_series(b, t, ctl)
+        val = _weighted_tail_series(b, t, 0.0)
     return min(1.0, max(0.0, val))
 
 
-def _density_series(b: float, t: float, ctl: SeriesControl) -> float:
+def _density_series(b: float, t: float) -> float:
     acc = 0.0
-    for m in range(ctl.max_terms):
+    for m in range(_MAX_TERMS):
         n = 2 * m + 1
         term = (math.pi * n / (2.0 * b * b)) * math.exp(
             -n * n * math.pi**2 * t / (8.0 * b * b))
         acc += term if m % 2 == 0 else -term
-        if term < ctl.tol:
+        if term < SERIES_TOL:
             return acc
     raise ArithmeticError(
-        f"density series did not converge within {ctl.max_terms} terms at t={t}")
+        f"density series did not converge within {_MAX_TERMS} terms at t={t}")
 
 
 def _density_reflection(b: float, t: float) -> float:
@@ -124,8 +107,7 @@ def _density_reflection(b: float, t: float) -> float:
     return max(0.0, acc * inv)
 
 
-def driftless_exit_density(b: float, t: float,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def driftless_exit_density(b: float, t: float) -> float:
     """Density of tau at t (> 0) for driftless exit from (-b, b)."""
     if b <= 0.0:
         raise ValueError("barrier b must be positive")
@@ -133,21 +115,24 @@ def driftless_exit_density(b: float, t: float,
         raise ValueError("density requires t > 0")
     if t < _SMALL_T * b * b:
         return _density_reflection(b, t)
-    return max(0.0, _density_series(b, t, ctl))
+    return max(0.0, _density_series(b, t))
 
 
-def _weighted_tail_series(b: float, t: float, g: float, ctl: SeriesControl) -> float:
-    """int_t^inf e^(-g s) f(s) ds via termwise integration of the eigenseries."""
+def _weighted_tail_series(b: float, t: float, g: float) -> float:
+    """int_t^inf e^(-g s) f(s) ds via termwise integration of the eigenseries.
+
+    At g = 0 this is the driftless survival P0(tau > t).
+    """
     acc = 0.0
-    for m in range(ctl.max_terms):
+    for m in range(_MAX_TERMS):
         n = 2 * m + 1
         a = n * n * math.pi**2 / (8.0 * b * b)
         term = (math.pi * n / (2.0 * b * b)) * math.exp(-(a + g) * t) / (a + g)
         acc += term if m % 2 == 0 else -term
-        if term < ctl.tol:
+        if term < SERIES_TOL:
             return acc
     raise ArithmeticError(
-        f"weighted tail series did not converge within {ctl.max_terms} terms")
+        f"weighted tail series did not converge within {_MAX_TERMS} terms")
 
 
 def _cosh_lambda_b(lam: float, b: float) -> float:
@@ -159,8 +144,7 @@ def _cosh_lambda_b(lam: float, b: float) -> float:
     return math.cosh(lam * b)
 
 
-def drifted_survival(spec: DriftSpec, t: float,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def drifted_survival(spec: DriftSpec, t: float) -> float:
     """P(tau > t) for Brownian motion with drift lam exiting (-b, b).
 
     The exit-time law depends on the drift only through |lam|, so negative
@@ -175,19 +159,18 @@ def drifted_survival(spec: DriftSpec, t: float,
     g = 0.5 * lam * lam
     t_switch = _SMALL_T * b * b
     if t >= t_switch:
-        val = _weighted_tail_series(b, t, g, ctl)
+        val = _weighted_tail_series(b, t, g)
     else:
         head, _ = integrate.quad(
             lambda s: math.exp(-g * s) * _density_reflection(b, s),
-            t, t_switch, limit=ctl.quad_limit,
-            epsabs=ctl.tol, epsrel=1e-12)
-        val = head + _weighted_tail_series(b, t_switch, g, ctl)
+            t, t_switch, limit=_QUAD_LIMIT,
+            epsabs=SERIES_TOL, epsrel=1e-12)
+        val = head + _weighted_tail_series(b, t_switch, g)
     val *= cosh_lb
     return min(1.0, max(0.0, val))
 
 
-def drifted_survival_quad(spec: DriftSpec, t: float,
-                          ctl: SeriesControl = DEFAULT_CONTROL):
+def drifted_survival_quad(spec: DriftSpec, t: float):
     """Quadrature route for P(tau > t): independent of the termwise series.
 
     Returns (value, cutoff_bound) where cutoff_bound dominates the mass of
@@ -201,8 +184,8 @@ def drifted_survival_quad(spec: DriftSpec, t: float,
     cosh_lb = _cosh_lambda_b(lam, b)
     g = 0.5 * lam * lam
     a0 = math.pi**2 / (8.0 * b * b)
-    # choose T_cut so the remaining weighted mass is far below tol
-    target = ctl.tol / 10.0
+    # choose T_cut so the remaining weighted mass is far below SERIES_TOL
+    target = SERIES_TOL / 10.0
     T_cut = max(t + b * b, 4.0 * b * b)
     while cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi) > target:
         T_cut *= 1.5
@@ -211,8 +194,8 @@ def drifted_survival_quad(spec: DriftSpec, t: float,
     total = 0.0
     for lo, hi in zip(pieces, pieces[1:]):
         part, _ = integrate.quad(
-            lambda s: math.exp(-g * s) * driftless_exit_density(b, s, ctl),
-            lo, hi, limit=ctl.quad_limit, epsabs=ctl.tol, epsrel=1e-11)
+            lambda s: math.exp(-g * s) * driftless_exit_density(b, s),
+            lo, hi, limit=_QUAD_LIMIT, epsabs=SERIES_TOL, epsrel=1e-11)
         total += part
     cutoff_bound = cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)
     return min(1.0, max(0.0, cosh_lb * total)), cutoff_bound
@@ -239,7 +222,6 @@ def drift_y(lam: float, y: float) -> float:
 
 
 def dominance_scan_continuous(lambdas, b: float, times,
-                              ctl: SeriesControl = DEFAULT_CONTROL,
                               tie_tol: float = 1e-8) -> DominanceReport:
     """Check that survival is non-increasing across an ascending drift grid.
 
@@ -252,7 +234,7 @@ def dominance_scan_continuous(lambdas, b: float, times,
     if any(l < 0.0 for l in lambdas):
         raise ValueError("drift grid must be nonnegative")
     times = [float(t) for t in times]
-    values = [[drifted_survival(DriftSpec(l, b), t, ctl) for t in times]
+    values = [[drifted_survival(DriftSpec(l, b), t) for t in times]
               for l in lambdas]
     report = DominanceReport("lambda", lambdas, "t", times, values)
     for i in range(len(lambdas) - 1):

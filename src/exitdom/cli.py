@@ -58,7 +58,7 @@ _SUBCOMMANDS: dict[str, dict] = {
         "truncation": (300, "table truncation (steps)"),
         "mode": ("float", "arithmetic mode: rational|float"),
         "tol": (verify.INDEPENDENCE_TOL,
-                "max allowed factorization deviation (probability)"),
+                "max allowed joint-vs-product independence deviation (probability)"),
     },
     "rw-reweight": {
         "p-from": ("0.5", "simulated bias (dimensionless)"),
@@ -67,7 +67,8 @@ _SUBCOMMANDS: dict[str, dict] = {
         "n": (10, "survival step count n (steps)"),
         "truncation": (400, "table truncation (steps)"),
         "tol": (verify.REWEIGHT_FLOOR,
-                "allowed excess over the reported tail bound (probability)"),
+                "floor under the tail bound: pass when |reweighted - direct| <= "
+                "max(tail bound, tol) (probability)"),
     },
     "rw-factorization": {
         "p1": ("0.5", "smaller bias, >= 1/2 (dimensionless)"),
@@ -243,13 +244,12 @@ def _cmd_rw_factorization(cfg: dict) -> int:
 
 
 def _cmd_bm_survival(cfg: dict) -> int:
-    ctl = bm.DEFAULT_CONTROL
     rows = []
     for lam in cfg["lambdas"]:
         for t in cfg["times"]:
             rows.append((lam, t,
-                         bm.drifted_survival(DriftSpec(lam, cfg["b"]), t, ctl),
-                         ctl.tol))
+                         bm.drifted_survival(DriftSpec(lam, cfg["b"]), t),
+                         bm.SERIES_TOL))
     io.write_csv(_out(cfg, "bm_survival", "csv"),
                  ["lambda", "t", "survival", "error_bound"], rows, cfg)
     io.write_json(_out(cfg, "bm_survival", "json"),

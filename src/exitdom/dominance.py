@@ -20,6 +20,9 @@ VIOLATES = "violates"
 INCONCLUSIVE = "inconclusive-within-noise"
 CONSISTENT = "consistent-with-dominance"
 
+# joint confidence of the two simultaneous DKW bands of the empirical test
+_CONFIDENCE = 0.99
+
 
 @dataclass
 class PairVerdict:
@@ -166,20 +169,19 @@ def _ecdf_survival(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return 1.0 - np.searchsorted(sorted_s, grid, side="right") / samples.size
 
 
-def empirical_dominance_test(samples_a, samples_b, confidence: float = 0.99):
+def empirical_dominance_test(samples_a, samples_b):
     """DKW-banded test that samples_a stochastically dominates samples_b.
 
-    Simultaneous one-sided bands at the requested joint confidence (the risk
-    is split evenly between the two samples).  Returns (verdict, band_widths)
-    where verdict is one of CONSISTENT, VIOLATES, INCONCLUSIVE.
+    Simultaneous one-sided bands at joint confidence 0.99 (``_CONFIDENCE``;
+    the risk is split evenly between the two samples).  Returns
+    (verdict, band_widths) where verdict is one of CONSISTENT, VIOLATES,
+    INCONCLUSIVE.
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - _CONFIDENCE
     eps_a = math.sqrt(math.log(2.0 / alpha) / (2.0 * a.size))
     eps_b = math.sqrt(math.log(2.0 / alpha) / (2.0 * b.size))
     grid = np.unique(np.concatenate([a, b]))

@@ -1,10 +1,11 @@
 """Monte Carlo engine: drifted Brownian exits, path reweighting, coupled SDEs.
 
-Reproducibility contract: every batch of paths owns a Philox counter-based
-stream, ``rng.child(batch index)``, and batch results are combined in fixed
-batch order, so output is bit-identical no matter how many worker threads
-run the batches.  Streams of different specs never overlap (see
-``RngStreamSpec``).
+Reproducibility contract: exit paths are simulated in batches of
+``_BATCH_PATHS`` (4096), so path i belongs to batch i // 4096 and draws from
+the Philox counter-based stream ``rng.child(i // 4096)``.  Batch results are
+combined in fixed batch order, so output is bit-identical no matter how many
+worker threads run the batches.  Streams of different specs never overlap
+(see ``RngStreamSpec``).
 
 Draws of one exit batch.  The batch simulates its live paths a chunk of
 steps at a time and splits each chunk into blocks of live paths, taken in
@@ -45,12 +46,19 @@ from scipy.stats import chi2
 from .bm import DriftSpec
 
 _MASK64 = (1 << 64) - 1
+# paths per exit batch: part of the stream contract, since it fixes which
+# rng.child(i) every path draws from
+_BATCH_PATHS = 4096
 _MIN_CHUNK = 16
 _MAX_CHUNK = 128
 _BLOCK_CELLS = 1 << 15
 _Y_BLOCK_CELLS = 1 << 16
 # exp(-2 q / dt) >= 2**-53  <=>  q <= (53 ln 2 / 2) dt
 _Q_CUT = 53.0 * math.log(2.0) / 2.0
+# coupled-SDE ordering slack, in units of sqrt(dt) times the diffusion scale
+_ORDER_SLACK = 0.5
+# smallest expected count per cell of the exit time-by-side chi-square table
+_MIN_EXPECTED = 20.0
 
 
 @dataclass(frozen=True)
@@ -68,12 +76,7 @@ class RngStreamSpec:
 
     master_seed: int
     substream: int = 0
-    algorithm: str = "philox"
     path: tuple = field(default=(), init=False)
-
-    def __post_init__(self):
-        if self.algorithm != "philox":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         key = [self.master_seed & _MASK64, self.substream & _MASK64]
@@ -237,7 +240,7 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
 
 def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
                      rng: RngStreamSpec, bridge_correction: bool = True,
-                     batch_size: int = 4096, threads: int = 1) -> ExitSamples:
+                     threads: int = 1) -> ExitSamples:
     """Euler simulation of exits of B_t + lam*t from (-b, b).
 
     With ``bridge_correction`` on, within-step barrier crossings are detected
@@ -249,9 +252,10 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     lists which numbers each batch draws and in what order.  Paths alive at
     the horizon are censored (side 0).
 
-    Batch i of ``batch_size`` paths draws from ``rng.child(i)``, so a spec
-    passed here should not also feed another simulation; give each call its
-    own spec or child.
+    Paths are simulated in batches of ``_BATCH_PATHS`` (4096): batch i,
+    paths 4096 i to 4096 i + 4095, draws from ``rng.child(i)``, whatever the
+    thread count.  A spec passed here should therefore not also feed another
+    simulation; give each call its own spec or child.
     """
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("dt and horizon must be positive")
@@ -260,9 +264,9 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     if n_paths < 1:
         raise ValueError("need at least one path")
     n_steps = int(round(horizon / dt))
-    sizes = [batch_size] * (n_paths // batch_size)
-    if n_paths % batch_size:
-        sizes.append(n_paths % batch_size)
+    sizes = [_BATCH_PATHS] * (n_paths // _BATCH_PATHS)
+    if n_paths % _BATCH_PATHS:
+        sizes.append(n_paths % _BATCH_PATHS)
 
     def run(i_sz):
         i, sz = i_sz
@@ -323,8 +327,8 @@ class ReweightedEstimate(NamedTuple):
     censored_bound: float
 
 
-def reweighted_survival_bm(samples: ExitSamples, lam_to: float, t: float,
-                           censored_tol: float | None = None) -> ReweightedEstimate:
+def reweighted_survival_bm(samples: ExitSamples, lam_to: float,
+                           t: float) -> ReweightedEstimate:
     """Estimate P_{lam_to}(tau > t) from paths simulated under samples.spec.
 
     Censored paths are excluded from the average (their weight is unknown)
@@ -336,9 +340,6 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float, t: float,
         raise ValueError("t must lie strictly before the sample horizon")
     lam_from = samples.spec.lam
     frac = samples.censored_fraction
-    if censored_tol is not None and frac > censored_tol:
-        raise RuntimeError(
-            f"censored fraction {frac:.3e} exceeds tolerance {censored_tol:.3e}")
     contrib = np.zeros(samples.n)
     nc = samples.sides != 0
     if np.any(nc):
@@ -359,23 +360,23 @@ class ChiSquareResult(NamedTuple):
     table: np.ndarray  # bins x 2 observed counts (+b column, -b column)
 
 
-def check_independence_continuous(samples: ExitSamples, time_bins: int = 10,
-                                  min_expected: float = 20.0) -> ChiSquareResult:
+def check_independence_continuous(samples: ExitSamples,
+                                  time_bins: int = 10) -> ChiSquareResult:
     """Chi-square test of independence between exit time and exit side.
 
     Exit times of non-censored paths are binned at empirical quantiles
     (equal-probability bins, merged down if an expected count would fall
-    under ``min_expected``) and cross-tabulated against the exit side.
+    under ``_MIN_EXPECTED``, 20) and cross-tabulated against the exit side.
     """
     nc = samples.sides != 0
     taus = samples.times[nc]
     sides = samples.sides[nc]
     n = taus.size
-    if n < 4 * min_expected:
+    if n < 4 * _MIN_EXPECTED:
         raise ValueError(f"sample of {n} non-censored exits is too small")
     p_minor = min(np.mean(sides > 0), np.mean(sides < 0))
     bins = time_bins
-    while bins > 1 and n * p_minor / bins < min_expected:
+    while bins > 1 and n * p_minor / bins < _MIN_EXPECTED:
         bins -= 1
     if bins < 2:
         raise ValueError("cannot form two bins with the required expected counts")
@@ -422,14 +423,14 @@ class CoupledStats:
 
 
 def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
-                       n_paths: int, rng: RngStreamSpec, level: float = 1.0,
-                       tol_factor: float = 0.5) -> CoupledStats:
+                       n_paths: int, rng: RngStreamSpec,
+                       level: float = 1.0) -> CoupledStats:
     """Full-truncation Euler for dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y) tanh(lam sqrt(Y))) dt.
 
     Every drift value consumes the identical Gaussian increments, so the
     continuum comparison theorem predicts pathwise ordering across the
-    ascending drift grid; the scheme is allowed a slack of
-    ``tol_factor * sqrt(dt)`` times the local diffusion scale, and slack
+    ascending drift grid; the scheme is allowed a slack of 0.5 sqrt(dt)
+    (``_ORDER_SLACK``) times the local diffusion scale, and slack
     exceedances are counted as ordering violations.  First hits of ``level``
     are recorded per drift.
     """
@@ -463,7 +464,7 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
         newly = (Y >= level) & np.isnan(hit)
         hit[newly] = t
         if L > 1:
-            tol = tol_factor * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
+            tol = _ORDER_SLACK * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
             viol += np.count_nonzero(Y[:-1] > Y[1:] + tol, axis=1)
     comparisons = n_steps * n_paths
     return CoupledStats(

@@ -128,12 +128,14 @@ def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
     ps = [0.5, 0.6, 0.7, 0.8, 0.9]
     worst = 0.0
     for k in ks:
+        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
+                  for p in ps[1:]}
         for i, p1 in enumerate(ps[:-1]):
             table = walk.exit_joint(WalkSpec(p1, k), truncation, MODE_FLOAT)
             for p2 in ps[i + 1:]:
                 for n in ns:
-                    worst = max(worst, walk_girsanov.factorization_from_table(
-                        table, p2, n))
+                    rhs = walk_girsanov.factorization_from_table(table, p2, n)
+                    worst = max(worst, abs(direct[p2][n] - rhs))
     return CheckResult(
         "discrete-factorization-identity", worst <= FACTORIZATION_TOL,
         f"max deviation {_fmt(worst)}", "<= 1e-10")

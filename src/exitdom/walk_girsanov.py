@@ -92,8 +92,8 @@ def _tail_bound(spec_from: WalkSpec, r: float, z: float, truncation: int,
     return bound
 
 
-def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
-                             tail_tol: float | None = None) -> ReweightedSurvival:
+def reweighted_survival_walk(p_from, p_to, k: int, n: int,
+                             truncation: int) -> ReweightedSurvival:
     """Estimate P_{p_to}(sigma > n) from the p_from exit table by reweighting.
 
     Builds the float exit table at p_from up to ``truncation`` and reads it
@@ -104,22 +104,18 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int, truncation: int,
     if truncation <= n:
         raise ValueError(f"truncation {truncation} must exceed n={n}")
     table = exit_joint(WalkSpec(pf, k), truncation, MODE_FLOAT)
-    return reweighted_survival_from_table(table, p_to, n, tail_tol)
+    return reweighted_survival_from_table(table, p_to, n)
 
 
-def reweighted_survival_from_table(table: JointExitTable, p_to, n: int,
-                                   tail_tol: float | None = None
-                                   ) -> ReweightedSurvival:
+def reweighted_survival_from_table(table: JointExitTable, p_to,
+                                   n: int) -> ReweightedSurvival:
     """P_{p_to}(sigma > n) by reweighting a float exit table built at p_from.
 
     Sums r^m * z^(+-k) over the exit rows m = n+1..truncation, where the
     truncation is the table's horizon, and returns the truncation error
-    bound alongside.  A ``tail_tol`` only triggers a warning path: the bound
-    is still returned, never silently dropped.  One table serves every
-    (p_to, n) that shares its bias and half-width.
+    bound alongside for the caller to compare with its tolerance.  One table
+    serves every (p_to, n) that shares its bias and half-width.
     """
-    import warnings
-
     pt = _parse_bias(p_to, "p_to")
     truncation = table.horizon
     if truncation <= n:
@@ -136,10 +132,6 @@ def reweighted_survival_from_table(table: JointExitTable, p_to, n: int,
             if mass > 0.0:
                 est += math.exp(m * log_r + side * log_z + math.log(mass))
     bound = _tail_bound(spec, r, z, truncation, table.residual[truncation])
-    if tail_tol is not None and bound > tail_tol:
-        warnings.warn(
-            f"reweighting tail bound {bound:.3e} exceeds tolerance {tail_tol:.3e}; "
-            "increase the truncation", RuntimeWarning)
     return ReweightedSurvival(est, bound)
 
 
@@ -162,35 +154,36 @@ def _factorization_r(p1, p2, n: int, truncation: int):
 def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> float:
     """Discrepancy in the conditional-expectation factorization of the survival.
 
-    Builds the float exit table at p1 up to ``truncation`` and reads it with
-    ``factorization_from_table``.  Requires 1/2 <= p1 < p2 < 1 so that
-    r < 1; a pair so close that r rounds to 1 raises ValueError.
-    """
-    _factorization_r(p1, p2, n, truncation)
-    table = exit_joint(WalkSpec(_parse_bias(p1, "p1"), k), truncation, MODE_FLOAT)
-    return factorization_from_table(table, p2, n)
-
-
-def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
-    """Factorization discrepancy at (p2, n) from a float exit table built at p1.
-
     Both sides of
 
         Q_{p2}(sigma > n) = E_{p1}[r^sigma | sigma > n] / E_{p1}[r^sigma]
                             * Q_{p1}(sigma > n)
 
     are computed independently: the left from a direct DP at p2, the right
-    entirely from the p1 exit table, truncated at the table's horizon.  One
-    table serves every (p2, n) that shares its bias and half-width.
+    by ``factorization_from_table`` from the float exit table at p1 up to
+    ``truncation``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a pair so
+    close that r rounds to 1 raises ValueError.
+    """
+    _, p2f = _factorization_r(p1, p2, n, truncation)
+    table = exit_joint(WalkSpec(_parse_bias(p1, "p1"), k), truncation, MODE_FLOAT)
+    direct = walk.survival_pmf(WalkSpec(p2f, k), n, MODE_FLOAT).values[n]
+    return abs(direct - factorization_from_table(table, p2, n))
+
+
+def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
+    """Right-hand side of the factorization identity at (p2, n).
+
+    Computed entirely from a float exit table built at p1, truncated at the
+    table's horizon; it estimates Q_{p2}(sigma > n), as
+    ``reweighted_survival_from_table`` does.  One table serves every
+    (p2, n) that shares its bias and half-width.
     """
     truncation = table.horizon
-    r, p2f = _factorization_r(table.spec.p, p2, n, truncation)
+    r, _ = _factorization_r(table.spec.p, p2, n, truncation)
     pmf = [table.exit_pmf(m) for m in range(truncation + 1)]
     e_r = sum(r**m * pmf[m] for m in range(truncation + 1))
     e_r_after = sum(r**m * pmf[m] for m in range(n + 1, truncation + 1))
-    rhs = e_r_after / e_r
-    direct = walk.survival_pmf(WalkSpec(p2f, table.spec.k), n, MODE_FLOAT).values[n]
-    return abs(direct - rhs)
+    return e_r_after / e_r
 
 
 def check_independence_discrete(p, k: int, truncation: int,

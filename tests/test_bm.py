@@ -5,24 +5,23 @@ import pytest
 from scipy import integrate
 
 import exitdom as ed
+from exitdom import bm
 from exitdom.bm import (
     DriftSpec,
-    SeriesControl,
     _density_reflection,
     _density_series,
     _survival_reflection,
-    _survival_series,
-    DEFAULT_CONTROL,
+    _weighted_tail_series,
 )
 
 
 def test_series_and_reflection_agree_across_crossover():
     for b in (0.5, 1.0, 2.0):
         for t in (0.01 * b * b, 0.05 * b * b, 0.2 * b * b, b * b):
-            s = _survival_series(b, t, DEFAULT_CONTROL)
-            r = _survival_reflection(b, t, DEFAULT_CONTROL)
+            s = _weighted_tail_series(b, t, 0.0)
+            r = _survival_reflection(b, t)
             assert s == pytest.approx(r, abs=1e-13)
-            ds = _density_series(b, t, DEFAULT_CONTROL)
+            ds = _density_series(b, t)
             dr = _density_reflection(b, t)
             assert ds == pytest.approx(dr, abs=1e-12)
 
@@ -171,10 +170,9 @@ def test_input_validation():
         ed.sign_given_modulus(1.0, -1.0)
     with pytest.raises(ValueError):
         ed.drift_y(1.0, -1.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
 
 
-def test_series_control_budget_raises():
+def test_series_control_budget_raises(monkeypatch):
+    monkeypatch.setattr(bm, "_MAX_TERMS", 2)
     with pytest.raises(ArithmeticError):
-        _survival_series(1.0, 0.001, SeriesControl(max_terms=2, tol=1e-300))
+        ed.driftless_survival(1.0, 1.0)

@@ -39,6 +39,16 @@ def test_subcommand_help_shows_units_and_defaults(capsys):
     assert "(steps)" in out and "[default: 2]" in out
 
 
+def test_tol_help_states_the_pass_rule(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep each flag's help on one line
+    assert run(["rw-independence", "--help"]) == 0
+    assert "max allowed joint-vs-product independence deviation (probability)" \
+        in capsys.readouterr().out
+    assert run(["rw-reweight", "--help"]) == 0
+    assert "floor under the tail bound: pass when |reweighted - direct| <= " \
+        "max(tail bound, tol) (probability)" in capsys.readouterr().out
+
+
 def test_rw_survival_csv_rows(tmp_path, capsys):
     assert run(["rw-survival", "--p", "0.6", "--k", "2", "--horizon", "2",
                 "--outdir", str(tmp_path)]) == 0
