@@ -53,6 +53,8 @@ _MIN_CHUNK = 16
 _MAX_CHUNK = 128
 _BLOCK_CELLS = 1 << 15
 _Y_BLOCK_CELLS = 1 << 16
+# steps a uint8 tally of the coupled-SDE loop counts before it is emptied
+_TALLY_STEPS = 255
 # exp(-2 q / dt) >= 2**-53  <=>  q <= (53 ln 2 / 2) dt
 _Q_CUT = 53.0 * math.log(2.0) / 2.0
 # coupled-SDE ordering slack, in units of sqrt(dt) times the diffusion scale
@@ -409,17 +411,20 @@ class CoupledStats:
     n_paths: int
     level: float
     violation_fraction: float      # over all (step, path, adjacent pair)
-    pair_violation_fractions: list
+    pair_violation_fractions: list  # one per adjacent pair, len(lambdas) - 1
     hit_times: np.ndarray          # shape (n_lambdas, n_paths); nan = not hit
     final_values: np.ndarray       # shape (n_lambdas, n_paths)
 
     def hit_summary(self, i: int):
-        """(mean, stderr, hit fraction) of the level-hitting time for lambda i."""
-        h = self.hit_times[i]
-        ok = ~np.isnan(h)
-        m = float(h[ok].mean())
-        se = float(h[ok].std(ddof=1) / math.sqrt(ok.sum()))
-        return m, se, float(ok.mean())
+        """(mean, stderr, hit fraction) of the level-hitting time for lambda i.
+
+        The mean is None when no path hit the level, the stderr when fewer
+        than two did.
+        """
+        h = self.hit_times[i][~np.isnan(self.hit_times[i])]
+        m = float(h.mean()) if h.size else None
+        se = float(h.std(ddof=1) / math.sqrt(h.size)) if h.size > 1 else None
+        return m, se, h.size / self.n_paths
 
 
 def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
@@ -433,42 +438,108 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     (``_ORDER_SLACK``) times the local diffusion scale, and slack
     exceedances are counted as ordering violations.  First hits of ``level``
     are recorded per drift.
+
+    One step, with w = sqrt(dt) z, computes in this order
+
+        s = sqrt(Y)
+        Y = max(Y + (1 + (2 lam s) tanh(lam s)) dt + (2 s) w, 0)
+        tol = (0.5 sqrt(dt) 2) sqrt(max(Y[1:], dt))
+        violation where Y[:-1] > Y[1:] + tol
+
+    and every output is bit-identical to that sequence.  The loop rewrites
+    it in two exact ways.  It takes one sqrt per step: for a correctly
+    rounded sqrt, sqrt(max(Y, dt)) = max(sqrt(Y), sqrt(dt)), so the new
+    step's s serves this step's tolerance and the next step's drift.  It
+    moves the factors 2, computing (2 lam s) tanh(lam s) as
+    2 ((lam s) tanh(lam s)) and (2 s) w as s (2 w): doubling a double is
+    exact, and where the drift product is so small that rounding it differs,
+    1 + ... is 1 either way.  Rows with lam = 0 at either end of the grid
+    skip the tanh, since their drift factor is exactly 1.  The normals are
+    drawn as one (block, n_paths) array per block of steps: the same
+    numbers, in the same order, as one standard_normal(n_paths) call per
+    step.
     """
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ValueError("need at least one drift")
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("drift grid must be ascending")
-    if y0 < 0.0:
-        raise ValueError("initial value must be nonnegative")
+    if not 0.0 <= y0 < math.inf:
+        raise ValueError("initial value must be finite and nonnegative")
     if dt <= 0.0 or horizon <= 0.0 or n_paths < 1:
         raise ValueError("dt, horizon and n_paths must be positive")
+    if dt > horizon:
+        raise ValueError("dt must not exceed the horizon")
+    if math.isnan(level):
+        raise ValueError("level must be a number")
     L = len(lambdas)
     n_steps = int(round(horizon / dt))
     sqdt = math.sqrt(dt)
+    slack = _ORDER_SLACK * sqdt * 2.0
     gen = rng.generator()
+    lam = np.array(lambdas)[:, None]
+    nonzero = np.flatnonzero(lam)
+    rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
     Y = np.full((L, n_paths), float(y0))
-    hit = np.full((L, n_paths), np.nan)
-    sq = np.empty_like(Y)
-    viol = np.zeros(max(L - 1, 1), dtype=np.int64)
-    lam_arr = np.array(lambdas)[:, None]
-    # one (steps, n_paths) draw per block of steps: the same numbers, in the
-    # same order, as one standard_normal(n_paths) call per step
+    sq = np.sqrt(Y)
+    drift_dt = np.full_like(Y, dt)  # rows outside `rows` keep 1 * dt
+    part = drift_dt[rows]
+    tanh = np.empty_like(part)
+    # a full array: numpy multiplies far faster without a stride-0 operand
+    lam_rows = np.repeat(lam[rows], n_paths, axis=1)
+    noise = np.empty_like(Y)
+    below = np.empty(Y.shape, dtype=bool)
+    unhit = np.ones(Y.shape, dtype=bool)
+    tol = np.empty_like(Y[1:])
+    over = np.empty(tol.shape, dtype=bool)
+    # per-cell tallies of unhit steps and of violations: uint8 adds are the
+    # cheap ones, so they count up to _TALLY_STEPS steps and then empty
+    # into the int64 totals
+    tally_unhit = np.zeros(Y.shape, dtype=np.uint8)
+    tally_viol = np.zeros(tol.shape, dtype=np.uint8)
+    steps_unhit = np.zeros(Y.shape, dtype=np.int64)
+    viol = np.zeros(tol.shape, dtype=np.int64)
+    sq_rows, lower, upper, sq_upper = sq[rows], Y[:-1], Y[1:], sq[1:]
+    unhit_u8, over_u8 = unhit.view(np.uint8), over.view(np.uint8)
     block = max(1, _Y_BLOCK_CELLS // n_paths)
-    for step in range(1, n_steps + 1):
-        if (step - 1) % block == 0:
-            zs = gen.standard_normal((min(block, n_steps - step + 1), n_paths))
-        z = zs[(step - 1) % block]
-        np.sqrt(np.maximum(Y, 0.0), out=sq)
-        drift = 1.0 + 2.0 * lam_arr * sq * np.tanh(lam_arr * sq)
-        Y = np.maximum(Y + drift * dt + 2.0 * sq * (sqdt * z), 0.0)
-        t = step * dt
-        newly = (Y >= level) & np.isnan(hit)
-        hit[newly] = t
-        if L > 1:
-            tol = _ORDER_SLACK * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
-            viol += np.count_nonzero(Y[:-1] > Y[1:] + tol, axis=1)
+    draws = np.empty((block, n_paths))
+    for step in range(n_steps):
+        if step % block == 0:
+            w2 = draws[:n_steps - step]
+            gen.standard_normal(out=w2)
+            w2 *= 2.0 * sqdt
+        if step % _TALLY_STEPS == 0:
+            steps_unhit += tally_unhit
+            viol += tally_viol
+            tally_unhit.fill(0)
+            tally_viol.fill(0)
+        np.multiply(lam_rows, sq_rows, out=part)
+        np.tanh(part, out=tanh)
+        part *= tanh
+        part += part
+        part += 1.0
+        part *= dt
+        Y += drift_dt
+        np.multiply(sq, w2[step % block], out=noise)
+        Y += noise
+        np.maximum(Y, 0.0, out=Y)
+        np.sqrt(Y, out=sq)
+        np.less(Y, level, out=below)
+        unhit &= below
+        tally_unhit += unhit_u8
+        np.maximum(sq_upper, sqdt, out=tol)
+        tol *= slack
+        tol += upper
+        np.greater(lower, tol, out=over)
+        tally_viol += over_u8
+    steps_unhit += tally_unhit
+    viol += tally_viol
+    # a path first reaching the level at step s stayed unhit for s - 1 steps
+    hit = np.where(unhit, np.nan, (steps_unhit + 1) * dt)
     comparisons = n_steps * n_paths
+    pair_counts = viol.sum(axis=1)
     return CoupledStats(
         lambdas, dt, n_steps * dt, n_paths, level,
-        float(viol.sum()) / (comparisons * max(L - 1, 1)),
-        [float(v) / comparisons for v in viol],
+        float(pair_counts.sum()) / (comparisons * max(L - 1, 1)),
+        [float(v) / comparisons for v in pair_counts],
         hit, Y)

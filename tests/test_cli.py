@@ -173,6 +173,30 @@ def test_bm_couple(tmp_path):
     assert len(doc["hit_mean"]) == 3
 
 
+def test_bm_couple_dt_above_horizon_is_exit_1(tmp_path, capsys):
+    assert run(["bm-couple", "--dt", "3", "--time-horizon", "1",
+                "--outdir", str(tmp_path)]) == 1
+    assert "error: dt must not exceed the horizon" in capsys.readouterr().err
+
+
+def test_bm_couple_json_is_strict_without_hits(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert run(["bm-couple", "--n-paths", "50", "--dt", "1e-3", "--level", "100",
+                "--time-horizon", "0.01", "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "bm_couple.json"), parse_constant=reject)
+    assert doc["hit_mean"] == doc["hit_stderr"] == [None, None, None]
+    assert doc["hit_fraction"] == [0.0, 0.0, 0.0]
+
+
+def test_bm_couple_single_drift_has_no_pairs(tmp_path):
+    assert run(["bm-couple", "--lambdas", "1", "--n-paths", "50", "--dt", "1e-3",
+                "--time-horizon", "0.1", "--outdir", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / "bm_couple.json"))[
+        "pair_violation_fractions"] == []
+
+
 def test_bm_independence_and_path_dump(tmp_path):
     assert run(["bm-independence", "--n-paths", "5000", "--dump-paths", "1",
                 "--outdir", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -333,21 +334,50 @@ def test_coupled_identical_drifts_are_bit_equal():
     assert stats.violation_fraction == 0.0
 
 
-def test_coupled_blocked_draws_match_per_step_draws():
-    # the per-step loop simulate_y_coupled replaced: one draw call per step
-    lambdas, y0, dt, n_steps, n_paths = [0.0, 1.5], 0.2, 1e-3, 301, 700
-    rng = RngStreamSpec(SEED, 14)
-    stats = ed.simulate_y_coupled(lambdas, y0, dt, n_steps * dt, n_paths, rng)
+def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
+    """The loop simulate_y_coupled replaced: one draw call and fresh arrays
+    per step.  Returns final values, hit times and per-pair violation counts.
+    """
     gen = rng.generator()
     lam_arr = np.array(lambdas)[:, None]
     sqdt = math.sqrt(dt)
-    Y = np.full((2, n_paths), y0)
-    for _ in range(n_steps):
+    Y = np.full((len(lambdas), n_paths), y0)
+    hit = np.full(Y.shape, np.nan)
+    viol = np.zeros(len(lambdas) - 1, dtype=np.int64)
+    for step in range(1, n_steps + 1):
         z = gen.standard_normal(n_paths)
         sq = np.sqrt(np.maximum(Y, 0.0))
         drift = 1.0 + 2.0 * lam_arr * sq * np.tanh(lam_arr * sq)
         Y = np.maximum(Y + drift * dt + 2.0 * sq * (sqdt * z), 0.0)
-    assert np.array_equal(stats.final_values, Y)
+        hit[(Y >= level) & np.isnan(hit)] = step * dt
+        tol = mc._ORDER_SLACK * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
+        viol += np.count_nonzero(Y[:-1] > Y[1:] + tol, axis=1)
+    return Y, hit, viol
+
+
+def test_coupled_blocked_draws_match_per_step_draws():
+    # (lambdas, y0, dt, n_steps, n_paths, level)
+    cases = [
+        ([0.0, 1.5], 0.2, 1e-3, 301, 1000, 1.0),      # 301 = 4 * 65 + 41
+        ([1.0], 0.0, 1e-3, 200, 50, 0.5),             # a single drift
+        ([-1.0, -0.5, 0.0, 0.0, 2.0], 0.3, 1e-3, 300, 333, 0.6),  # inner zeros
+        ([0.0, 0.7, 0.8], 0.0, 1e-3, 700, 100, 0.3),  # over 255 steps in a block
+        ([0.0, 1.0], 0.9, 1e-3, 50, 400, 0.9),        # level reached on step 1
+    ]
+    for lambdas, y0, dt, n_steps, n_paths, level in cases:
+        rng = RngStreamSpec(SEED, 14)
+        stats = ed.simulate_y_coupled(lambdas, y0, dt, n_steps * dt, n_paths,
+                                      rng, level=level)
+        Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths,
+                                         rng, level)
+        cells = n_steps * n_paths
+        pairs = [float(v) / cells for v in viol]
+        overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
+        for got, want in [(stats.final_values, Y), (stats.hit_times, hit),
+                          (stats.pair_violation_fractions, pairs),
+                          (stats.violation_fraction, overall)]:
+            assert np.array_equal(got, want, equal_nan=True), lambdas
+    assert np.any(hit == dt) and np.any(hit > dt)  # the step-1 case is one
 
 
 def test_coupled_ordering_small_violation_fraction():
@@ -379,3 +409,30 @@ def test_simulation_input_validation():
         ed.simulate_y_coupled([1.0, 0.0], 0.0, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError):
         ed.simulate_y_coupled([0.0, 1.0], -1.0, 1e-3, 1.0, 10, rng)
+
+
+def test_coupled_domain_checks():
+    rng = RngStreamSpec(SEED)
+    with pytest.raises(ValueError, match="dt must not exceed the horizon"):
+        ed.simulate_y_coupled([0.0, 1.0], 0.0, 3.0, 1.0, 10, rng)
+    with pytest.raises(ValueError, match="at least one drift"):
+        ed.simulate_y_coupled([], 0.0, 1e-3, 1.0, 10, rng)
+    with pytest.raises(ValueError, match="finite"):
+        ed.simulate_y_coupled([0.0], math.inf, 1e-3, 1.0, 10, rng)
+    with pytest.raises(ValueError, match="level"):
+        ed.simulate_y_coupled([0.0], 0.0, 1e-3, 1.0, 10, rng, level=math.nan)
+    # one drift has no adjacent pair to compare
+    single = ed.simulate_y_coupled([1.0], 0.0, 1e-3, 0.1, 10, rng)
+    assert single.pair_violation_fractions == []
+    assert single.violation_fraction == 0.0
+
+
+def test_coupled_hit_summary_without_hits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = ed.simulate_y_coupled([0.0, 1.0], 0.0, 1e-3, 0.01, 50,
+                                      RngStreamSpec(SEED), level=100.0)
+        assert [stats.hit_summary(i) for i in range(2)] == [(None, None, 0.0)] * 2
+        one_hit = mc.CoupledStats([0.0], 0.1, 1.0, 2, 1.0, 0.0, [],
+                                  np.array([[0.5, np.nan]]), np.zeros((1, 2)))
+        assert one_hit.hit_summary(0) == (0.5, None, 0.5)
