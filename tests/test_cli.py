@@ -190,13 +190,6 @@ def test_bm_couple_json_is_strict_without_hits(tmp_path):
     assert doc["hit_fraction"] == [0.0, 0.0, 0.0]
 
 
-def test_bm_couple_single_drift_has_no_pairs(tmp_path):
-    assert run(["bm-couple", "--lambdas", "1", "--n-paths", "50", "--dt", "1e-3",
-                "--time-horizon", "0.1", "--outdir", str(tmp_path)]) == 0
-    assert json.loads(read(tmp_path / "bm_couple.json"))[
-        "pair_violation_fractions"] == []
-
-
 def test_bm_independence_and_path_dump(tmp_path):
     assert run(["bm-independence", "--n-paths", "5000", "--dump-paths", "1",
                 "--outdir", str(tmp_path)]) == 0
