@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from scipy import integrate
 from scipy.special import ndtr
 
-from .dominance import DominanceReport, _worst_gap
+from .dominance import DominanceReport, _check_tie_tol, _worst_gap
 
 # fraction of b^2 below which the reflection form replaces the eigenseries
 _SMALL_T = 0.05
@@ -226,8 +226,9 @@ def dominance_scan_continuous(lambdas, b: float, times,
     """Check that survival is non-increasing across an ascending drift grid.
 
     Ties within ``tie_tol`` count as dominance (the curves coincide at t = 0
-    and as t -> infinity).
+    and as t -> infinity).  A negative or NaN ``tie_tol`` raises ValueError.
     """
+    _check_tie_tol(tie_tol)
     lambdas = [float(l) for l in lambdas]
     if any(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("drift grid must be strictly ascending")

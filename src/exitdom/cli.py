@@ -19,22 +19,30 @@ from .bm import DriftSpec
 from .walk import WalkSpec
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in str(text).split(",") if x != ""]
+        return [_finite(x) for x in str(text).split(",") if x != ""]
     except ValueError:
-        raise ValueError(f"expected a comma-separated float list, got {text!r}")
+        raise ValueError(
+            f"expected a comma-separated list of finite floats, got {text!r}")
 
 
 _CONVERTERS = {
     "p": str, "p-from": str, "p-to": str, "p1": str, "p2": str,
     "k": int, "horizon": int, "n": int, "truncation": int,
-    "mode": str, "ps": str, "tol": float,
-    "lambdas": _floats, "times": _floats, "b": float,
-    "lam": float, "lambda-from": float, "lambda-to": float,
-    "t": float, "dt": float, "time-horizon": float, "n-paths": int,
-    "seed": int, "threads": int, "bins": int, "alpha": float,
-    "y0": float, "level": float, "bridge": int, "z-tol": float,
+    "mode": str, "ps": str, "tol": _finite,
+    "lambdas": _floats, "times": _floats, "b": _finite,
+    "lam": _finite, "lambda-from": _finite, "lambda-to": _finite,
+    "t": _finite, "dt": _finite, "time-horizon": _finite, "n-paths": int,
+    "seed": int, "threads": int, "bins": int, "alpha": _finite,
+    "y0": _finite, "level": _finite, "bridge": int, "z-tol": _finite,
     "dump-paths": int, "profile": str, "outdir": str,
 }
 

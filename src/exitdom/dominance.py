@@ -118,14 +118,26 @@ def tail_conditional_mean_check(values, weights, M):
     return cond, mean, cond <= mean + 1e-12 * max(1.0, abs(mean))
 
 
+def _check_tie_tol(tie_tol) -> None:
+    """Raise ValueError unless ``tie_tol`` is a nonnegative number (not NaN)."""
+    if not tie_tol >= 0:
+        raise ValueError(f"tie tolerance must be nonnegative, got {tie_tol!r}")
+
+
 def _worst_gap(lo, hi, index, tie_tol=0):
     """(gap, location) of the largest hi - lo above ``tie_tol``, or None.
 
     The gaps are formed in the curves' own numbers, so the comparison is
-    exact when they hold Fractions.
+    exact when they hold Fractions.  Because ``tie_tol`` is nonnegative, a
+    point with hi <= lo can never count and is skipped before subtracting:
+    comparing two Fractions cross-multiplies, while subtracting them also
+    runs gcds.
     """
+    _check_tie_tol(tie_tol)
     worst = None
     for x, a, b in zip(index, lo, hi):
+        if b <= a:
+            continue
         gap = b - a
         if gap > tie_tol and (worst is None or gap > worst[0]):
             worst = (gap, x)

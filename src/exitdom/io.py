@@ -24,8 +24,9 @@ def fmt_cell(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
-        # shortest round-trip form; integral values drop the trailing ".0"
-        if v == int(v) and abs(v) < 1e16:
+        # shortest round-trip form; integral values drop the trailing ".0",
+        # and nan and inf print as such
+        if v.is_integer() and abs(v) < 1e16:
             return str(int(v))
         return repr(float(v))
     return str(v)

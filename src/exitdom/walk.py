@@ -3,9 +3,11 @@
 The walk starts at 0, steps +1 with probability p and -1 with probability
 q = 1 - p, and is absorbed at +-k.  Everything here is computed by one
 dynamic programme on the interior states {-k+1, ..., k-1}, run in either of
-two number types: exact rationals (``fractions.Fraction``, held in numpy
-object arrays) or 64-bit floats.  The ``mode`` argument picks the type; the
-recurrence, the mean-exit solve and the closed forms are shared.
+two number types: exact rationals (``fractions.Fraction``) or 64-bit floats.
+The ``mode`` argument picks the type; the recurrence, the mean-exit solve and
+the closed forms are shared.  In rational mode, with p = a/d, the recurrence
+runs fraction-free on the integer vectors d^n * u_n (Bareiss, Math. Comp. 22,
+1968) and a Fraction is formed only for a returned value.
 
 ``survival_at`` gives float survival probabilities at selected steps
 without running the recurrence: the interior matrix is tridiagonal Toeplitz,
@@ -164,13 +166,21 @@ class JointExitTable:
 
 
 def _dp(spec: WalkSpec, horizon: int, mode: str):
-    """(up, down, residual) lists for steps 0..horizon in the mode's numbers.
+    """(up, down, residual, scale) for steps 0..horizon.
 
-    The interior state vector is a numpy array of floats, or of Fractions
-    (dtype object), so one recurrence serves both modes.
+    Entry n of each list is the step-n value times scale**n.  One recurrence
+    serves both modes: each step multiplies the interior vector by the up and
+    down weights.  Float mode uses the weights (p, q) with scale 1, so its
+    entries are the values themselves.  Rational mode, for p = a/d in lowest
+    terms, uses the integers (a, d - a) with scale d: the vector d^n * u_n is
+    integral, so the recurrence runs on Python ints in an object array and
+    never normalises a Fraction.  ``_values`` divides by d^n afterwards.
     """
-    p, q = spec.pq(mode)
-    num = _number(mode)
+    w_up, w_down = spec.pq(mode)
+    if mode == MODE_RATIONAL:  # p = a/d and q = (d - a)/d, both in lowest terms
+        w_up, w_down, scale, num = w_up.numerator, w_down.numerator, w_up.denominator, int
+    else:
+        scale, num = 1, float
     zero, one = num(0), num(1)
     k = spec.k
     u = np.full(2 * k - 1, zero, dtype=object if mode == MODE_RATIONAL else float)
@@ -180,16 +190,31 @@ def _dp(spec: WalkSpec, horizon: int, mode: str):
     down = [zero]
     residual = [one]
     for _ in range(horizon):
-        up.append(p * u[-1])
-        down.append(q * u[0])
+        up.append(w_up * u[-1])
+        down.append(w_down * u[0])
         new[0] = zero
-        new[1:] = p * u[:-1]
-        new[:-1] += q * u[1:]
+        new[1:] = w_up * u[:-1]
+        new[:-1] += w_down * u[1:]
         u, new = new, u
         residual.append(u.sum())
     if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
         residual = [min(r, one) for r in residual]
-    return up, down, residual
+    return up, down, residual, scale
+
+
+def _values(entries: list, scale: int) -> list:
+    """The values entries[n] / scale**n of a ``_dp`` list, as Fractions.
+
+    A float list (scale 1) is returned as it is.
+    """
+    if scale == 1:
+        return entries
+    out = []
+    power = 1
+    for entry in entries:
+        out.append(Fraction(entry, power))
+        power *= scale
+    return out
 
 
 def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExitTable:
@@ -200,7 +225,8 @@ def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExi
     _check_mode(mode)
     if horizon < spec.k:
         raise ValueError(f"horizon {horizon} is below the half-width k={spec.k}")
-    return JointExitTable(spec, *_dp(spec, horizon, mode), mode)
+    *columns, scale = _dp(spec, horizon, mode)
+    return JointExitTable(spec, *(_values(c, scale) for c in columns), mode)
 
 
 def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> SurvivalCurve:
@@ -208,7 +234,8 @@ def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> Surviv
     _check_mode(mode)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    return SurvivalCurve(_dp(spec, horizon, mode)[2], mode)
+    _, _, residual, scale = _dp(spec, horizon, mode)
+    return SurvivalCurve(_values(residual, scale), mode)
 
 
 def survival_at(spec: WalkSpec, ns) -> list:

@@ -180,10 +180,8 @@ def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
     """
     truncation = table.horizon
     r, _ = _factorization_r(table.spec.p, p2, n, truncation)
-    pmf = [table.exit_pmf(m) for m in range(truncation + 1)]
-    e_r = sum(r**m * pmf[m] for m in range(truncation + 1))
-    e_r_after = sum(r**m * pmf[m] for m in range(n + 1, truncation + 1))
-    return e_r_after / e_r
+    terms = [r**m * table.exit_pmf(m) for m in range(truncation + 1)]
+    return sum(terms[n + 1:]) / sum(terms)
 
 
 def check_independence_discrete(p, k: int, truncation: int,

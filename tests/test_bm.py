@@ -157,6 +157,13 @@ def test_dominance_scan_rejects_bad_grid():
         ed.dominance_scan_continuous([-0.5, 1.0], 1.0, [1.0])
 
 
+@pytest.mark.parametrize("tie_tol", [-1.0, math.nan])
+def test_dominance_scan_rejects_negative_or_nan_tie_tolerance(tie_tol):
+    for lambdas in ([0.0, 1.0], [1.0]):  # a one-drift grid compares nothing
+        with pytest.raises(ValueError, match="tie tolerance"):
+            ed.dominance_scan_continuous(lambdas, 1.0, [0.5], tie_tol=tie_tol)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         DriftSpec(1.0, 0.0)

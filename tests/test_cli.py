@@ -1,11 +1,12 @@
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
 
-from exitdom import cli
+from exitdom import cli, io
 from exitdom.io import OUTDIR_ENV
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -163,6 +164,42 @@ def test_bm_dominance(tmp_path, capsys):
     assert run(["bm-dominance", "--lambdas", "0,1", "--times", "0.5,1",
                 "--outdir", str(tmp_path)]) == 0
     assert "violations: 0" in capsys.readouterr().out
+
+
+def test_bm_dominance_negative_tolerance_is_exit_1(tmp_path, capsys):
+    # a negative tie tolerance once reported a "violation" with negative gap
+    assert run(["bm-dominance", "--lambdas", "0,1", "--b", "1", "--times", "0.5",
+                "--tol", "-1", "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "tie tolerance must be nonnegative" in captured.err
+    assert "violat" not in captured.out
+    assert not (tmp_path / "bm_dominance.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bm-dominance", "rw-independence"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_exit_1(tmp_path, capsys, command, value):
+    assert run([command, f"--tol={value}", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad value for key 'tol'" in err and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_float_list_and_config_value_are_exit_1(tmp_path, capsys):
+    assert run(["bm-survival", "--times", "0.5,nan", "--outdir", str(tmp_path)]) == 1
+    assert "bad value for key 'times'" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("b = inf\n")
+    assert run(["bm-survival", "--config", str(cfgfile),
+                "--outdir", str(tmp_path)]) == 1
+    assert "bad value for key 'b'" in capsys.readouterr().err
+
+
+def test_fmt_cell_prints_non_finite_floats():
+    assert [io.fmt_cell(v) for v in (math.nan, math.inf, -math.inf)] == \
+        ["nan", "inf", "-inf"]
+    assert [io.fmt_cell(v) for v in (2.0, -0.0, 0.48, 1e16)] == \
+        ["2", "0", "0.48", "1e+16"]
 
 
 def test_bm_couple(tmp_path):

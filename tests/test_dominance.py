@@ -68,6 +68,22 @@ def test_discrete_scan_grid_validation():
         ed.dominance_scan_discrete([0.4, 0.6], 2, 50)  # below 1/2
 
 
+def test_worst_gap_skips_points_where_hi_does_not_exceed_lo():
+    lo = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)]
+    hi = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 7), Fraction(3, 7)]
+    assert dominance._worst_gap(lo, hi, range(4)) == (Fraction(1, 6), 1)
+    assert dominance._worst_gap(lo, hi, range(4), Fraction(1, 6)) is None
+    assert dominance._worst_gap(hi, lo, range(4)) == (Fraction(2, 35), 2)
+    assert dominance._worst_gap([0.5, 0.25], [0.5, 0.5], "ab", 0.1) == (0.25, "b")
+    assert dominance._worst_gap([0.5], [float("nan")], [0]) is None
+
+
+@pytest.mark.parametrize("tie_tol", [-1e-12, -1, float("nan")])
+def test_worst_gap_rejects_negative_or_nan_tolerance(tie_tol):
+    with pytest.raises(ValueError, match="tie tolerance"):
+        dominance._worst_gap([0.5], [0.4], [0], tie_tol)
+
+
 def test_float_violation_escalates_to_exact(monkeypatch):
     # feed the float path deliberately corrupted curves; escalation must
     # recompute exactly and clear the spurious violation

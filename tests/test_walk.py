@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exitdom as ed
@@ -262,3 +262,78 @@ def test_serialization_roundtrip(tmp_path):
     obj = ed.exit_joint(WalkSpec("3/5", 2), 4, MODE_RATIONAL).to_json_obj()
     assert obj["p"] == "3/5"
     assert obj["up"][2] == "9/25"
+
+
+def reference_dp(spec, horizon, mode):
+    """The walk DP with every cell in the mode's own numbers (Fractions or
+    floats): the library's recurrence before rational mode moved to integer
+    numerators, kept as the oracle for both modes."""
+    p, q = spec.pq(mode)
+    num = Fraction if mode == MODE_RATIONAL else float
+    zero, one = num(0), num(1)
+    k = spec.k
+    u = np.full(2 * k - 1, zero, dtype=object if mode == MODE_RATIONAL else float)
+    u[k - 1] = one
+    new = u.copy()
+    up = [zero]
+    down = [zero]
+    residual = [one]
+    for _ in range(horizon):
+        up.append(p * u[-1])
+        down.append(q * u[0])
+        new[0] = zero
+        new[1:] = p * u[:-1]
+        new[:-1] += q * u[1:]
+        u, new = new, u
+        residual.append(u.sum())
+    if mode == MODE_FLOAT:
+        residual = [min(r, one) for r in residual]
+    return up, down, residual
+
+
+# biases a/d as strings, with prime and composite d, some not in lowest terms
+_BIASES = st.tuples(st.integers(2, 40), st.integers(1, 3)).flatmap(
+    lambda df: st.integers(1, df[0] - 1).map(
+        lambda a: f"{a * df[1]}/{df[0] * df[1]}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_BIASES, k=st.integers(1, 6), horizon=st.integers(0, 60))
+@example(p="6/10", k=1, horizon=60)
+@example(p="2/4", k=1, horizon=0)
+@example(p="2/4", k=3, horizon=60)
+@example(p="31/61", k=4, horizon=60)
+@example(p="11/20", k=2, horizon=37)
+def test_integer_dp_matches_reference_dp(p, k, horizon):
+    # same values, types and reprs as the all-Fraction recurrence
+    spec = WalkSpec(p, k)
+    up, down, residual = reference_dp(spec, horizon, MODE_RATIONAL)
+    curve = ed.survival_pmf(spec, horizon, MODE_RATIONAL).values
+    assert all(type(v) is Fraction for v in curve)
+    assert repr(curve) == repr(residual)
+    if horizon < k:
+        return
+    table = ed.exit_joint(spec, horizon, MODE_RATIONAL)
+    assert repr((table.up, table.down, table.residual)) == repr((up, down, residual))
+    h = ed.upper_exit_prob(spec, MODE_RATIONAL)
+    dev = max(abs(u - (u + d) * h) for u, d in zip(up, down))
+    got = ed.check_independence_discrete(p, k, horizon, MODE_RATIONAL)
+    assert type(got) is Fraction and repr(got) == repr(dev)
+
+
+def bits(values):
+    return [(type(v), float(v).hex()) for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_BIASES, k=st.integers(1, 6), horizon=st.integers(0, 60))
+@example(p="6/10", k=1, horizon=60)
+def test_float_dp_matches_reference_dp_bit_for_bit(p, k, horizon):
+    spec = WalkSpec(float(Fraction(p)), k)
+    up, down, residual = reference_dp(spec, horizon, MODE_FLOAT)
+    assert bits(ed.survival_pmf(spec, horizon).values) == bits(residual)
+    if horizon >= k:
+        table = ed.exit_joint(spec, horizon)
+        for got, want in ((table.up, up), (table.down, down),
+                          (table.residual, residual)):
+            assert bits(got) == bits(want)
