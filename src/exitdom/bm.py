@@ -15,6 +15,16 @@ first term below ``SERIES_TOL`` (1e-12) and raises ArithmeticError if that
 takes more than ``_MAX_TERMS`` (2000) terms.  Quadrature runs at absolute
 tolerance ``SERIES_TOL`` with at most ``_QUAD_LIMIT`` (200) subintervals.
 Below t = ``_SMALL_T`` b^2 the reflection forms replace the eigenseries.
+
+The reflection forms sum images k = -20..20, but each loops only over the k
+whose terms can be nonzero; every skipped term is exactly +-0.0, so the sum
+and its ascending-k order are those of the full loop.  The density's image
+at distance c contributes c * exp(-c^2 / 2t), which is exactly 0.0 once
+c^2 / 2t exceeds 745.14; the survival's term is an ndtr triple that is
+exactly 2 - 1 - 1 or 0 - 0 - 0 once all three arguments lie above 8.30 or
+below -37.68, where ndtr returns exactly 1 or 0.  The loops use the wider
+cut-offs ``_EXP_ZERO`` (746), ``_NDTR_ONE`` (8.5) and ``_NDTR_ZERO`` (-38.5)
+as a safety margin.  Since t < 0.05 b^2 there, at most k = -3..3 remain.
 """
 
 from __future__ import annotations
@@ -39,6 +49,14 @@ SERIES_TOL = 1e-12
 _MAX_TERMS = 2000
 _QUAD_LIMIT = 200
 
+# the reflection forms sum the images k = -_IMAGES.._IMAGES
+_IMAGES = 20
+# math.exp(-x) == 0.0 for x > 745.14; ndtr(x) == 1.0 for x > 8.30 and
+# ndtr(x) == 0.0 for x < -37.68; each cut-off below keeps a margin
+_EXP_ZERO = 746.0
+_NDTR_ONE = 8.5
+_NDTR_ZERO = -38.5
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -54,10 +72,23 @@ class DriftSpec:
             raise ValueError(f"drift must be finite, got {self.lam!r}")
 
 
+def _image_range(reach_down: float, reach_up: float) -> range:
+    """The image indices k whose terms can be nonzero.
+
+    Term k >= 1 is exactly zero once 4k - 3 > ``reach_up``, and term
+    k <= -1 once -4k - 1 > ``reach_down``, both in units of b.  The range
+    holds every k of -_IMAGES.._IMAGES that neither bound excludes.
+    """
+    return range(max(-_IMAGES, -math.ceil((reach_down + 1) / 4)),
+                 min(_IMAGES, math.ceil((reach_up + 3) / 4)) + 1)
+
+
 def _survival_reflection(b: float, t: float) -> float:
     rt = math.sqrt(t)
     acc = 0.0
-    for k in range(-20, 21):
+    # ndtr is exactly 1 above _NDTR_ONE (images k <= -1, all arguments
+    # positive) and exactly 0 below _NDTR_ZERO (k >= 1, all negative)
+    for k in _image_range(_NDTR_ONE * rt / b, -_NDTR_ZERO * rt / b):
         term = (2.0 * ndtr((1 - 4 * k) * b / rt)
                 - ndtr((-1 - 4 * k) * b / rt)
                 - ndtr((3 - 4 * k) * b / rt))
@@ -65,12 +96,24 @@ def _survival_reflection(b: float, t: float) -> float:
     return float(acc)
 
 
+def _check_time(t: float, positive: bool = False) -> None:
+    """Raise ValueError for a NaN time and for t < 0 (t <= 0 if ``positive``).
+
+    t = +inf passes: every public evaluator returns its limit 0 there.
+    """
+    if math.isnan(t):
+        raise ValueError("time must be a number, got nan")
+    if positive and t <= 0.0:
+        raise ValueError("density requires t > 0")
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+
+
 def driftless_survival(b: float, t: float) -> float:
     """P0(tau > t) for the exit of standard Brownian motion from (-b, b)."""
     if b <= 0.0:
         raise ValueError("barrier b must be positive")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if t == 0.0:
         return 1.0
     if t < _SMALL_T * b * b:
@@ -81,13 +124,15 @@ def driftless_survival(b: float, t: float) -> float:
 
 
 def _density_series(b: float, t: float) -> float:
+    # loop invariants hoisted as locals: each computes the value it replaces
+    pi, exp, tol = math.pi, math.exp, SERIES_TOL
+    pi2, two_b2, eight_b2 = pi**2, 2.0 * b * b, 8.0 * b * b
     acc = 0.0
     for m in range(_MAX_TERMS):
         n = 2 * m + 1
-        term = (math.pi * n / (2.0 * b * b)) * math.exp(
-            -n * n * math.pi**2 * t / (8.0 * b * b))
+        term = (pi * n / two_b2) * exp(-n * n * pi2 * t / eight_b2)
         acc += term if m % 2 == 0 else -term
-        if term < SERIES_TOL:
+        if term < tol:
             return acc
     raise ArithmeticError(
         f"density series did not converge within {_MAX_TERMS} terms at t={t}")
@@ -97,25 +142,31 @@ def _density_reflection(b: float, t: float) -> float:
     rt = math.sqrt(t)
     inv = 1.0 / (math.sqrt(2.0 * math.pi) * t ** 1.5)
     acc = 0.0
-    for k in range(-20, 21):
+    exp = math.exp
+    reach = math.sqrt(2.0 * _EXP_ZERO) * rt / b  # exp(-c^2/2t) == 0 for |c| > reach*b
+    for k in _image_range(reach, reach):
         c1 = (1 - 4 * k) * b
         c2 = (-1 - 4 * k) * b
         c3 = (3 - 4 * k) * b
-        acc += (c1 * math.exp(-c1 * c1 / (2.0 * t))
-                - 0.5 * c2 * math.exp(-c2 * c2 / (2.0 * t))
-                - 0.5 * c3 * math.exp(-c3 * c3 / (2.0 * t)))
+        acc += (c1 * exp(-c1 * c1 / (2.0 * t))
+                - 0.5 * c2 * exp(-c2 * c2 / (2.0 * t))
+                - 0.5 * c3 * exp(-c3 * c3 / (2.0 * t)))
     return max(0.0, acc * inv)
+
+
+def _exit_density(b: float, t: float) -> float:
+    """``driftless_exit_density`` without its domain checks."""
+    if t < _SMALL_T * b * b:
+        return _density_reflection(b, t)
+    return max(0.0, _density_series(b, t))
 
 
 def driftless_exit_density(b: float, t: float) -> float:
     """Density of tau at t (> 0) for driftless exit from (-b, b)."""
     if b <= 0.0:
         raise ValueError("barrier b must be positive")
-    if t <= 0.0:
-        raise ValueError("density requires t > 0")
-    if t < _SMALL_T * b * b:
-        return _density_reflection(b, t)
-    return max(0.0, _density_series(b, t))
+    _check_time(t, positive=True)
+    return _exit_density(b, t)
 
 
 def _weighted_tail_series(b: float, t: float, g: float) -> float:
@@ -123,13 +174,15 @@ def _weighted_tail_series(b: float, t: float, g: float) -> float:
 
     At g = 0 this is the driftless survival P0(tau > t).
     """
+    pi, exp, tol = math.pi, math.exp, SERIES_TOL
+    pi2, two_b2, eight_b2 = pi**2, 2.0 * b * b, 8.0 * b * b
     acc = 0.0
     for m in range(_MAX_TERMS):
         n = 2 * m + 1
-        a = n * n * math.pi**2 / (8.0 * b * b)
-        term = (math.pi * n / (2.0 * b * b)) * math.exp(-(a + g) * t) / (a + g)
+        a = n * n * pi2 / eight_b2
+        term = (pi * n / two_b2) * exp(-(a + g) * t) / (a + g)
         acc += term if m % 2 == 0 else -term
-        if term < SERIES_TOL:
+        if term < tol:
             return acc
     raise ArithmeticError(
         f"weighted tail series did not converge within {_MAX_TERMS} terms")
@@ -151,8 +204,7 @@ def drifted_survival(spec: DriftSpec, t: float) -> float:
     drifts are served by symmetry.  Raises ValueError where cosh(lam*b)
     overflows.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     lam = abs(spec.lam)
     b = spec.b
     cosh_lb = _cosh_lambda_b(lam, b)
@@ -177,8 +229,7 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
     the integrand beyond the truncation time.  The value is clamped to
     [0, 1]; ValueError where cosh(lam*b) overflows.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     lam = abs(spec.lam)
     b = spec.b
     cosh_lb = _cosh_lambda_b(lam, b)
@@ -194,7 +245,7 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
     total = 0.0
     for lo, hi in zip(pieces, pieces[1:]):
         part, _ = integrate.quad(
-            lambda s: math.exp(-g * s) * driftless_exit_density(b, s),
+            lambda s: math.exp(-g * s) * _exit_density(b, s),
             lo, hi, limit=_QUAD_LIMIT, epsabs=SERIES_TOL, epsrel=1e-11)
         total += part
     cutoff_bound = cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)

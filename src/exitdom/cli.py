@@ -162,6 +162,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = frozenset({f"--{flag}" for flags in _SUBCOMMANDS.values() for flag in flags}
+                         | {"--config", "--outdir"})
+
+
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """argv with each known flag and the token after it joined as --flag=value.
+
+    Every subcommand flag takes exactly one value, so the token after one is
+    its value, even where argparse would read it as an option string, as it
+    does for -1e-3 or -inf.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
     file_cfg = {}
@@ -356,8 +375,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_flag_values(argv))
     except SystemExit as exc:
         # argparse uses status 2 for usage errors and 0 for --help
         return 0 if exc.code == 0 else 1

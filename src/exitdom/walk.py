@@ -40,6 +40,9 @@ _MODES = (MODE_RATIONAL, MODE_FLOAT)
 # was 1.8e-14 up to 2000, 8.0e-14 up to 8000 and 2.6e-13 up to 16000.
 _MAX_CONDITION = 2000.0
 
+# steps per block of the walk DP's row buffer
+_DP_BLOCK = 64
+
 
 def exact_fraction(x) -> Fraction:
     """Convert a bias/probability to an exact Fraction, or raise ValueError.
@@ -175,6 +178,17 @@ def _dp(spec: WalkSpec, horizon: int, mode: str):
     terms, uses the integers (a, d - a) with scale d: the vector d^n * u_n is
     integral, so the recurrence runs on Python ints in an object array and
     never normalises a Fraction.  ``_values`` divides by d^n afterwards.
+
+    The steps run in blocks of at most ``_DP_BLOCK``.  Row 0 of a
+    (block + 1, 2k - 1) buffer holds the vector entering the block, and
+    step i writes row i + 1 from row i in place: new[1:] = w_up * u[:-1],
+    then new[:-1] += w_down * u[1:] onto new[0] = 0, one multiply and one
+    add per cell as in a single-vector loop.  Once per block, the exits are
+    a column times its weight and the residuals np.add.reduce(..., axis=1),
+    which sums each row in numpy's pairwise order, the order of a 1-D
+    u.sum(); the last row then moves to row 0.  The buffer and one scratch
+    row for the down products bound the memory by the block, not by the
+    horizon.
     """
     w_up, w_down = spec.pq(mode)
     if mode == MODE_RATIONAL:  # p = a/d and q = (d - a)/d, both in lowest terms
@@ -183,20 +197,31 @@ def _dp(spec: WalkSpec, horizon: int, mode: str):
         scale, num = 1, float
     zero, one = num(0), num(1)
     k = spec.k
-    u = np.full(2 * k - 1, zero, dtype=object if mode == MODE_RATIONAL else float)
-    u[k - 1] = one
-    new = u.copy()
+    dtype = object if mode == MODE_RATIONAL else float
+    block = min(horizon, _DP_BLOCK)
+    rows = np.full((block + 1, 2 * k - 1), zero, dtype=dtype)
+    rows[0, k - 1] = one
+    heads = [row[:-1] for row in rows]
+    tails = [row[1:] for row in rows]
+    down_part = np.empty(2 * k - 2, dtype=dtype)
+    # 0-d weights and a positional out= make the per-step ufunc calls cheapest
+    mul, add = np.multiply, np.add
+    up_w, down_w = np.array(w_up, dtype=dtype), np.array(w_down, dtype=dtype)
     up = [zero]
     down = [zero]
     residual = [one]
-    for _ in range(horizon):
-        up.append(w_up * u[-1])
-        down.append(w_down * u[0])
-        new[0] = zero
-        new[1:] = w_up * u[:-1]
-        new[:-1] += w_down * u[1:]
-        u, new = new, u
-        residual.append(u.sum())
+    for start in range(0, horizon, block or 1):
+        steps = min(block, horizon - start)
+        rows[1:, 0] = zero
+        for u_head, u_tail, new_head, new_tail in zip(heads, tails, heads[1:steps + 1],
+                                                      tails[1:steps + 1]):
+            mul(u_head, up_w, new_tail)
+            mul(u_tail, down_w, down_part)
+            add(new_head, down_part, new_head)
+        up += list(w_up * rows[:steps, -1])
+        down += list(w_down * rows[:steps, 0])
+        residual += list(np.add.reduce(rows[1:steps + 1], axis=1))
+        rows[0] = rows[steps]
     if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
         residual = [min(r, one) for r in residual]
     return up, down, residual, scale

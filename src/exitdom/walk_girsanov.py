@@ -123,14 +123,18 @@ def reweighted_survival_from_table(table: JointExitTable, p_to,
     spec = table.spec
     k = spec.k
     r, z = _rz(spec.p_float(), pt)
-    log_r, log_z = math.log(r), math.log(z)
+    exp, log = math.exp, math.log
+    log_r, log_z = log(r), log(z)
+    up_log_z, down_log_z = k * log_z, -k * log_z
     est = 0.0
     # each term is weight * mass, formed as exp(log weight + log mass): the
     # weight alone overflows for r > 1 long before the product does
-    for m in range(n + 1, truncation + 1):
-        for mass, side in ((table.up[m], k), (table.down[m], -k)):
-            if mass > 0.0:
-                est += math.exp(m * log_r + side * log_z + math.log(mass))
+    for m, up, down in zip(range(n + 1, truncation + 1), table.up[n + 1:],
+                           table.down[n + 1:]):
+        if up > 0.0:
+            est += exp(m * log_r + up_log_z + log(up))
+        if down > 0.0:
+            est += exp(m * log_r + down_log_z + log(down))
     bound = _tail_bound(spec, r, z, truncation, table.residual[truncation])
     return ReweightedSurvival(est, bound)
 

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 import exitdom as ed
 from exitdom import bm
@@ -183,3 +187,110 @@ def test_series_control_budget_raises(monkeypatch):
     monkeypatch.setattr(bm, "_MAX_TERMS", 2)
     with pytest.raises(ArithmeticError):
         ed.driftless_survival(1.0, 1.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (ed.driftless_survival, (1.0,)),
+    (ed.driftless_exit_density, (1.0,)),
+    (ed.drifted_survival, (DriftSpec(1.0, 1.0),)),
+    (ed.drifted_survival_quad, (DriftSpec(1.0, 1.0),)),
+])
+def test_nan_time_is_a_value_error_and_inf_is_the_limit(fn, args):
+    # NaN time once gave 0.0, (0.0, nan) or a non-convergence ArithmeticError
+    with pytest.raises(ValueError, match="time must be a number"):
+        fn(*args, math.nan)
+    limit = fn(*args, math.inf)
+    assert limit == ((0.0, 0.0) if fn is ed.drifted_survival_quad else 0.0)
+
+
+# The image sums over all of k = -20..20 and the series with every
+# invariant recomputed in the loop: the forms before the image cut-off,
+# kept as oracles for bit-identity.
+
+def oracle_survival_reflection(b, t):
+    rt = math.sqrt(t)
+    acc = 0.0
+    for k in range(-20, 21):
+        term = (2.0 * ndtr((1 - 4 * k) * b / rt)
+                - ndtr((-1 - 4 * k) * b / rt)
+                - ndtr((3 - 4 * k) * b / rt))
+        acc += term
+    return float(acc)
+
+
+def oracle_density_series(b, t):
+    acc = 0.0
+    for m in range(bm._MAX_TERMS):
+        n = 2 * m + 1
+        term = (math.pi * n / (2.0 * b * b)) * math.exp(
+            -n * n * math.pi**2 * t / (8.0 * b * b))
+        acc += term if m % 2 == 0 else -term
+        if term < bm.SERIES_TOL:
+            return acc
+    raise ArithmeticError("density series did not converge")
+
+
+def oracle_density_reflection(b, t):
+    rt = math.sqrt(t)
+    inv = 1.0 / (math.sqrt(2.0 * math.pi) * t ** 1.5)
+    acc = 0.0
+    for k in range(-20, 21):
+        c1 = (1 - 4 * k) * b
+        c2 = (-1 - 4 * k) * b
+        c3 = (3 - 4 * k) * b
+        acc += (c1 * math.exp(-c1 * c1 / (2.0 * t))
+                - 0.5 * c2 * math.exp(-c2 * c2 / (2.0 * t))
+                - 0.5 * c3 * math.exp(-c3 * c3 / (2.0 * t)))
+    return max(0.0, acc * inv)
+
+
+def oracle_weighted_tail_series(b, t, g):
+    acc = 0.0
+    for m in range(bm._MAX_TERMS):
+        n = 2 * m + 1
+        a = n * n * math.pi**2 / (8.0 * b * b)
+        term = (math.pi * n / (2.0 * b * b)) * math.exp(-(a + g) * t) / (a + g)
+        acc += term if m % 2 == 0 else -term
+        if term < bm.SERIES_TOL:
+            return acc
+    raise ArithmeticError("weighted tail series did not converge")
+
+
+def public_values(b, t, lam):
+    spec = DriftSpec(lam, b)
+    return [ed.driftless_survival(b, t), ed.driftless_exit_density(b, t),
+            ed.drifted_survival(spec, t), *ed.drifted_survival_quad(spec, t)]
+
+
+def test_exact_zero_cutoffs_hold():
+    # the image cut-offs rest on these exact zeros and ones
+    assert math.exp(-bm._EXP_ZERO) == 0.0
+    xs = np.linspace(bm._NDTR_ONE, 60.0, 20001)
+    assert (ndtr(xs) == 1.0).all() and (ndtr(-xs) < 1e-17).all()
+    xs = np.linspace(bm._NDTR_ZERO, -1000.0, 20001)
+    assert (ndtr(xs) == 0.0).all()
+    # below t = 0.05 b^2 at most seven images remain
+    assert len(bm._image_range(*[math.sqrt(2 * bm._EXP_ZERO * 0.05)] * 2)) == 7
+
+
+@settings(max_examples=120, deadline=None)
+@given(b=st.floats(0.25, 4.0), log_t=st.floats(-8.0, math.log10(60.0)),
+       lam_b=st.floats(0.0, 12.0))
+@example(b=1.0, log_t=math.log10(math.nextafter(0.05, 0.0)), lam_b=3.0)
+@example(b=0.25, log_t=math.log10(math.nextafter(0.05, 0.0)), lam_b=12.0)
+@example(b=4.0, log_t=math.log10(0.049999), lam_b=0.0)
+@example(b=4.0, log_t=-8.0, lam_b=12.0)  # every density image is exactly 0
+# b^2/2t = 700: the images at distance b, from k = 0 and k = 1, are just
+# above underflow, so a cut-off that dropped k = 1 would change the density
+@example(b=1.5, log_t=math.log10(1 / 1400), lam_b=2.0)
+@example(b=2.0, log_t=math.log10(0.05), lam_b=1.0)
+def test_bm_values_match_oracles_bit_for_bit(b, log_t, lam_b):
+    t = 10.0 ** log_t * b * b
+    got = public_values(b, t, lam_b / b)
+    with mock.patch.multiple(bm, _survival_reflection=oracle_survival_reflection,
+                             _density_series=oracle_density_series,
+                             _density_reflection=oracle_density_reflection,
+                             _weighted_tail_series=oracle_weighted_tail_series):
+        want = public_values(b, t, lam_b / b)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

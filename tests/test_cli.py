@@ -185,6 +185,26 @@ def test_non_finite_float_flag_is_exit_1(tmp_path, capsys, command, value):
     assert "Traceback" not in err
 
 
+def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
+    # argparse once read -1e-3 after a flag as an option: "expected one argument"
+    assert run(["bm-survival", "--lambdas", "-1e-3,0", "--times", "0.5",
+                "--outdir", str(tmp_path)]) == 0
+    rows = json.loads(read(tmp_path / "bm_survival.json"))["rows"]
+    assert [r["lambda"] for r in rows] == [-1e-3, 0.0]
+    assert rows[0]["survival"] == pytest.approx(rows[1]["survival"], abs=1e-6)
+    assert run(["bm-reweight", "--lambda-from", "-1e-3", "--n-paths", "2000",
+                "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "bm_reweight.json"))
+    assert doc["config"]["lambda-from"] == "-0.001"
+
+
+def test_negative_infinite_flag_value_is_exit_1(tmp_path, capsys):
+    assert run(["bm-dominance", "--tol", "-inf", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad value for key 'tol': expected a finite number, got '-inf'" in err
+    assert "expected one argument" not in err
+
+
 def test_non_finite_float_list_and_config_value_are_exit_1(tmp_path, capsys):
     assert run(["bm-survival", "--times", "0.5,nan", "--outdir", str(tmp_path)]) == 1
     assert "bad value for key 'times'" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exitdom as ed
+from exitdom import walk
 from exitdom.walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction
 
 
@@ -297,6 +298,15 @@ _BIASES = st.tuples(st.integers(2, 40), st.integers(1, 3)).flatmap(
         lambda a: f"{a * df[1]}/{df[0] * df[1]}"))
 
 
+def block_examples(test):
+    """Pin horizons around the DP's block size, and a row longer than numpy's
+    pairwise-summation block of 128 (2k - 1 = 131)."""
+    block = walk._DP_BLOCK
+    for horizon in (block - 1, block, block + 1, 2 * block + 1):
+        test = example(p="7/12", k=3, horizon=horizon)(test)
+    return example(p="31/61", k=66, horizon=2 * block + 1)(test)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=_BIASES, k=st.integers(1, 6), horizon=st.integers(0, 60))
 @example(p="6/10", k=1, horizon=60)
@@ -304,6 +314,7 @@ _BIASES = st.tuples(st.integers(2, 40), st.integers(1, 3)).flatmap(
 @example(p="2/4", k=3, horizon=60)
 @example(p="31/61", k=4, horizon=60)
 @example(p="11/20", k=2, horizon=37)
+@block_examples
 def test_integer_dp_matches_reference_dp(p, k, horizon):
     # same values, types and reprs as the all-Fraction recurrence
     spec = WalkSpec(p, k)
@@ -328,6 +339,7 @@ def bits(values):
 @settings(max_examples=40, deadline=None)
 @given(p=_BIASES, k=st.integers(1, 6), horizon=st.integers(0, 60))
 @example(p="6/10", k=1, horizon=60)
+@block_examples
 def test_float_dp_matches_reference_dp_bit_for_bit(p, k, horizon):
     spec = WalkSpec(float(Fraction(p)), k)
     up, down, residual = reference_dp(spec, horizon, MODE_FLOAT)
