@@ -111,7 +111,7 @@ def _check_time(t: float, positive: bool = False) -> None:
 
 def driftless_survival(b: float, t: float) -> float:
     """P0(tau > t) for the exit of standard Brownian motion from (-b, b)."""
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("barrier b must be positive")
     _check_time(t)
     if t == 0.0:
@@ -163,7 +163,7 @@ def _exit_density(b: float, t: float) -> float:
 
 def driftless_exit_density(b: float, t: float) -> float:
     """Density of tau at t (> 0) for driftless exit from (-b, b)."""
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("barrier b must be positive")
     _check_time(t, positive=True)
     return _exit_density(b, t)

@@ -16,7 +16,12 @@ each block it draws, from the batch's generator:
    every path's second step, ...);
 2. with the bridge correction on, one uniform per candidate step at the
    upper barrier, then one per candidate step at the lower barrier, each in
-   step-major order.
+   step-major order;
+3. with the bridge correction on, one hitting time for each path that exits
+   in the block, at each barrier its exiting step fired at: first the upper
+   barrier's, in path order, then the lower barrier's, in path order.  Each
+   is one ``wald`` draw, or one standard normal in the Levy limit (see
+   ``_hit_offsets``).
 
 A step from x_i to x_{i+1} is a candidate at the upper barrier when
 q = (b - x_i)(b - x_{i+1}) <= (53 ln 2 / 2) dt, that is when its crossing
@@ -57,6 +62,8 @@ _Y_BLOCK_CELLS = 1 << 16
 _TALLY_STEPS = 255
 # exp(-2 q / dt) >= 2**-53  <=>  q <= (53 ln 2 / 2) dt
 _Q_CUT = 53.0 * math.log(2.0) / 2.0
+# largest admitted bound on the chance that one exit step reaches both barriers
+_BOTH_BARRIERS_MAX = 1e-9
 # coupled-SDE ordering slack, in units of sqrt(dt) times the diffusion scale
 _ORDER_SLACK = 0.5
 # smallest expected count per cell of the exit time-by-side chi-square table
@@ -97,6 +104,14 @@ class RngStreamSpec:
         return spec
 
 
+def _check_before_horizon(t, horizon):
+    """Raise ValueError unless t is a number strictly before the horizon."""
+    if math.isnan(t):
+        raise ValueError("time must be a number, got nan")
+    if t >= horizon:
+        raise ValueError("t must lie strictly before the sample horizon")
+
+
 @dataclass
 class ExitSamples:
     """Struct-of-arrays collection of simulated exits from (-b, b).
@@ -122,8 +137,7 @@ class ExitSamples:
 
     def empirical_survival(self, t: float) -> float:
         """P(tau > t) with censored paths counted as survivors (t < horizon)."""
-        if t >= self.horizon:
-            raise ValueError("empirical survival undefined at/after the horizon")
+        _check_before_horizon(t, self.horizon)
         return float(np.mean(self.times > t))
 
     def exit_times(self) -> np.ndarray:
@@ -155,12 +169,12 @@ def _first_exits(fired, rows):
 def _bridge_hits(path, b, dt, gen):
     """Bridge crossing test for every step of a step-major path block.
 
-    Returns per-step hit codes (bit 1: the upper barrier fired, bit 2: the
-    lower one) and the products q = (b - x_i)(b - x_{i+1}) and
-    (x_i + b)(x_{i+1} + b), all flattened step-major.  Only candidate
-    (step, barrier) pairs, those with q <= _Q_CUT * dt, draw a uniform: the
-    upper barrier's candidates first, then the lower one's, each in
-    step-major order.
+    Returns per-step hit codes, flattened step-major: bit 1 when the upper
+    barrier fired, bit 2 when the lower one did.  Only candidate
+    (step, barrier) pairs, those whose q = (b - x_i)(b - x_{i+1}) or
+    (x_i + b)(x_{i+1} + b) is at most _Q_CUT * dt, draw a uniform: the upper
+    barrier's candidates first, then the lower one's, each in step-major
+    order.
     """
     gap = np.subtract(b, path)
     q_up = (gap[:-1] * gap[1:]).ravel()
@@ -173,12 +187,70 @@ def _bridge_hits(path, b, dt, gen):
     hit = np.zeros(q_up.size, dtype=np.int8)
     hit[cand_up[u[:cand_up.size] < _bridge_prob(q_up[cand_up], dt)]] = 1
     hit[cand_dn[u[cand_up.size:] < _bridge_prob(q_dn[cand_dn], dt)]] += 2
-    return hit, q_up, q_dn
+    return hit
 
 
 def _bridge_prob(q, dt):
     """Brownian-bridge crossing probability exp(-2 q / dt), capped at 1."""
     return np.exp(np.minimum(-2.0 / dt * q, 0.0))
+
+
+def _hit_offsets(a, gap, dt, gen):
+    """Hitting times of the barrier within steps known to reach it.
+
+    ``a`` is each step's distance from its start x_i to the barrier and
+    ``gap`` the distance |b - x_{i+1}| from its end.  Given its endpoints the
+    step is a Brownian bridge, whatever the drift.  By time inversion the
+    bridge reaches the barrier at time s dt / (dt + s) into the step exactly
+    when a driftless Brownian motion W reaches a line of height a and slope
+    +-gap / dt at time s; given that it does, s ~ IG(a dt / gap, a^2)
+    (Borodin and Salminen, *Handbook of Brownian Motion*, part II).  Each
+    step takes one ``gen.wald`` draw, in the order given, except that
+    gap == 0 takes the Levy limit s = a^2 / Z^2 with one standard normal Z.
+    Returns the offsets dt / (1 + dt / s), in [0, dt].
+    """
+    inv = np.empty(a.size)  # dt / s
+    lo = 0
+    for j in np.flatnonzero(gap == 0.0).tolist() + [a.size]:
+        if j > lo:
+            part = slice(lo, j)
+            with np.errstate(divide="ignore"):
+                inv[part] = dt / gen.wald(a[part] * dt / gap[part], a[part] * a[part])
+        if j < a.size:
+            inv[j] = dt * (gen.standard_normal() / a[j]) ** 2
+        lo = j + 1
+    return dt / (1.0 + inv)
+
+
+def _exits_in_step(code, x0, x1, b, dt, k, gen):
+    """Exit times and sides of steps whose bridge test fired.
+
+    ``code`` holds each step's hit code (bit 1: upper barrier, bit 2: lower
+    barrier), ``x0`` and ``x1`` its endpoints and ``k`` its index, so that it
+    spans [k dt, (k + 1) dt].  Each fired barrier gets a hitting time from
+    one ``_hit_offsets`` call, the upper barrier's steps first, and the
+    earlier of two decides the side.  The time start + offset is then
+    clamped to [nextafter(start, inf), end], with start = k * dt and
+    end = (k + 1) * dt as rounded doubles: it lies in (start, end] after
+    rounding, so an exit falls on the same side of every grid time j * dt as
+    the step-end time end does.
+    """
+    up = np.flatnonzero(code & 1)
+    dn = np.flatnonzero(code & 2)
+    off = _hit_offsets(np.concatenate((b - x0[up], x0[dn] + b)),
+                       np.abs(np.concatenate((b - x1[up], x1[dn] + b))), dt, gen)
+    first = np.full(code.size, np.inf)
+    first[up] = off[:up.size]
+    off_dn = off[up.size:]
+    earlier = off_dn < first[dn]
+    lower = dn[earlier]
+    first[lower] = off_dn[earlier]
+    sides = np.ones(code.size, dtype=np.int8)
+    sides[lower] = -1
+    start = k * dt
+    times = np.minimum(np.maximum(start + first, np.nextafter(start, np.inf)),
+                       (k + 1) * dt)
+    return times, sides
 
 
 def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
@@ -210,7 +282,7 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
             np.cumsum(path, axis=0, out=path)
             x[ids] = path[-1]
             if bridge:
-                hit, q_up, q_dn = _bridge_hits(path, b, dt, gen)
+                hit = _bridge_hits(path, b, dt, gen)
                 fired = np.flatnonzero(hit)
             else:
                 fired = np.flatnonzero((inc >= b) | (inc <= -b))
@@ -218,20 +290,14 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
                 continue
             paths, cell = _first_exits(fired, r)
             pv = inc.ravel()[cell]
-            side = np.where(pv >= b, 1, np.where(pv <= -b, -1, 0)).astype(np.int8)
-            unresolved = side == 0
-            if np.any(unresolved):
-                # only a bridge fire leaves the endpoint inside; if both
-                # barriers fired in the step, take the likelier one
-                cu = cell[unresolved]
-                code = hit[cu]
-                prefer_up = _bridge_prob(q_up[cu], dt) >= _bridge_prob(q_dn[cu], dt)
-                side[unresolved] = np.where(code == 1, 1,
-                                            np.where(code == 2, -1,
-                                                     np.where(prefer_up, 1, -1)))
             out = ids[paths]
-            times[out] = (step + cell // r + 1) * dt
-            sides[out] = side
+            k = step + cell // r
+            if bridge:
+                times[out], sides[out] = _exits_in_step(
+                    hit[cell], path.ravel()[cell], pv, b, dt, k, gen)
+            else:
+                times[out] = (k + 1) * dt
+                sides[out] = np.where(pv >= b, 1, -1)
             terminal[out] = pv
             alive[lo + paths] = False
         active = active[alive]
@@ -240,31 +306,59 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
     return times, sides, terminal
 
 
+def _both_barriers_bound(lam, b, dt):
+    """Upper bound 4 P(Z > (b - |lam| dt) / sqrt(dt)) on the chance that one
+    step reaches both barriers: it must move at least b away from its start.
+    """
+    return 2.0 * math.erfc((b - abs(lam) * dt) / math.sqrt(2.0 * dt))
+
+
 def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
                      rng: RngStreamSpec, bridge_correction: bool = True,
                      threads: int = 1) -> ExitSamples:
-    """Euler simulation of exits of B_t + lam*t from (-b, b).
+    """Simulation of exits of B_t + lam*t from (-b, b) on a time grid of step dt.
 
-    With ``bridge_correction`` on, within-step barrier crossings are detected
-    with the Brownian-bridge probability exp(-2(b-x_i)(b-x_{i+1})/dt) per
-    barrier, removing the O(sqrt(dt)) late-exit bias of endpoint monitoring.
-    A step that fires at both barriers exits at the likelier one.  Uniforms
-    are drawn only for steps whose crossing probability is at least 2**-53,
-    which changes each step's law by less than 2**-53; the module docstring
-    lists which numbers each batch draws and in what order.  Paths alive at
-    the horizon are censored (side 0).
+    Each step is the exact Gaussian transition.  With ``bridge_correction``
+    on, a step from x_i to x_{i+1} reaches each barrier with its exact
+    Brownian-bridge probability, exp(-2(b-x_i)(b-x_{i+1})/dt) at +b, and an
+    exiting step samples its hitting time inside the step (``_hit_offsets``);
+    a step that fires at both barriers exits at the earlier of its two
+    times.  Exit times are therefore not multiples of dt, but each lies in
+    its step's (k dt, (k + 1) dt], so survival at a grid time counts the
+    same exits as step-end times would.  The law is exact except where one
+    step reaches both barriers, whose chance is at most
+    4 P(Z > (b - |lam| dt) / sqrt(dt)): a ValueError rejects a dt that makes
+    this bound exceed 1e-9 (at lam = 0, b / sqrt(dt) below about 6.2).
+    Uniforms are drawn only for steps whose crossing probability is at least
+    2**-53, which changes each step's law by less than 2**-53; the module
+    docstring lists which numbers each batch draws and in what order.
+
+    With ``bridge_correction`` off, a path exits when a step ends outside
+    (-b, b), at that step's end time k dt; this endpoint monitoring exits
+    O(sqrt(dt)) late, and the dt check above does not apply.  Paths alive
+    at the horizon are censored (side 0).
 
     Paths are simulated in batches of ``_BATCH_PATHS`` (4096): batch i,
     paths 4096 i to 4096 i + 4095, draws from ``rng.child(i)``, whatever the
     thread count.  A spec passed here should therefore not also feed another
     simulation; give each call its own spec or child.
     """
+    if not (math.isfinite(dt) and math.isfinite(horizon)):
+        raise ValueError(f"dt and horizon must be finite, got dt={dt!r}, "
+                         f"horizon={horizon!r}")
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("dt and horizon must be positive")
     if dt > horizon:
         raise ValueError("dt must not exceed the horizon")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    bound = _both_barriers_bound(spec.lam, spec.b, dt)
+    if bridge_correction and not bound <= _BOTH_BARRIERS_MAX:
+        raise ValueError(
+            f"dt={dt!r} is too coarse for barrier b={spec.b!r} at drift "
+            f"{spec.lam!r}: one step may reach both barriers with probability "
+            f"up to {bound:.3g} (at most {_BOTH_BARRIERS_MAX:g} allowed); "
+            "use a smaller dt")
     n_steps = int(round(horizon / dt))
     sizes = [_BATCH_PATHS] * (n_paths // _BATCH_PATHS)
     if n_paths % _BATCH_PATHS:
@@ -338,8 +432,7 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float,
     identity case lam_to == lam_from they count with weight one, which makes
     the estimate coincide exactly with the plain empirical survival.
     """
-    if t >= samples.horizon:
-        raise ValueError("t must lie strictly before the sample horizon")
+    _check_before_horizon(t, samples.horizon)
     lam_from = samples.spec.lam
     frac = samples.censored_fraction
     contrib = np.zeros(samples.n)

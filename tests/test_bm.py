@@ -203,6 +203,14 @@ def test_nan_time_is_a_value_error_and_inf_is_the_limit(fn, args):
     assert limit == ((0.0, 0.0) if fn is ed.drifted_survival_quad else 0.0)
 
 
+@pytest.mark.parametrize("fn", [ed.driftless_survival, ed.driftless_exit_density])
+@pytest.mark.parametrize("b", [math.nan, 0.0, -1.0])
+def test_nan_or_nonpositive_barrier_is_a_value_error(fn, b):
+    # a NaN barrier once passed the b <= 0 check and ran 2,000 NaN terms
+    with pytest.raises(ValueError, match="barrier b must be positive"):
+        fn(b, 1.0)
+
+
 # The image sums over all of k = -20..20 and the series with every
 # invariant recomputed in the loop: the forms before the image cut-off,
 # kept as oracles for bit-identity.

@@ -258,6 +258,19 @@ def test_bm_independence_and_path_dump(tmp_path):
     assert len(dump) == 5001
 
 
+@pytest.mark.parametrize("command", ["bm-independence", "bm-reweight"])
+def test_exit_dt_too_coarse_for_the_barrier_is_exit_1(tmp_path, capsys, command):
+    # b / sqrt(dt) = 5: one step may reach both barriers
+    assert run([command, "--b", "0.5", "--dt", "0.01", "--n-paths", "100",
+                "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: dt=0.01 is too coarse for barrier b=0.5" in err
+    assert "Traceback" not in err
+    # endpoint monitoring is not checked
+    assert run([command, "--b", "0.5", "--dt", "0.01", "--n-paths", "2000",
+                "--bridge", "0", "--outdir", str(tmp_path)]) in (0, 2)
+
+
 def test_bm_reweight(tmp_path):
     assert run(["bm-reweight", "--n-paths", "5000",
                 "--outdir", str(tmp_path)]) == 0

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import ndtr
 
 import exitdom as ed
 from exitdom import mc
@@ -321,10 +323,152 @@ def test_bridge_draws_one_uniform_per_candidate():
     # every other (step, barrier) pair has q >= 0.06
     path = np.array([[0.0, 0.0], [0.9, 0.5], [0.95, -1.01]])
     gen = RngStreamSpec(SEED, 25).generator()
-    hit, q_up, q_dn = mc._bridge_hits(path, 1.0, 1e-3, gen)
+    hit = mc._bridge_hits(path, 1.0, 1e-3, gen)
     u = RngStreamSpec(SEED, 25).generator().random(3)
     assert hit.tolist() == [0, 0, int(u[0] < math.exp(-10.0)), 2]
     assert gen.random() == u[2]  # exactly two uniforms were drawn
+
+
+def _bridge_hit_cdf(t, a, y, dt):
+    """P(hit by t | hit in the step) for a bridge from 0 to y over [0, dt]
+    and a barrier at distance a > 0.
+
+    Condition on the bridge's value X ~ N(y t / dt, t (dt - t) / dt) at t:
+    the part of the step before t reaches the barrier with probability 1
+    for X >= a and exp(-2a(a - X)/t) below it (reflection principle); the
+    Gaussian integral of that gives the two terms.
+    """
+    t = np.asarray(t, dtype=float)
+    sd = np.sqrt(t * (dt - t) / dt)
+    p_hit = math.exp(-2.0 * a * (a - y) / dt)
+    cdf = (ndtr(-(a - y * t / dt) / sd)
+           + p_hit * ndtr((-a + (2.0 * a - y) * t / dt) / sd))
+    return cdf / min(1.0, p_hit)
+
+
+@pytest.mark.parametrize("x0,x1", [
+    (0.9, 0.95),    # the step ends inside: an IG time with mean a dt / gap
+    (0.9, 1.04),    # the step ends beyond the barrier
+    (0.93, 1.0),    # the step ends on the barrier: the Levy limit
+    (0.5, 0.6),     # far from the barrier: times near the middle of the step
+])
+def test_in_step_time_matches_bridge_first_passage_law(x0, x1):
+    # the sampled time inside an exiting step, at either barrier, against the
+    # bridge's first-passage law derived without the inverse Gaussian
+    n, b, dt, k = 20_000, 1.0, 0.02, 0
+    law = lambda t: _bridge_hit_cdf(t, b - x0, x1 - x0, dt)
+    for code, sign in ((1, 1.0), (2, -1.0)):
+        gen = RngStreamSpec(SEED, 30 + code).generator()
+        times, sides = mc._exits_in_step(
+            np.full(n, code, dtype=np.int8), np.full(n, sign * x0),
+            np.full(n, sign * x1), b, dt, k, gen)
+        assert np.all(sides == sign)
+        assert np.all((times > 0.0) & (times <= dt))
+        assert stats.kstest(times, law).pvalue > 1e-3
+    # the test has power: the same draws against a nearby endpoint's law
+    wrong = lambda t: _bridge_hit_cdf(t, b - x0, x1 - x0 - 0.05, dt)
+    assert stats.kstest(times, wrong).pvalue < 1e-6
+
+
+def test_hit_time_draw_order_and_tie_rule():
+    # four exiting steps (b = 1, dt = 0.01): path 0 fired up; path 1 down;
+    # path 2 at both barriers; path 3 up, ending exactly on the barrier
+    b, dt = 1.0, 0.01
+    code = np.array([1, 2, 3, 1], dtype=np.int8)
+    x0 = np.array([0.95, -0.9, 0.2, 0.96])
+    x1 = np.array([0.97, -1.02, 0.1, 1.0])
+    k = np.array([3, 0, 5, 7])
+    gen = RngStreamSpec(SEED, 29).generator()
+    times, sides = mc._exits_in_step(code, x0, x1, b, dt, k, gen)
+    # the same numbers drawn one at a time: the upper barrier's exits in
+    # path order (Levy normal for path 3), then the lower barrier's
+    ref = RngStreamSpec(SEED, 29).generator()
+    s_up = [ref.wald(0.05 * dt / 0.03, 0.05**2), ref.wald(0.8 * dt / 0.9, 0.8**2),
+            0.04**2 / ref.standard_normal()**2]
+    s_dn = [ref.wald(0.1 * dt / 0.02, 0.1**2), ref.wald(1.2 * dt / 1.1, 1.2**2)]
+    assert gen.random() == ref.random()  # nothing else was drawn
+    off = lambda s: dt * s / (dt + s)
+    o_up = [off(s) for s in s_up]
+    o_dn = [off(s) for s in s_dn]
+    first = min(o_up[1], o_dn[1])
+    want = [3 * dt + o_up[0], o_dn[0], 5 * dt + first, 7 * dt + o_up[2]]
+    assert times == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert sides.tolist() == [1, -1, 1 if o_up[1] <= o_dn[1] else -1, 1]
+    # every time lies in its step (k dt, (k + 1) dt]
+    assert np.all((times > k * dt) & (times <= (k + 1) * dt))
+
+
+def test_in_step_times_stay_inside_their_step_under_rounding():
+    # offsets of almost 0 and of almost a full step round onto the step's
+    # ends (at k = 5, 5 * 0.01 + 0.01 exceeds 6 * 0.01 in doubles); the clamp
+    # keeps each time in (k dt, (k + 1) dt]
+    dt, k = 0.01, np.array([0, 5, 999_999])
+    start, end = k * dt, (k + 1) * dt
+    assert start[1] + dt > end[1] and start[2] + 1e-300 == start[2]
+    for s_hit in (1e-300, 1e300):
+        class Fixed:
+            def wald(self, mean, shape):
+                return np.full(np.shape(mean), s_hit)
+        times, _ = mc._exits_in_step(np.ones(3, dtype=np.int8), np.full(3, 0.5),
+                                     np.full(3, 0.6), 1.0, dt, k, Fixed())
+        assert np.all(times > start) and np.all(times <= end)
+    assert times[1] == end[1]
+
+
+@pytest.mark.parametrize("lam,substream", [(0.0, 27), (1.0, 28)])
+def test_exit_law_is_exact_off_the_grid_at_coarse_dt(lam, substream):
+    # dt = 0.02: step-end times would put E[tau] dt / 2 late, about 4 se at
+    # lam = 0, and survival at times between grid points too high; sampled
+    # in-step times carry no such bias
+    n, dt, b = 100_000, 0.02, 1.0
+    spec = DriftSpec(lam, b)
+    s = ed.simulate_exit_bm(spec, dt, 30.0, n, RngStreamSpec(SEED, substream))
+    assert s.censored_fraction == 0.0
+    assert not np.all(np.isclose(s.times / dt, np.rint(s.times / dt)))
+    et = s.exit_times()
+    mean = b * b if lam == 0.0 else b * math.tanh(lam * b) / lam
+    assert abs(et.mean() - mean) < 4 * et.std(ddof=1) / math.sqrt(et.size)
+    for t in (0.31, 0.77, 1.53):
+        an = ed.drifted_survival(spec, t)
+        assert abs(s.empirical_survival(t) - an) < 4 * math.sqrt(an * (1 - an) / n)
+
+
+def test_both_barriers_domain_check():
+    rng = RngStreamSpec(SEED)
+    # the bound 4 P(Z > (b - |lam| dt) / sqrt(dt)) at the points the package uses
+    assert mc._both_barriers_bound(0.0, 1.0, 1e-2) == pytest.approx(
+        4 * stats.norm.sf(10.0), rel=1e-12)
+    assert mc._both_barriers_bound(0.0, 1.0, 1e-2) < 1e-22
+    assert mc._both_barriers_bound(8.0, 0.25, 1e-3) < 1e-13
+    assert mc._both_barriers_bound(0.0, 1.0, 0.02) < 1e-11
+    # b / sqrt(dt) = 6 is too coarse, at any drift, with the bridge on
+    for lam in (0.0, -3.0):
+        with pytest.raises(ValueError, match="too coarse"):
+            ed.simulate_exit_bm(DriftSpec(lam, 0.6), 0.01, 1.0, 10, rng)
+    # a drift that eats the margin tips an admitted dt over
+    ed.simulate_exit_bm(DriftSpec(0.0, 0.65), 0.01, 1.0, 10, rng)
+    with pytest.raises(ValueError, match="too coarse"):
+        ed.simulate_exit_bm(DriftSpec(4.0, 0.65), 0.01, 1.0, 10, rng)
+    # endpoint monitoring has no in-step law to protect
+    off = ed.simulate_exit_bm(DriftSpec(0.0, 0.6), 0.01, 1.0, 10, rng,
+                              bridge_correction=False)
+    assert off.n == 10
+
+
+@pytest.mark.parametrize("dt,horizon", [(math.nan, 1.0), (1e-3, math.nan),
+                                        (1e-3, math.inf), (math.inf, 1.0)])
+def test_non_finite_dt_or_horizon_is_a_value_error(dt, horizon):
+    with pytest.raises(ValueError, match="dt and horizon must be finite"):
+        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, 10,
+                            RngStreamSpec(SEED))
+
+
+def test_nan_time_is_a_value_error(samples0):
+    # both once returned 0.0 (and a standard error of 0.0) for t = nan
+    with pytest.raises(ValueError, match="nan"):
+        samples0.empirical_survival(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        ed.reweighted_survival_bm(samples0, 0.5, math.nan)
 
 
 def test_coupled_identical_drifts_are_bit_equal():
