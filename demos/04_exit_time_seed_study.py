@@ -8,7 +8,9 @@ forms z-scores against the analytic law:
   standard error;
 - P(tau > t) at three times half a step off the grid, near 0.5, 1 and 2
   mean exit times, against ``bm.drifted_survival``, with the binomial
-  standard error.
+  standard error;
+- at the desk point, P(tau > t) also at the grid times t = 0.5 and 1, the
+  times at which the battery's ``mc-survival-consistency`` check compares.
 
 An exact sampler gives z-scores with mean 0 and standard deviation 1.  The
 gates are |mean z| <= 3 / sqrt(N) and |sd z - 1| <= 0.15 for every column.
@@ -40,10 +42,10 @@ from scipy.stats import beta
 from exitdom import bm, mc, verify
 from exitdom.bm import DriftSpec
 
-# name -> (b, dt, horizon, drifts, paths, substream base)
+# name -> (b, dt, horizon, drifts, paths, substream base, grid times)
 POINTS = {
-    "desk": (1.0, 1e-2, 30.0, (0.0, 1.0), 100_000, 1000),
-    "grid": (0.25, 1e-3, 2.0, (0.0, 4.0), 100_000, 2000),
+    "desk": (1.0, 1e-2, 30.0, (0.0, 1.0), 100_000, 1000, (0.5, 1.0)),
+    "grid": (0.25, 1e-3, 2.0, (0.0, 4.0), 100_000, 2000, ()),
 }
 FACTORS = (0.5, 1.0, 2.0)
 
@@ -52,13 +54,14 @@ def mean_exit(lam, b):
     return b * b if lam == 0.0 else b * math.tanh(lam * b) / lam
 
 
-def off_grid_times(lam, b, dt):
-    return [(round(f * mean_exit(lam, b) / dt) + 0.5) * dt for f in FACTORS]
+def survival_times(lam, b, dt, grid_times):
+    off_grid = [(round(f * mean_exit(lam, b) / dt) + 0.5) * dt for f in FACTORS]
+    return off_grid + list(grid_times)
 
 
-def seed_z(seed, lam, b, dt, horizon, n, substream):
-    """z-scores of one seed: E[tau], survival at the off-grid times, and
-    E[tau] with times rounded up to the step end."""
+def seed_z(seed, lam, b, dt, horizon, n, substream, grid_times):
+    """z-scores of one seed: E[tau], survival at the off-grid and grid
+    times, and E[tau] with times rounded up to the step end."""
     spec = DriftSpec(lam, b)
     s = mc.simulate_exit_bm(spec, dt, horizon, n, mc.RngStreamSpec(seed, substream))
     if s.censored_fraction > 0.0:
@@ -67,19 +70,19 @@ def seed_z(seed, lam, b, dt, horizon, n, substream):
     zs = []
     for tau in (s.times, np.ceil(s.times / dt - 1e-9) * dt):
         zs.append((tau.mean() - mean) / (tau.std(ddof=1) / math.sqrt(n)))
-    for t in off_grid_times(lam, b, dt):
+    for t in survival_times(lam, b, dt, grid_times):
         an = bm.drifted_survival(spec, t)
         zs.insert(-1, (s.empirical_survival(t) - an) / math.sqrt(an * (1 - an) / n))
     return zs
 
 
 def study(name, n_seeds):
-    b, dt, horizon, drifts, n, base = POINTS[name]
+    b, dt, horizon, drifts, n, base, grid_times = POINTS[name]
     rows = []
     for i, lam in enumerate(drifts):
-        z = np.array([seed_z(seed, lam, b, dt, horizon, n, base + i)
+        z = np.array([seed_z(seed, lam, b, dt, horizon, n, base + i, grid_times)
                       for seed in range(1, n_seeds + 1)])
-        times = off_grid_times(lam, b, dt)
+        times = survival_times(lam, b, dt, grid_times)
         labels = ["E[tau]"] + [f"S({t:.4g})" for t in times] + ["E[step end]"]
         for j, label in enumerate(labels):
             col = z[:, j]

@@ -237,16 +237,20 @@ def _exits_in_step(code, x0, x1, b, dt, k, gen):
     """
     up = np.flatnonzero(code & 1)
     dn = np.flatnonzero(code & 2)
-    off = _hit_offsets(np.concatenate((b - x0[up], x0[dn] + b)),
-                       np.abs(np.concatenate((b - x1[up], x1[dn] + b))), dt, gen)
-    first = np.full(code.size, np.inf)
-    first[up] = off[:up.size]
-    off_dn = off[up.size:]
-    earlier = off_dn < first[dn]
-    lower = dn[earlier]
-    first[lower] = off_dn[earlier]
-    sides = np.ones(code.size, dtype=np.int8)
-    sides[lower] = -1
+    steps = np.concatenate((up, dn))
+    side = np.ones(steps.size)  # the fired barrier: +1 at b, -1 at -b
+    side[up.size:] = -1.0
+    off = _hit_offsets(b - side * x0[steps], np.abs(b - side * x1[steps]), dt, gen)
+    if steps.size > code.size:
+        # a step fired at both barriers keeps its earlier time, the upper
+        # barrier's when the two are equal
+        order = np.lexsort((-side, off, steps))
+        keep = order[np.unique(steps[order], return_index=True)[1]]
+        steps, off, side = steps[keep], off[keep], side[keep]
+    first = np.empty(code.size)
+    first[steps] = off
+    sides = np.empty(code.size, dtype=np.int8)
+    sides[steps] = side
     start = k * dt
     times = np.minimum(np.maximum(start + first, np.nextafter(start, np.inf)),
                        (k + 1) * dt)

@@ -36,15 +36,14 @@ DESK = "desk"
 QUICK = "quick"
 
 # Per-profile sizes of every check: walk half-widths, horizons, table
-# truncations, reweighting step counts, the Donsker half-width, path counts,
-# the exit simulations' time step.
+# truncations, reweighting step counts, the Donsker half-width, path counts.
 SIZES = {
     DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200, trunc_float=400,
                trunc_exact=60, ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
-               n_paths=100_000, dt=1e-2, coupled_paths=1000, refinement=True),
+               n_paths=100_000, coupled_paths=1000, refinement=True),
     QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60, trunc_float=200,
                 trunc_exact=60, ns=[0, 10], trunc=300, donsker_k=100,
-                n_paths=20_000, dt=1e-2, coupled_paths=300, refinement=False),
+                n_paths=20_000, coupled_paths=300, refinement=False),
 }
 
 # Thresholds, each shared by a battery check and the CLI subcommand named.
@@ -254,8 +253,8 @@ def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
         check_donsker_series(s["donsker_k"]),
         check_continuous_dominance(),
     ]
-    samples0 = _mc_samples(0.0, 101, s["n_paths"], s["dt"], threads, rng_base)
-    samples1 = _mc_samples(1.0, 202, s["n_paths"], s["dt"], threads, rng_base)
+    samples0 = _mc_samples(0.0, 101, s["n_paths"], 1e-2, threads, rng_base)
+    samples1 = _mc_samples(1.0, 202, s["n_paths"], 1e-2, threads, rng_base)
     results.append(check_mc_consistency(samples0, samples1))
     results.append(check_continuous_independence(samples1))
     results.append(check_coupled_ordering(rng_base, s["coupled_paths"], s["refinement"]))

@@ -455,14 +455,6 @@ def test_both_barriers_domain_check():
     assert off.n == 10
 
 
-@pytest.mark.parametrize("dt,horizon", [(math.nan, 1.0), (1e-3, math.nan),
-                                        (1e-3, math.inf), (math.inf, 1.0)])
-def test_non_finite_dt_or_horizon_is_a_value_error(dt, horizon):
-    with pytest.raises(ValueError, match="dt and horizon must be finite"):
-        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, 10,
-                            RngStreamSpec(SEED))
-
-
 def test_nan_time_is_a_value_error(samples0):
     # both once returned 0.0 (and a standard error of 0.0) for t = nan
     with pytest.raises(ValueError, match="nan"):
@@ -549,6 +541,10 @@ def test_simulation_input_validation():
         ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 2.0, 1.0, 10, rng)
     with pytest.raises(ValueError):
         ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.1, 1.0, 0, rng)
+    for dt, horizon in [(math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf),
+                        (math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="dt and horizon must be finite"):
+            ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, 10, rng)
     with pytest.raises(ValueError):
         ed.simulate_y_coupled([1.0, 0.0], 0.0, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError):
