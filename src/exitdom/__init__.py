@@ -30,7 +30,6 @@ from .walk_girsanov import (
 from .bm import (
     DriftSpec,
     dominance_scan_continuous,
-    drift_y,
     drifted_survival,
     drifted_survival_quad,
     driftless_exit_density,
@@ -46,6 +45,7 @@ from .mc import (
     reweighted_survival_bm,
     simulate_exit_bm,
     simulate_y_coupled,
+    simulate_y_coupled_runs,
 )
 from .dominance import (
     CONSISTENT,

@@ -264,14 +264,6 @@ def sign_given_modulus(lam: float, x: float):
     return p_plus, 1.0 - p_plus
 
 
-def drift_y(lam: float, y: float) -> float:
-    """Drift of the squared-modulus diffusion: 1 + 2 lam sqrt(y) tanh(lam sqrt(y))."""
-    if y < 0.0:
-        raise ValueError("squared position y must be nonnegative")
-    s = math.sqrt(y)
-    return 1.0 + 2.0 * lam * s * math.tanh(lam * s)
-
-
 def dominance_scan_continuous(lambdas, b: float, times,
                               tie_tol: float = 1e-8) -> DominanceReport:
     """Check that survival is non-increasing across an ascending drift grid.

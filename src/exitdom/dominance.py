@@ -175,10 +175,9 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     return report
 
 
-def _ecdf_survival(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical P(X > t) on a grid."""
-    sorted_s = np.sort(samples)
-    return 1.0 - np.searchsorted(sorted_s, grid, side="right") / samples.size
+def _ecdf_survival(sorted_s: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Empirical P(X > t) on a grid, from the sample in ascending order."""
+    return 1.0 - np.searchsorted(sorted_s, grid, side="right") / sorted_s.size
 
 
 def empirical_dominance_test(samples_a, samples_b):
@@ -196,7 +195,10 @@ def empirical_dominance_test(samples_a, samples_b):
     alpha = 1.0 - _CONFIDENCE
     eps_a = math.sqrt(math.log(2.0 / alpha) / (2.0 * a.size))
     eps_b = math.sqrt(math.log(2.0 / alpha) / (2.0 * b.size))
-    grid = np.unique(np.concatenate([a, b]))
+    # both curves step only at sample points, so comparing them at every
+    # sample point decides the test; a point repeated changes no any or all
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
     surv_a = _ecdf_survival(a, grid)
     surv_b = _ecdf_survival(b, grid)
     if np.any(surv_b - eps_b > surv_a + eps_a):

@@ -104,6 +104,15 @@ class RngStreamSpec:
         return spec
 
 
+def _step_count(dt, horizon):
+    """round(horizon / dt), or a ValueError naming both when that is no finite count."""
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon / dt is not a finite step count: dt={dt!r}, "
+                         f"horizon={horizon!r}")
+    return int(round(steps))
+
+
 def _check_before_horizon(t, horizon):
     """Raise ValueError unless t is a number strictly before the horizon."""
     if math.isnan(t):
@@ -363,7 +372,7 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
             f"{spec.lam!r}: one step may reach both barriers with probability "
             f"up to {bound:.3g} (at most {_BOTH_BARRIERS_MAX:g} allowed); "
             "use a smaller dt")
-    n_steps = int(round(horizon / dt))
+    n_steps = _step_count(dt, horizon)
     sizes = [_BATCH_PATHS] * (n_paths // _BATCH_PATHS)
     if n_paths % _BATCH_PATHS:
         sizes.append(n_paths % _BATCH_PATHS)
@@ -529,14 +538,28 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
                        level: float = 1.0) -> CoupledStats:
     """Full-truncation Euler for dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y) tanh(lam sqrt(Y))) dt.
 
-    Every drift value consumes the identical Gaussian increments, so the
-    continuum comparison theorem predicts pathwise ordering across the
-    ascending drift grid; the scheme is allowed a slack of 0.5 sqrt(dt)
-    (``_ORDER_SLACK``) times the local diffusion scale, and slack
-    exceedances are counted as ordering violations.  First hits of ``level``
-    are recorded per drift.
+    The one-run case of ``simulate_y_coupled_runs``, which states the scheme,
+    its ordering slack and the draws it takes.
+    """
+    return simulate_y_coupled_runs(lambdas, y0, (dt,), horizon, n_paths, rng,
+                                   level)[0]
 
-    One step, with w = sqrt(dt) z, computes in this order
+
+def simulate_y_coupled_runs(lambdas, y0: float, dts, horizon: float,
+                            n_paths: int, rng: RngStreamSpec,
+                            level: float = 1.0) -> list:
+    """Full-truncation Euler runs of the squared-modulus SDE, one per step size.
+
+    Returns one ``CoupledStats`` per entry of ``dts``, in the order given.
+    Each run simulates dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y) tanh(lam sqrt(Y))) dt
+    from Y = y0 over round(horizon / dt) steps.  Every drift value consumes
+    the identical Gaussian increments, so the continuum comparison theorem
+    predicts pathwise ordering across the ascending drift grid; the scheme
+    is allowed a slack of 0.5 sqrt(dt) (``_ORDER_SLACK``) times the local
+    diffusion scale, and slack exceedances are counted as ordering
+    violations.  First hits of ``level`` are recorded per drift.
+
+    One step of one run, with w = sqrt(dt) z, computes in this order
 
         s = sqrt(Y)
         Y = max(Y + (1 + (2 lam s) tanh(lam s)) dt + (2 s) w, 0)
@@ -551,92 +574,136 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     2 ((lam s) tanh(lam s)) and (2 s) w as s (2 w): doubling a double is
     exact, and where the drift product is so small that rounding it differs,
     1 + ... is 1 either way.  Rows with lam = 0 at either end of the grid
-    skip the tanh, since their drift factor is exactly 1.  The normals are
-    drawn as one (block, n_paths) array per block of steps: the same
-    numbers, in the same order, as one standard_normal(n_paths) call per
-    step.
+    skip the tanh, since their drift factor is exactly 1.
+
+    All runs read one generator, ``rng.generator()``: step j of every run
+    uses the same row z_j of n_paths standard normals, the numbers one
+    ``standard_normal(n_paths)`` call per step would give.  They are drawn
+    as one (block, n_paths) array per block of steps, as far as the longest
+    run needs, and each run's 2 w = z (2 sqrt(dt)) is formed once per block.
+    A run alone would draw only its own first rows, which are the same
+    numbers, so passing several dts gives each run the result of its own
+    single-dt call.
+
+    The runs step in lockstep on a drift-major (drift, run, path) state,
+    sorted by step count, longest first; dt, sqrt(dt) and the slack are
+    per-run arrays of the state's full size.  Every operation is
+    elementwise, so each element sees the operations and operands of its
+    own run alone.  When a run takes its last step its statistics are
+    written and the state of the runs still live is copied into smaller
+    buffers.
     """
     lambdas = [float(l) for l in lambdas]
+    dts = list(dts)
     if not lambdas:
         raise ValueError("need at least one drift")
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("drift grid must be ascending")
     if not 0.0 <= y0 < math.inf:
         raise ValueError("initial value must be finite and nonnegative")
-    if dt <= 0.0 or horizon <= 0.0 or n_paths < 1:
-        raise ValueError("dt, horizon and n_paths must be positive")
-    if dt > horizon:
+    if not dts:
+        raise ValueError("need at least one dt")
+    for dt in dts:
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not horizon > 0.0 or n_paths < 1:
+        raise ValueError("horizon and n_paths must be positive")
+    if any(dt > horizon for dt in dts):
         raise ValueError("dt must not exceed the horizon")
     if math.isnan(level):
         raise ValueError("level must be a number")
     L = len(lambdas)
-    n_steps = int(round(horizon / dt))
-    sqdt = math.sqrt(dt)
-    slack = _ORDER_SLACK * sqdt * 2.0
+    steps = [_step_count(dt, horizon) for dt in dts]
+    order = sorted(range(len(dts)), key=lambda i: -steps[i])
+    run_dt = [dts[i] for i in order]
+    run_steps = [steps[i] for i in order]
+    sqdts = np.array([math.sqrt(dt) for dt in run_dt])[:, None]
+    R = len(order)
     gen = rng.generator()
-    lam = np.array(lambdas)[:, None]
+    lam = np.array(lambdas)
     nonzero = np.flatnonzero(lam)
     rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
-    Y = np.full((L, n_paths), float(y0))
+
+    def full(values, n_rows):
+        # full arrays: numpy multiplies far faster without a stride-0 operand
+        return np.broadcast_to(values, (n_rows, R, n_paths)).copy()
+
+    lam_rows = full(lam[rows][:, None, None], rows.stop - rows.start)
+    dt_rows = full(np.array(run_dt)[:, None], lam_rows.shape[0])
+    sqdt = full(sqdts, L - 1)
+    slack = full(_ORDER_SLACK * sqdts * 2.0, L - 1)
+    two_sqdt = 2.0 * sqdts
+    Y = np.full((L, R, n_paths), float(y0))
     sq = np.sqrt(Y)
-    drift_dt = np.full_like(Y, dt)  # rows outside `rows` keep 1 * dt
-    part = drift_dt[rows]
-    tanh = np.empty_like(part)
-    # a full array: numpy multiplies far faster without a stride-0 operand
-    lam_rows = np.repeat(lam[rows], n_paths, axis=1)
-    noise = np.empty_like(Y)
-    below = np.empty(Y.shape, dtype=bool)
-    unhit = np.ones(Y.shape, dtype=bool)
-    tol = np.empty_like(Y[1:])
-    over = np.empty(tol.shape, dtype=bool)
-    # per-cell tallies of unhit steps and of violations: uint8 adds are the
-    # cheap ones, so they count up to _TALLY_STEPS steps and then empty
-    # into the int64 totals
-    tally_unhit = np.zeros(Y.shape, dtype=np.uint8)
-    tally_viol = np.zeros(tol.shape, dtype=np.uint8)
-    steps_unhit = np.zeros(Y.shape, dtype=np.int64)
-    viol = np.zeros(tol.shape, dtype=np.int64)
-    sq_rows, lower, upper, sq_upper = sq[rows], Y[:-1], Y[1:], sq[1:]
-    unhit_u8, over_u8 = unhit.view(np.uint8), over.view(np.uint8)
+    drift_dt = full(np.array(run_dt)[:, None], L)  # rows outside `rows` keep 1 * dt
+    # flags[:L] marks the cells not yet at the level, flags[L:] the pairs
+    # violating the order at this step; per-cell uint8 tallies count both
+    # with one add, up to _TALLY_STEPS steps, and then empty into the int64
+    # totals
+    flags = np.ones((2 * L - 1, R, n_paths), dtype=bool)
+    tally = np.zeros(flags.shape, dtype=np.uint8)
+    totals = np.zeros(flags.shape, dtype=np.int64)
     block = max(1, _Y_BLOCK_CELLS // n_paths)
     draws = np.empty((block, n_paths))
-    for step in range(n_steps):
-        if step % block == 0:
-            w2 = draws[:n_steps - step]
-            gen.standard_normal(out=w2)
-            w2 *= 2.0 * sqdt
-        if step % _TALLY_STEPS == 0:
-            steps_unhit += tally_unhit
-            viol += tally_viol
-            tally_unhit.fill(0)
-            tally_viol.fill(0)
-        np.multiply(lam_rows, sq_rows, out=part)
-        np.tanh(part, out=tanh)
-        part *= tanh
-        part += part
-        part += 1.0
-        part *= dt
-        Y += drift_dt
-        np.multiply(sq, w2[step % block], out=noise)
-        Y += noise
-        np.maximum(Y, 0.0, out=Y)
-        np.sqrt(Y, out=sq)
-        np.less(Y, level, out=below)
-        unhit &= below
-        tally_unhit += unhit_u8
-        np.maximum(sq_upper, sqdt, out=tol)
-        tol *= slack
-        tol += upper
-        np.greater(lower, tol, out=over)
-        tally_viol += over_u8
-    steps_unhit += tally_unhit
-    viol += tally_viol
+    w2 = np.empty((block, R, n_paths))
+    out = [None] * R
+    step = 0
+    while R:
+        part, sq_rows = drift_dt[rows], sq[rows]
+        lower, upper, sq_upper = Y[:-1], Y[1:], sq[1:]
+        unhit, over, flags_u8 = flags[:L], flags[L:], flags.view(np.uint8)
+        tanh, noise = np.empty_like(part), np.empty_like(Y)
+        below, tol = np.empty(Y.shape, dtype=bool), np.empty_like(upper)
+        end = run_steps[R - 1]
+        for step in range(step, end):
+            if step % block == 0:
+                z = draws[:run_steps[0] - step]
+                gen.standard_normal(out=z)
+                np.multiply(z[:, None], two_sqdt[:R], out=w2[:z.shape[0], :R])
+            if step % _TALLY_STEPS == 0:
+                totals += tally
+                tally.fill(0)
+            np.multiply(lam_rows, sq_rows, out=part)
+            np.tanh(part, out=tanh)
+            part *= tanh
+            part += part
+            part += 1.0
+            part *= dt_rows
+            Y += drift_dt
+            np.multiply(sq, w2[step % block, :R], out=noise)
+            Y += noise
+            np.maximum(Y, 0.0, out=Y)
+            np.sqrt(Y, out=sq)
+            np.less(Y, level, out=below)
+            unhit &= below
+            np.maximum(sq_upper, sqdt, out=tol)
+            tol *= slack
+            tol += upper
+            np.greater(lower, tol, out=over)
+            tally += flags_u8
+        step = end
+        while R and run_steps[R - 1] == end:
+            R -= 1
+            out[order[R]] = _coupled_stats(
+                lambdas, run_dt[R], end, n_paths, level, Y[:, R], unhit[:, R],
+                totals[:, R] + tally[:, R])
+        (lam_rows, dt_rows, sqdt, slack, Y, sq, drift_dt, flags, tally,
+         totals) = (a[:, :R].copy() for a in (lam_rows, dt_rows, sqdt, slack, Y,
+                                              sq, drift_dt, flags, tally, totals))
+    return out
+
+
+def _coupled_stats(lambdas, dt, n_steps, n_paths, level, final, unhit, counts):
+    """``CoupledStats`` of one run from its final state and its step counts:
+    ``counts[:L]`` the steps each cell stayed below the level, ``counts[L:]``
+    each pair's violating steps."""
+    L = len(lambdas)
     # a path first reaching the level at step s stayed unhit for s - 1 steps
-    hit = np.where(unhit, np.nan, (steps_unhit + 1) * dt)
+    hit = np.where(unhit, np.nan, (counts[:L] + 1) * dt)
     comparisons = n_steps * n_paths
-    pair_counts = viol.sum(axis=1)
+    pair_counts = counts[L:].sum(axis=1)
     return CoupledStats(
-        lambdas, dt, n_steps * dt, n_paths, level,
+        list(lambdas), dt, n_steps * dt, n_paths, level,
         float(pair_counts.sum()) / (comparisons * max(L - 1, 1)),
         [float(v) / comparisons for v in pair_counts],
-        hit, Y)
+        hit, final.copy())

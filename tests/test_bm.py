@@ -137,16 +137,6 @@ def test_sign_given_modulus():
     assert ed.sign_given_modulus(100.0, 100.0)[0] == 1.0
 
 
-def test_drift_y():
-    assert ed.drift_y(0.0, 3.0) == 1.0
-    assert ed.drift_y(1.0, 0.0) == 1.0
-    assert ed.drift_y(1.0, 1.0) == pytest.approx(1.0 + 2.0 * math.tanh(1.0), abs=1e-15)
-    # increasing in |lam| at fixed y > 0
-    vals = [ed.drift_y(lam, 2.0) for lam in (0.0, 0.5, 1.0, 2.0)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert ed.drift_y(-1.0, 1.0) == ed.drift_y(1.0, 1.0)
-
-
 def test_dominance_scan_continuous():
     rep = ed.dominance_scan_continuous([0.0, 0.5, 1.0, 2.0], 1.0,
                                        [0.25, 0.5, 1.0, 2.0])
@@ -179,8 +169,6 @@ def test_input_validation():
         ed.driftless_exit_density(1.0, 0.0)
     with pytest.raises(ValueError):
         ed.sign_given_modulus(1.0, -1.0)
-    with pytest.raises(ValueError):
-        ed.drift_y(1.0, -1.0)
 
 
 def test_series_control_budget_raises(monkeypatch):

@@ -236,6 +236,13 @@ def test_bm_couple_dt_above_horizon_is_exit_1(tmp_path, capsys):
     assert "error: dt must not exceed the horizon" in capsys.readouterr().err
 
 
+def test_bm_couple_step_count_overflow_is_exit_1(tmp_path, capsys):
+    assert run(["bm-couple", "--dt", "1e-300", "--time-horizon", "1e300",
+                "--outdir", str(tmp_path)]) == 1
+    assert ("error: horizon / dt is not a finite step count: dt=1e-300, "
+            "horizon=1e+300") in capsys.readouterr().err
+
+
 def test_bm_couple_json_is_strict_without_hits(tmp_path):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

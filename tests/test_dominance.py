@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,39 @@ def test_empirical_band_shrinks_with_sample_size():
     _, (e1, _) = ed.empirical_dominance_test(x, x)
     _, (e2, _) = ed.empirical_dominance_test(np.tile(x, 16), np.tile(x, 16))
     assert e2 == pytest.approx(e1 / 4.0)
+
+
+def _unique_grid_dominance_test(a, b):
+    """The DKW rule as first written: both curves on the grid of distinct
+    sample points, each sample sorted again by its survival function."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    alpha = 1.0 - dominance._CONFIDENCE
+    eps_a = math.sqrt(math.log(2.0 / alpha) / (2.0 * a.size))
+    eps_b = math.sqrt(math.log(2.0 / alpha) / (2.0 * b.size))
+    grid = np.unique(np.concatenate([a, b]))
+    surv_a = 1.0 - np.searchsorted(np.sort(a), grid, side="right") / a.size
+    surv_b = 1.0 - np.searchsorted(np.sort(b), grid, side="right") / b.size
+    if np.any(surv_b - eps_b > surv_a + eps_a):
+        return ed.VIOLATES, (eps_a, eps_b)
+    if np.all(surv_a >= surv_b):
+        return ed.CONSISTENT, (eps_a, eps_b)
+    return ed.INCONCLUSIVE, (eps_a, eps_b)
+
+
+def test_empirical_test_matches_the_unique_grid_rule():
+    rng = np.random.default_rng(4)
+    untied = [(rng.exponential(size=3000) * s, rng.exponential(size=2000))
+              for s in (3.0, 1.0, 1.02, 0.5)]
+    tied = [(rng.integers(0, 6, size=n) + s, rng.integers(0, 6, size=500))
+            for n, s in ((400, 0), (500, 1), (700, -1), (300, 0.5))]
+    tied.append((np.repeat([1.0, 2.0], 50), np.repeat([1.0, 2.0], [60, 40])))
+    for cases in (untied, tied):
+        verdicts = set()
+        for a, b in cases:
+            got = ed.empirical_dominance_test(a, b)
+            assert got == _unique_grid_dominance_test(a, b)
+            verdicts.add(got[0])
+        assert verdicts == {ed.CONSISTENT, ed.VIOLATES, ed.INCONCLUSIVE}
 
 
 def test_empirical_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -470,6 +471,28 @@ def test_coupled_identical_drifts_are_bit_equal():
     assert stats.violation_fraction == 0.0
 
 
+def drift_y(lam, y):
+    """Drift 1 + 2 lam sqrt(y) tanh(lam sqrt(y)) of the squared-modulus SDE,
+    elementwise."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0.0):
+        raise ValueError("squared position y must be nonnegative")
+    s = np.sqrt(y)
+    return 1.0 + 2.0 * lam * s * np.tanh(lam * s)
+
+
+def test_drift_y():
+    assert drift_y(0.0, 3.0) == 1.0
+    assert drift_y(1.0, 0.0) == 1.0
+    assert drift_y(1.0, 1.0) == pytest.approx(1.0 + 2.0 * math.tanh(1.0), abs=1e-15)
+    # increasing in |lam| at fixed y > 0
+    vals = [drift_y(lam, 2.0) for lam in (0.0, 0.5, 1.0, 2.0)]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+    assert drift_y(-1.0, 1.0) == drift_y(1.0, 1.0)
+    with pytest.raises(ValueError):
+        drift_y(1.0, -1.0)
+
+
 def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
     """The loop simulate_y_coupled replaced: one draw call and fresh arrays
     per step.  Returns final values, hit times and per-pair violation counts.
@@ -483,37 +506,64 @@ def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
     for step in range(1, n_steps + 1):
         z = gen.standard_normal(n_paths)
         sq = np.sqrt(np.maximum(Y, 0.0))
-        drift = 1.0 + 2.0 * lam_arr * sq * np.tanh(lam_arr * sq)
-        Y = np.maximum(Y + drift * dt + 2.0 * sq * (sqdt * z), 0.0)
+        Y = np.maximum(Y + drift_y(lam_arr, Y) * dt + 2.0 * sq * (sqdt * z), 0.0)
         hit[(Y >= level) & np.isnan(hit)] = step * dt
         tol = mc._ORDER_SLACK * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
         viol += np.count_nonzero(Y[:-1] > Y[1:] + tol, axis=1)
     return Y, hit, viol
 
 
+def _assert_same_stats(got, want):
+    for f in dataclasses.fields(mc.CoupledStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b, equal_nan=True), f.name
+
+
 def test_coupled_blocked_draws_match_per_step_draws():
-    # (lambdas, y0, dt, n_steps, n_paths, level)
+    # (lambdas, y0, dts, horizon, n_paths, level); one dt per case, then
+    # several: dts out of order and repeated.  1000 paths draw normals in
+    # blocks of 65 steps: in the first multi-dt case the 274-step run ends
+    # inside a block, after the first 255-step tally, and the 100-step run
+    # before it.  The last case reaches the level on step 1.
     cases = [
-        ([0.0, 1.5], 0.2, 1e-3, 301, 1000, 1.0),      # 301 = 4 * 65 + 41
-        ([1.0], 0.0, 1e-3, 200, 50, 0.5),             # a single drift
-        ([-1.0, -0.5, 0.0, 0.0, 2.0], 0.3, 1e-3, 300, 333, 0.6),  # inner zeros
-        ([0.0, 0.7, 0.8], 0.0, 1e-3, 700, 100, 0.3),  # over 255 steps in a block
-        ([0.0, 1.0], 0.9, 1e-3, 50, 400, 0.9),        # level reached on step 1
+        ([0.0, 1.5], 0.2, [1e-3], 0.301, 1000, 1.0),  # 301 = 4 * 65 + 41
+        ([1.0], 0.0, [1e-3], 0.2, 50, 0.5),           # a single drift
+        ([-1.0, -0.5, 0.0, 0.0, 2.0], 0.3, [1e-3], 0.3, 333, 0.6),  # inner zeros
+        ([0.0, 0.7, 0.8], 0.0, [1e-3], 0.7, 100, 0.3),  # over 255 steps in a block
+        ([0.0, 0.5, 1.0], 0.0, [1e-3, 1.1e-3, 3.01e-3, 1e-3, 2e-3], 0.301, 1000, 1.0),
+        ([0.0, 1.0], 0.9, [2e-3, 1e-3, 5e-3], 0.2, 400, 0.9),
     ]
-    for lambdas, y0, dt, n_steps, n_paths, level in cases:
+    for lambdas, y0, dts, horizon, n_paths, level in cases:
         rng = RngStreamSpec(SEED, 14)
-        stats = ed.simulate_y_coupled(lambdas, y0, dt, n_steps * dt, n_paths,
-                                      rng, level=level)
-        Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths,
-                                         rng, level)
-        cells = n_steps * n_paths
-        pairs = [float(v) / cells for v in viol]
-        overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
-        for got, want in [(stats.final_values, Y), (stats.hit_times, hit),
-                          (stats.pair_violation_fractions, pairs),
-                          (stats.violation_fraction, overall)]:
-            assert np.array_equal(got, want, equal_nan=True), lambdas
+        runs = mc.simulate_y_coupled_runs(lambdas, y0, dts, horizon, n_paths,
+                                          rng, level=level)
+        assert len(runs) == len(dts)
+        for dt, stats in zip(dts, runs):
+            n_steps = int(round(horizon / dt))
+            assert stats.dt == dt and stats.horizon == n_steps * dt
+            Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths,
+                                             rng, level)
+            cells = n_steps * n_paths
+            pairs = [float(v) / cells for v in viol]
+            overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
+            for got, want in [(stats.final_values, Y), (stats.hit_times, hit),
+                              (stats.pair_violation_fractions, pairs),
+                              (stats.violation_fraction, overall)]:
+                assert np.array_equal(got, want, equal_nan=True), (lambdas, dt)
+            _assert_same_stats(stats, ed.simulate_y_coupled(
+                lambdas, y0, dt, horizon, n_paths, rng, level=level))
+    assert sorted({round(0.301 / dt) for dt in cases[4][2]}) == [100, 150, 274, 301]
     assert np.any(hit == dt) and np.any(hit > dt)  # the step-1 case is one
+
+
+def test_coupled_runs_match_single_dt_calls_at_the_desk_seed():
+    # the four step sizes of the desk battery's coupled-sde-ordering check
+    lambdas, dts = [0.0, 0.5, 1.0], (1e-4, 1e-3, 2.5e-4, 6.25e-5)
+    rng = RngStreamSpec(SEED, 901)
+    runs = mc.simulate_y_coupled_runs(lambdas, 0.0, dts, 1.0, 1000, rng)
+    for dt, stats in zip(dts, runs):
+        _assert_same_stats(stats, ed.simulate_y_coupled(lambdas, 0.0, dt, 1.0,
+                                                        1000, rng))
 
 
 def test_coupled_ordering_small_violation_fraction():
@@ -565,6 +615,37 @@ def test_coupled_domain_checks():
     single = ed.simulate_y_coupled([1.0], 0.0, 1e-3, 0.1, 10, rng)
     assert single.pair_violation_fractions == []
     assert single.violation_fraction == 0.0
+
+
+def test_coupled_runs_domain_checks():
+    rng = RngStreamSpec(SEED)
+
+    def runs(dts, horizon=1.0):
+        return mc.simulate_y_coupled_runs([0.0, 1.0], 0.0, dts, horizon, 10, rng)
+
+    with pytest.raises(ValueError, match="at least one dt"):
+        runs([])
+    for dt in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            runs([1e-3, dt])
+    with pytest.raises(ValueError, match="dt must not exceed the horizon"):
+        runs([1e-3, 2.0])
+
+
+def test_step_count_overflow_is_a_value_error():
+    # horizon / dt is inf: the step count once failed with an OverflowError
+    rng = RngStreamSpec(SEED)
+    calls = [
+        lambda: mc.simulate_y_coupled_runs([0.0], 0.0, [1e-3, 1e-300], 1e300, 10, rng),
+        lambda: ed.simulate_y_coupled([0.0], 0.0, 1e-300, 1e300, 10, rng),
+        lambda: ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 1e-300, 1e300, 10, rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"not a finite step count: dt=1e-300, horizon=1e\+300"):
+            call()
+    with pytest.raises(ValueError, match="horizon=inf"):
+        ed.simulate_y_coupled([0.0], 0.0, 1e-3, math.inf, 10, rng)
 
 
 def test_coupled_hit_summary_without_hits():
