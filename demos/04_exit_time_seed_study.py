@@ -1,8 +1,8 @@
 """Seed study of the exit sampler: is its law exact at a coarse time step?
 
 For each study point (barrier b, time step dt, drift lam) the script runs
-``simulate_exit_bm`` with the bridge correction on seeds 1..N and, per seed,
-forms z-scores against the analytic law:
+``simulate_exit_bm`` on seeds 1..N and, per seed, forms z-scores against the
+analytic law:
 
 - E[tau] against b tanh(lam b) / lam (b^2 at lam = 0), with the sample
   standard error;

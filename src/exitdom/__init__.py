@@ -13,7 +13,6 @@ from .walk import (
     WalkSpec,
     exit_joint,
     mean_exit,
-    modulus_chain_up_prob,
     survival_at,
     survival_pmf,
     upper_exit_prob,
@@ -22,8 +21,6 @@ from .walk_girsanov import (
     check_independence_discrete,
     factorization_check_discrete,
     factorization_from_table,
-    likelihood_ratio_walk,
-    martingale_one_step_check,
     reweighted_survival_from_table,
     reweighted_survival_walk,
 )
@@ -32,16 +29,13 @@ from .bm import (
     dominance_scan_continuous,
     drifted_survival,
     drifted_survival_quad,
-    driftless_exit_density,
     driftless_survival,
-    sign_given_modulus,
 )
 from .mc import (
     CoupledStats,
     ExitSamples,
     RngStreamSpec,
     check_independence_continuous,
-    likelihood_ratio_bm,
     reweighted_survival_bm,
     simulate_exit_bm,
     simulate_y_coupled,
@@ -55,7 +49,6 @@ from .dominance import (
     DominanceReport,
     dominance_scan_discrete,
     empirical_dominance_test,
-    tail_conditional_mean_check,
 )
 
 __version__ = "0.1.0"

@@ -96,15 +96,13 @@ def _survival_reflection(b: float, t: float) -> float:
     return float(acc)
 
 
-def _check_time(t: float, positive: bool = False) -> None:
-    """Raise ValueError for a NaN time and for t < 0 (t <= 0 if ``positive``).
+def _check_time(t: float) -> None:
+    """Raise ValueError for a NaN time and for t < 0.
 
     t = +inf passes: every public evaluator returns its limit 0 there.
     """
     if math.isnan(t):
         raise ValueError("time must be a number, got nan")
-    if positive and t <= 0.0:
-        raise ValueError("density requires t > 0")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
 
@@ -155,18 +153,13 @@ def _density_reflection(b: float, t: float) -> float:
 
 
 def _exit_density(b: float, t: float) -> float:
-    """``driftless_exit_density`` without its domain checks."""
+    """Density of tau at t (> 0) for driftless exit from (-b, b).
+
+    It is the quadrature route's integrand, so it skips the domain checks.
+    """
     if t < _SMALL_T * b * b:
         return _density_reflection(b, t)
     return max(0.0, _density_series(b, t))
-
-
-def driftless_exit_density(b: float, t: float) -> float:
-    """Density of tau at t (> 0) for driftless exit from (-b, b)."""
-    if not b > 0.0:
-        raise ValueError("barrier b must be positive")
-    _check_time(t, positive=True)
-    return _exit_density(b, t)
 
 
 def _weighted_tail_series(b: float, t: float, g: float) -> float:
@@ -250,18 +243,6 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
         total += part
     cutoff_bound = cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)
     return min(1.0, max(0.0, cosh_lb * total)), cutoff_bound
-
-
-def sign_given_modulus(lam: float, x: float):
-    """P(B_t^lam = +x | |B_t^lam| = x) and its complement.
-
-    Returns (p_plus, p_minus) with p_plus = e^(lam x) / (e^(lam x) + e^(-lam x)).
-    """
-    if x < 0.0:
-        raise ValueError("modulus x must be nonnegative")
-    # logistic form is overflow-safe
-    p_plus = 1.0 / (1.0 + math.exp(-2.0 * lam * x))
-    return p_plus, 1.0 - p_plus
 
 
 def dominance_scan_continuous(lambdas, b: float, times,

@@ -42,8 +42,8 @@ _CONVERTERS = {
     "lam": _finite, "lambda-from": _finite, "lambda-to": _finite,
     "t": _finite, "dt": _finite, "time-horizon": _finite, "n-paths": int,
     "seed": int, "threads": int, "bins": int, "alpha": _finite,
-    "y0": _finite, "level": _finite, "bridge": int, "z-tol": _finite,
-    "dump-paths": int, "profile": str, "outdir": str,
+    "y0": _finite, "level": _finite, "z-tol": _finite,
+    "dump-paths": int, "profile": str,
 }
 
 # flag name -> (default, help text); order defines --help order
@@ -118,7 +118,6 @@ _SUBCOMMANDS: dict[str, dict] = {
         "alpha": (verify.INDEPENDENCE_ALPHA, "rejection level for the chi-square test"),
         "seed": (20240817, "master seed (64-bit integer)"),
         "threads": (1, "worker threads for path batches (count)"),
-        "bridge": (1, "Brownian-bridge crossing correction: 1 on, 0 off"),
         "dump-paths": (0, "also write the large per-path CSV: 1 on, 0 off"),
     },
     "bm-reweight": {
@@ -132,7 +131,6 @@ _SUBCOMMANDS: dict[str, dict] = {
         "z-tol": (4.0, "allowed deviation from the analytic value (standard errors)"),
         "seed": (20240817, "master seed (64-bit integer)"),
         "threads": (1, "worker threads for path batches (count)"),
-        "bridge": (1, "Brownian-bridge crossing correction: 1 on, 0 off"),
         "dump-paths": (0, "also write the large per-path CSV: 1 on, 0 off"),
     },
     "verify-all": {
@@ -310,8 +308,7 @@ def _simulate_exits(cfg: dict, lam: float, stem: str):
     """Exit samples at drift ``lam``; with dump-paths, also the per-path CSV."""
     samples = mc.simulate_exit_bm(
         DriftSpec(lam, cfg["b"]), cfg["dt"], cfg["time-horizon"],
-        cfg["n-paths"], mc.RngStreamSpec(cfg["seed"]),
-        bridge_correction=bool(cfg["bridge"]), threads=cfg["threads"])
+        cfg["n-paths"], mc.RngStreamSpec(cfg["seed"]), threads=cfg["threads"])
     if cfg["dump-paths"]:
         rows = ((i, samples.times[i], int(samples.sides[i]), samples.terminal[i])
                 for i in range(samples.n))

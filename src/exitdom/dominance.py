@@ -1,4 +1,4 @@
-"""Stochastic-dominance certification and the small verification lemmas.
+"""Stochastic-dominance certification.
 
 A survival curve S_a dominates S_b when S_a(t) >= S_b(t) for every t.  The
 discrete side is certified exactly (rational arithmetic); Monte Carlo data is
@@ -56,12 +56,6 @@ class DominanceReport:
             self.pairs.append(PairVerdict(lo_label, hi_label, VIOLATES,
                                           float(worst[0]), worst[1]))
 
-    def worst(self) -> PairVerdict | None:
-        bad = [p for p in self.pairs if p.verdict == VIOLATES]
-        if not bad:
-            return None
-        return max(bad, key=lambda p: p.worst_violation)
-
     def to_json_obj(self) -> dict:
         return {
             "axis": self.axis_name,
@@ -94,28 +88,6 @@ class DominanceReport:
             lines.append(line)
         lines.append(f"violations: {self.n_violations}")
         return "\n".join(lines)
-
-
-def tail_conditional_mean_check(values, weights, M):
-    """E[X | X <= M] <= E[X] for any distribution with P(X <= M) > 0.
-
-    ``values``/``weights`` describe a finite distribution (weights need not be
-    normalised).  Returns (conditional mean, unconditional mean, holds).
-    """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if values.shape != weights.shape or values.size == 0:
-        raise ValueError("values and weights must be equal-length and non-empty")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
-    total = weights.sum()
-    mean = float(np.dot(values, weights) / total)
-    sel = values <= M
-    wsel = weights[sel].sum()
-    if wsel <= 0:
-        raise ValueError(f"conditioning event X <= {M} has zero mass")
-    cond = float(np.dot(values[sel], weights[sel]) / wsel)
-    return cond, mean, cond <= mean + 1e-12 * max(1.0, abs(mean))
 
 
 def _check_tie_tol(tie_tol) -> None:

@@ -14,14 +14,12 @@ each block it draws, from the batch's generator:
 
 1. the chunk's standard normals, step-major (every path's first step, then
    every path's second step, ...);
-2. with the bridge correction on, one uniform per candidate step at the
-   upper barrier, then one per candidate step at the lower barrier, each in
-   step-major order;
-3. with the bridge correction on, one hitting time for each path that exits
-   in the block, at each barrier its exiting step fired at: first the upper
-   barrier's, in path order, then the lower barrier's, in path order.  Each
-   is one ``wald`` draw, or one standard normal in the Levy limit (see
-   ``_hit_offsets``).
+2. one uniform per candidate step at the upper barrier, then one per
+   candidate step at the lower barrier, each in step-major order;
+3. one hitting time for each path that exits in the block, at each barrier
+   its exiting step fired at: first the upper barrier's, in path order,
+   then the lower barrier's, in path order.  Each is one ``wald`` draw, or
+   one standard normal in the Levy limit (see ``_hit_offsets``).
 
 A step from x_i to x_{i+1} is a candidate at the upper barrier when
 q = (b - x_i)(b - x_{i+1}) <= (53 ln 2 / 2) dt, that is when its crossing
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .bm import DriftSpec
 
@@ -266,7 +264,7 @@ def _exits_in_step(code, x0, x1, b, dt, k, gen):
     return times, sides
 
 
-def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
+def _simulate_batch(lam, b, dt, n_steps, n, gen):
     sqdt = math.sqrt(dt)
     drift = lam * dt
     chunk = _chunk_length(lam, b, dt)
@@ -294,23 +292,16 @@ def _simulate_batch(lam, b, dt, n_steps, n, gen, bridge):
             path[0] = x[ids]
             np.cumsum(path, axis=0, out=path)
             x[ids] = path[-1]
-            if bridge:
-                hit = _bridge_hits(path, b, dt, gen)
-                fired = np.flatnonzero(hit)
-            else:
-                fired = np.flatnonzero((inc >= b) | (inc <= -b))
+            hit = _bridge_hits(path, b, dt, gen)
+            fired = np.flatnonzero(hit)
             if not fired.size:
                 continue
             paths, cell = _first_exits(fired, r)
             pv = inc.ravel()[cell]
             out = ids[paths]
             k = step + cell // r
-            if bridge:
-                times[out], sides[out] = _exits_in_step(
-                    hit[cell], path.ravel()[cell], pv, b, dt, k, gen)
-            else:
-                times[out] = (k + 1) * dt
-                sides[out] = np.where(pv >= b, 1, -1)
+            times[out], sides[out] = _exits_in_step(
+                hit[cell], path.ravel()[cell], pv, b, dt, k, gen)
             terminal[out] = pv
             alive[lo + paths] = False
         active = active[alive]
@@ -327,16 +318,14 @@ def _both_barriers_bound(lam, b, dt):
 
 
 def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
-                     rng: RngStreamSpec, bridge_correction: bool = True,
-                     threads: int = 1) -> ExitSamples:
+                     rng: RngStreamSpec, threads: int = 1) -> ExitSamples:
     """Simulation of exits of B_t + lam*t from (-b, b) on a time grid of step dt.
 
-    Each step is the exact Gaussian transition.  With ``bridge_correction``
-    on, a step from x_i to x_{i+1} reaches each barrier with its exact
-    Brownian-bridge probability, exp(-2(b-x_i)(b-x_{i+1})/dt) at +b, and an
-    exiting step samples its hitting time inside the step (``_hit_offsets``);
-    a step that fires at both barriers exits at the earlier of its two
-    times.  Exit times are therefore not multiples of dt, but each lies in
+    Each step is the exact Gaussian transition.  A step from x_i to x_{i+1}
+    reaches each barrier with its exact Brownian-bridge probability,
+    exp(-2(b-x_i)(b-x_{i+1})/dt) at +b, and an exiting step samples its
+    hitting time inside the step (``_hit_offsets``); a step that fires at
+    both barriers exits at the earlier of its two times.  Exit times are therefore not multiples of dt, but each lies in
     its step's (k dt, (k + 1) dt], so survival at a grid time counts the
     same exits as step-end times would.  The law is exact except where one
     step reaches both barriers, whose chance is at most
@@ -344,12 +333,8 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     this bound exceed 1e-9 (at lam = 0, b / sqrt(dt) below about 6.2).
     Uniforms are drawn only for steps whose crossing probability is at least
     2**-53, which changes each step's law by less than 2**-53; the module
-    docstring lists which numbers each batch draws and in what order.
-
-    With ``bridge_correction`` off, a path exits when a step ends outside
-    (-b, b), at that step's end time k dt; this endpoint monitoring exits
-    O(sqrt(dt)) late, and the dt check above does not apply.  Paths alive
-    at the horizon are censored (side 0).
+    docstring lists which numbers each batch draws and in what order.  Paths
+    alive at the horizon are censored (side 0).
 
     Paths are simulated in batches of ``_BATCH_PATHS`` (4096): batch i,
     paths 4096 i to 4096 i + 4095, draws from ``rng.child(i)``, whatever the
@@ -366,7 +351,7 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     if n_paths < 1:
         raise ValueError("need at least one path")
     bound = _both_barriers_bound(spec.lam, spec.b, dt)
-    if bridge_correction and not bound <= _BOTH_BARRIERS_MAX:
+    if not bound <= _BOTH_BARRIERS_MAX:
         raise ValueError(
             f"dt={dt!r} is too coarse for barrier b={spec.b!r} at drift "
             f"{spec.lam!r}: one step may reach both barriers with probability "
@@ -380,8 +365,7 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     def run(i_sz):
         i, sz = i_sz
         gen = rng.child(i).generator()
-        return _simulate_batch(spec.lam, spec.b, dt, n_steps, sz, gen,
-                               bridge_correction)
+        return _simulate_batch(spec.lam, spec.b, dt, n_steps, sz, gen)
 
     jobs = list(enumerate(sizes))
     if threads > 1:
@@ -412,22 +396,6 @@ def _girsanov_weights(lam_from: float, lam_to: float, b: float,
             f"(log weight up to {float(expo.max()):.4g}); reweight between "
             "closer drifts or over shorter exit times")
     return weights
-
-
-def likelihood_ratio_bm(samples: ExitSamples, lam_from: float,
-                        lam_to: float) -> np.ndarray:
-    """Girsanov weights exp(-(l1-l2) B_tau + (l1^2-l2^2)/2 tau) per path.
-
-    Uses the recorded exit side (+-b) as B_tau.  Censored paths carry no
-    usable weight, so any censored sample in the collection is rejected, and
-    so is a weight that overflows.
-    """
-    if np.any(samples.sides == 0):
-        raise ValueError(
-            "collection contains censored paths; extend the horizon or bound "
-            "the censored mass before reweighting")
-    return _girsanov_weights(lam_from, lam_to, samples.spec.b, samples.times,
-                             samples.sides)
 
 
 class ReweightedEstimate(NamedTuple):
@@ -504,7 +472,7 @@ def check_independence_continuous(samples: ExitSamples,
     expected = row * col / n
     stat = float(np.sum((obs - expected) ** 2 / expected))
     dof = nb - 1
-    return ChiSquareResult(stat, dof, float(chi2.sf(stat, dof)), obs)
+    return ChiSquareResult(stat, dof, float(chdtrc(dof, stat)), obs)
 
 
 @dataclass

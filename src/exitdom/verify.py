@@ -185,7 +185,7 @@ def check_continuous_dominance() -> CheckResult:
 def _mc_samples(lam, seed_offset, n_paths, dt, threads, rng_base):
     rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + seed_offset)
     return mc.simulate_exit_bm(DriftSpec(lam, 1.0), dt, 30.0, n_paths, rng,
-                               bridge_correction=True, threads=threads)
+                               threads=threads)
 
 
 def check_mc_consistency(samples0, samples1) -> CheckResult:

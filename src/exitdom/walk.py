@@ -128,9 +128,6 @@ class SurvivalCurve:
     def horizon(self) -> int:
         return len(self.values) - 1
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
-
     def to_json_obj(self) -> dict:
         return {"mode": self.mode, "values": [fmt_cell(v) for v in self.values]}
 
@@ -155,17 +152,6 @@ class JointExitTable:
 
     def exit_pmf(self, n: int):
         return self.up[n] + self.down[n]
-
-    def to_json_obj(self) -> dict:
-        fmt = lambda seq: [fmt_cell(v) for v in seq]
-        return {
-            "mode": self.mode,
-            "p": fmt_cell(self.spec.pq(self.mode)[0]),
-            "k": self.spec.k,
-            "up": fmt(self.up),
-            "down": fmt(self.down),
-            "residual": fmt(self.residual),
-        }
 
 
 def _dp(spec: WalkSpec, horizon: int, mode: str):
@@ -347,21 +333,6 @@ def upper_exit_prob(spec: WalkSpec, mode: str = MODE_FLOAT):
     _check_mode(mode)
     p, q = spec.pq(mode)
     return p**spec.k / (p**spec.k + q**spec.k)
-
-
-def modulus_chain_up_prob(spec: WalkSpec, r: int, mode: str = MODE_FLOAT):
-    """Up-step probability of the modulus chain |S_n| at level r.
-
-    Equals 1 at r = 0 and (p^(r+1) + q^(r+1)) / (p^r + q^r) for r >= 1; this
-    is the discrete counterpart of the tanh drift of |B_t + lambda t|.
-    """
-    _check_mode(mode)
-    if not isinstance(r, int) or r < 0 or r >= spec.k:
-        raise ValueError(f"level r must be an integer in [0, k), got {r!r}")
-    if r == 0:
-        return _number(mode)(1)
-    p, q = spec.pq(mode)
-    return (p ** (r + 1) + q ** (r + 1)) / (p**r + q**r)
 
 
 def interior_decay_envelope(spec: WalkSpec):

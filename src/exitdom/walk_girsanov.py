@@ -16,52 +16,8 @@ import math
 from typing import NamedTuple
 
 from . import walk
-from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec, _parse_bias,
+from .walk import (MODE_FLOAT, JointExitTable, WalkSpec, _parse_bias,
                    exit_joint)
-
-
-def likelihood_ratio_walk(n: int, s: int, p_from, p_to, mode: str = MODE_FLOAT):
-    """dQ_{p_to}/dQ_{p_from} on the sigma-field of the first n steps, at S_n = s.
-
-    Because s and n share parity, the square roots cancel: with u = (n+s)/2
-    up-steps and d = (n-s)/2 down-steps the value is
-    (p_to/p_from)^u * (q_to/q_from)^d, which is exact in rational mode.
-    Float mode works in log space to dodge under/overflow at large n.
-    Returns the value itself: a float, or a Fraction in rational mode.
-    """
-    pf = _parse_bias(p_from, "p_from")
-    pt = _parse_bias(p_to, "p_to")
-    if abs(s) > n:
-        raise ValueError(f"|s|={abs(s)} exceeds the step count n={n}")
-    if (n - s) % 2 != 0:
-        raise ValueError(f"position s={s} and step count n={n} must share parity")
-    u = (n + s) // 2
-    d = (n - s) // 2
-    if mode == MODE_RATIONAL:
-        pf = walk.exact_fraction(p_from)
-        pt = walk.exact_fraction(p_to)
-        return (pt / pf) ** u * ((1 - pt) / (1 - pf)) ** d
-    return math.exp(u * (math.log(pt) - math.log(pf))
-                    + d * (math.log1p(-pt) - math.log1p(-pf)))
-
-
-def martingale_one_step_check(p, mode: str = MODE_FLOAT):
-    """Deviation in E_{1/2}[(p/q)^(X/2)] = 1/(2*sqrt(pq)) for one +-1 step X.
-
-    In rational mode both sides are squared, which clears the square roots:
-    (p/q + q/p + 2)/4 is compared with 1/(4pq) in exact arithmetic, so a
-    correct identity gives a deviation of exactly 0.
-    """
-    if mode == MODE_RATIONAL:
-        pf = walk.exact_fraction(p)
-        _parse_bias(pf)
-        q = 1 - pf
-        return abs((pf / q + q / pf + 2) / 4 - 1 / (4 * pf * q))
-    pf = _parse_bias(p)
-    q = 1.0 - pf
-    lhs = 0.5 * (math.sqrt(pf / q) + math.sqrt(q / pf))
-    rhs = 1.0 / (2.0 * math.sqrt(pf * q))
-    return abs(lhs - rhs)
 
 
 class ReweightedSurvival(NamedTuple):

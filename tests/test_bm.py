@@ -42,10 +42,10 @@ def test_driftless_survival_values():
 
 
 def test_driftless_density_integrates_to_one_with_unit_mean():
-    total, _ = integrate.quad(lambda s: ed.driftless_exit_density(1.0, s),
+    total, _ = integrate.quad(lambda s: bm._exit_density(1.0, s),
                               0, 60, limit=300)
     assert total == pytest.approx(1.0, abs=1e-9)
-    mean, _ = integrate.quad(lambda s: s * ed.driftless_exit_density(1.0, s),
+    mean, _ = integrate.quad(lambda s: s * bm._exit_density(1.0, s),
                              0, 80, limit=300)
     assert mean == pytest.approx(1.0, abs=1e-9)  # E[tau] = b^2
 
@@ -54,7 +54,7 @@ def test_density_is_minus_derivative_of_survival():
     for t in (0.03, 0.3, 1.5):
         h = 1e-6
         num = (ed.driftless_survival(1.0, t - h) - ed.driftless_survival(1.0, t + h)) / (2 * h)
-        assert num == pytest.approx(ed.driftless_exit_density(1.0, t), rel=1e-5)
+        assert num == pytest.approx(bm._exit_density(1.0, t), rel=1e-5)
 
 
 def test_brownian_scaling():
@@ -126,15 +126,25 @@ def test_drifted_survival_monotone_in_time_and_drift():
         prev_curve = curve
 
 
+def _sign_given_modulus(lam, x):
+    """P(B_t^lam = +x | |B_t^lam| = x) and its complement, for x >= 0.
+
+    p_plus = e^(lam x) / (e^(lam x) + e^(-lam x)), in the overflow-safe
+    logistic form.
+    """
+    p_plus = 1.0 / (1.0 + math.exp(-2.0 * lam * x))
+    return p_plus, 1.0 - p_plus
+
+
 def test_sign_given_modulus():
-    assert ed.sign_given_modulus(0.0, 1.0) == (0.5, 0.5)
-    assert ed.sign_given_modulus(2.0, 0.0) == (0.5, 0.5)
-    p_plus, p_minus = ed.sign_given_modulus(1.0, 1.0)
+    assert _sign_given_modulus(0.0, 1.0) == (0.5, 0.5)
+    assert _sign_given_modulus(2.0, 0.0) == (0.5, 0.5)
+    p_plus, p_minus = _sign_given_modulus(1.0, 1.0)
     e = math.e
     assert p_plus == pytest.approx(e / (e + 1 / e), abs=1e-15)
     assert p_plus + p_minus == 1.0
     # overflow safety at extreme arguments
-    assert ed.sign_given_modulus(100.0, 100.0)[0] == 1.0
+    assert _sign_given_modulus(100.0, 100.0)[0] == 1.0
 
 
 def test_dominance_scan_continuous():
@@ -165,10 +175,6 @@ def test_input_validation():
         DriftSpec(math.inf, 1.0)
     with pytest.raises(ValueError):
         ed.driftless_survival(1.0, -0.1)
-    with pytest.raises(ValueError):
-        ed.driftless_exit_density(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ed.sign_given_modulus(1.0, -1.0)
 
 
 def test_series_control_budget_raises(monkeypatch):
@@ -179,7 +185,6 @@ def test_series_control_budget_raises(monkeypatch):
 
 @pytest.mark.parametrize("fn, args", [
     (ed.driftless_survival, (1.0,)),
-    (ed.driftless_exit_density, (1.0,)),
     (ed.drifted_survival, (DriftSpec(1.0, 1.0),)),
     (ed.drifted_survival_quad, (DriftSpec(1.0, 1.0),)),
 ])
@@ -191,7 +196,7 @@ def test_nan_time_is_a_value_error_and_inf_is_the_limit(fn, args):
     assert limit == ((0.0, 0.0) if fn is ed.drifted_survival_quad else 0.0)
 
 
-@pytest.mark.parametrize("fn", [ed.driftless_survival, ed.driftless_exit_density])
+@pytest.mark.parametrize("fn", [ed.driftless_survival])
 @pytest.mark.parametrize("b", [math.nan, 0.0, -1.0])
 def test_nan_or_nonpositive_barrier_is_a_value_error(fn, b):
     # a NaN barrier once passed the b <= 0 check and ran 2,000 NaN terms
@@ -254,7 +259,7 @@ def oracle_weighted_tail_series(b, t, g):
 
 def public_values(b, t, lam):
     spec = DriftSpec(lam, b)
-    return [ed.driftless_survival(b, t), ed.driftless_exit_density(b, t),
+    return [ed.driftless_survival(b, t), bm._exit_density(b, t),
             ed.drifted_survival(spec, t), *ed.drifted_survival_quad(spec, t)]
 
 

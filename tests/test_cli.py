@@ -99,6 +99,13 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert "horizon = 2" in out   # flag wins over file
 
 
+def test_converters_are_exactly_the_subcommand_flags():
+    # outdir resolves on its own path, so a converter for it, or for a
+    # removed flag, would never be read
+    flags = {flag for flags in cli._SUBCOMMANDS.values() for flag in flags}
+    assert set(cli._CONVERTERS) == flags
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("nonsense = 1\n")
@@ -259,6 +266,7 @@ def test_bm_independence_and_path_dump(tmp_path):
                 "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "bm_independence.json"))
     assert doc["p_value"] >= 1e-3
+    assert "bridge" not in doc["config"]  # the in-step sampler is the one exit path
     dump = [l for l in read(tmp_path / "bm_independence_paths.csv").splitlines()
             if not l.startswith("#")]
     assert dump[0] == "path,time,side,terminal"
@@ -273,9 +281,18 @@ def test_exit_dt_too_coarse_for_the_barrier_is_exit_1(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert "error: dt=0.01 is too coarse for barrier b=0.5" in err
     assert "Traceback" not in err
-    # endpoint monitoring is not checked
+    # endpoint monitoring, which skipped the check, is no longer an option
     assert run([command, "--b", "0.5", "--dt", "0.01", "--n-paths", "2000",
-                "--bridge", "0", "--outdir", str(tmp_path)]) in (0, 2)
+                "--bridge", "0", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bridge 0" in err
+    assert "Traceback" not in err
+    cfgfile = tmp_path / "bridge.cfg"
+    cfgfile.write_text("bridge = 1\n")
+    assert run([command, "--config", str(cfgfile), "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key 'bridge' is not accepted by {command}" in err
+    assert "Traceback" not in err
 
 
 def test_bm_reweight(tmp_path):
@@ -283,6 +300,7 @@ def test_bm_reweight(tmp_path):
                 "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "bm_reweight.json"))
     assert doc["z_score"] <= 4.0
+    assert "bridge" not in doc["config"]
     assert not (tmp_path / "bm_reweight_paths.csv").exists()  # dump is opt-in
 
 

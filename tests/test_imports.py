@@ -2,15 +2,22 @@
 
 Every name a library module imports is used in it, and every module-level
 private function, class or constant is referenced somewhere in the library
-outside its own definition; a reference from the tests alone does not count.
+outside its own definition.  Every public one is read by the library, the
+benchmark (``perfbench/``) or the demos outside its own definition; a
+re-export in ``__init__.py`` does not count.  In neither case does a
+reference from the tests alone count.  A fresh ``import exitdom`` also
+leaves ``scipy.stats``, slow to import, unloaded.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "exitdom"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "exitdom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,8 +36,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-def _private_definitions(tree):
-    """(name, first line, last line) of each module-level private definition."""
+def _definitions(tree):
+    """(name, first line, last line) of each module-level definition, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -40,7 +47,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node.lineno, node.end_lineno
 
 
@@ -56,22 +63,52 @@ def _references(tree):
                 yield alias.name, node.lineno
 
 
+def _unreferenced(defining: dict[str, str], reading: dict[str, str],
+                  private: bool) -> list[str]:
+    """Module-level names of ``defining``, private or public, that no
+    reference in ``reading`` uses outside the lines of their own definition.
+
+    Both map file names to source text; a file may be in both.
+    """
+    refs = {(ref, mod, line) for mod, text in reading.items()
+            for ref, line in _references(ast.parse(text))}
+    out = []
+    for mod, text in defining.items():
+        for name, first, last in _definitions(ast.parse(text)):
+            if name.startswith("_") == private and not any(
+                    r == name and not (m == mod and first <= line <= last)
+                    for r, m, line in refs):
+                out.append(f"{mod}:{first}: {name}")
+    return sorted(out)
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level names that no line outside their definition uses.
 
     ``sources`` maps module file names to their text; references count from
     any of them, except from the lines of the definition itself.
     """
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = {(ref, mod, line) for mod, tree in trees.items()
-            for ref, line in _references(tree)}
-    out = []
-    for mod, tree in trees.items():
-        for name, first, last in _private_definitions(tree):
-            if not any(r == name and not (m == mod and first <= line <= last)
-                       for r, m, line in refs):
-                out.append(f"{mod}:{first}: {name}")
-    return sorted(out)
+    return _unreferenced(sources, sources, private=True)
+
+
+def unread_public_names(library: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public module-level names of ``library`` that no file of ``readers`` reads.
+
+    ``readers`` holds the production code, the library's own modules among
+    it, under the same file names; the lines of a name's own definition do
+    not count as a read.
+    """
+    return _unreferenced(library, readers, private=False)
+
+
+def _production_sources() -> dict[str, str]:
+    """The library modules, the benchmark and the demos, by path from the root.
+
+    ``__init__.py`` holds only re-exports, so it is left out.
+    """
+    paths = [*MODULES, *sorted((ROOT / "perfbench").rglob("*.py")),
+             *sorted((ROOT / "demos").rglob("*.py"))]
+    return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
 
 def test_checker_flags_an_unused_import():
@@ -88,6 +125,20 @@ def test_checker_flags_an_unreferenced_private_name():
     assert unreferenced_private_names(sources) == ["a.py:1: _X", "a.py:4: _f"]
 
 
+def test_checker_flags_an_unread_public_name():
+    library = {
+        "lib/a.py": "X = 1\nY = 2\ndef f(n):\n    return f(n - 1)\n"
+                    "def g():\n    return Y\ndef h():\n    pass\n"
+                    "def _p():\n    pass\n",
+        "lib/b.py": "from . import a\nfrom .a import g\ndef tested():\n"
+                    "    return a.h()\n",
+    }
+    readers = {**library, "demo.py": "from lib import b\nprint(b.g())\n"}
+    # tested() stands for a name that only the tests call
+    assert unread_public_names(library, readers) == [
+        "lib/a.py:1: X", "lib/a.py:3: f", "lib/b.py:3: tested"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -96,3 +147,17 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_public_name_has_a_production_reader():
+    library = {k: v for k, v in _production_sources().items()
+               if k.startswith("src/")}
+    assert unread_public_names(library, _production_sources()) == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # python -c puts its working directory first on sys.path
+    code = "import sys, exitdom; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

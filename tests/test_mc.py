@@ -94,25 +94,11 @@ def test_empirical_matches_analytic(samples0, samples1):
 
 
 def test_likelihood_ratio_bm_values():
-    spec = DriftSpec(0.0, 1.0)
-    samples = ExitSamples(spec, 1e-3, 30.0,
-                          np.array([1.0, 2.0]),
-                          np.array([1, -1], dtype=np.int8),
-                          np.array([1.0, -1.0]))
-    w = ed.likelihood_ratio_bm(samples, 0.0, 1.0)
+    w = mc._girsanov_weights(0.0, 1.0, 1.0, np.array([1.0, 2.0]),
+                             np.array([1, -1], dtype=np.int8))
     # exp(lam * B_tau - lam^2 tau / 2) at (tau=1, B=+1) and (tau=2, B=-1)
     assert w[0] == pytest.approx(math.exp(1.0 - 0.5), abs=1e-12)
     assert w[1] == pytest.approx(math.exp(-1.0 - 1.0), abs=1e-12)
-
-
-def test_likelihood_ratio_rejects_censored():
-    spec = DriftSpec(0.0, 1.0)
-    samples = ExitSamples(spec, 1e-3, 30.0,
-                          np.array([1.0, 30.0]),
-                          np.array([1, 0], dtype=np.int8),
-                          np.array([1.0, 0.2]))
-    with pytest.raises(ValueError):
-        ed.likelihood_ratio_bm(samples, 0.0, 1.0)
 
 
 def test_reweight_overflowing_weight_fails_cleanly():
@@ -125,13 +111,15 @@ def test_reweight_overflowing_weight_fails_cleanly():
     with pytest.raises(ValueError, match="overflows"):
         ed.reweighted_survival_bm(samples, 0.0, 0.01)
     with pytest.raises(ValueError, match="overflows"):
-        ed.likelihood_ratio_bm(samples, 40.0, 0.0)
+        mc._girsanov_weights(40.0, 0.0, 1.0, samples.times, samples.sides)
 
 
 def test_reweight_uses_the_likelihood_ratio_weights(samples1):
     t = 0.5
     est, _, _ = ed.reweighted_survival_bm(samples1, 0.0, t)
-    w = ed.likelihood_ratio_bm(samples1, 1.0, 0.0)
+    # no path is censored, so each weight is exp(-B_tau + tau / 2), B_tau = +-1
+    assert samples1.censored_fraction == 0.0
+    w = np.exp(-samples1.sides + 0.5 * samples1.times)
     assert est == float((w * (samples1.times > t)).mean())
 
 
@@ -189,15 +177,17 @@ def test_independence_rejects_tiny_sample():
 
 
 def test_bridge_correction_reduces_coarse_grid_bias():
-    # at coarse dt, endpoint monitoring overestimates survival; the bridge fixes most of it
-    t, n = 0.5, 40_000
+    # at coarse dt, endpoint monitoring (the dense reference with the bridge
+    # off) overestimates survival; the bridge fixes most of it
+    t, n, dt = 0.5, 40_000, 0.02
     an = ed.drifted_survival(DriftSpec(0.0, 1.0), t)
-    with_b = ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.02, 8.0, n,
-                                 RngStreamSpec(SEED, 7), bridge_correction=True)
-    without = ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.02, 8.0, n,
-                                  RngStreamSpec(SEED, 7), bridge_correction=False)
+    with_b = ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, 8.0, n,
+                                 RngStreamSpec(SEED, 7))
+    without, _, _ = _dense_reference_batch(
+        0.0, 1.0, dt, int(round(1.0 / dt)), n,
+        RngStreamSpec(SEED, 7).child(0).child(0).generator(), False)
     err_with = abs(with_b.empirical_survival(t) - an)
-    err_without = abs(without.empirical_survival(t) - an)
+    err_without = abs(float(np.mean(without > t)) - an)
     assert err_with < err_without
     assert err_without > 0.01  # the coarse-grid bias is real
     assert err_with < 0.01
@@ -285,22 +275,6 @@ def test_kernel_matches_dense_reference_and_analytic(lam, b, dt, horizon, substr
         assert abs(emp_new - an) < 4 * se
         assert abs(emp_ref - an) < 4 * se
         assert abs(emp_new - emp_ref) < 4 * math.sqrt(2.0) * se
-
-
-def test_endpoint_monitoring_matches_dense_reference():
-    # without the bridge both kernels sample the same (biased) coarse scheme
-    n, dt, horizon = 20_000, 0.02, 8.0
-    new = ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, n,
-                              RngStreamSpec(SEED, 26), bridge_correction=False)
-    ref_times, _, _ = _dense_reference_batch(
-        0.0, 1.0, dt, int(round(horizon / dt)), n,
-        RngStreamSpec(SEED, 26).child(0).child(0).generator(), False)
-    assert np.all(np.abs(new.terminal[new.sides != 0]) >= 1.0)
-    assert np.array_equal(np.sign(new.terminal[new.sides != 0]), new.sides[new.sides != 0])
-    for t in (0.5, 1.5):
-        p = float(np.mean(ref_times > t))
-        se = math.sqrt(p * (1 - p) / n)
-        assert abs(new.empirical_survival(t) - p) < 4 * math.sqrt(2.0) * se
 
 
 def test_thread_count_invariance_short_exits():
@@ -442,7 +416,7 @@ def test_both_barriers_domain_check():
     assert mc._both_barriers_bound(0.0, 1.0, 1e-2) < 1e-22
     assert mc._both_barriers_bound(8.0, 0.25, 1e-3) < 1e-13
     assert mc._both_barriers_bound(0.0, 1.0, 0.02) < 1e-11
-    # b / sqrt(dt) = 6 is too coarse, at any drift, with the bridge on
+    # b / sqrt(dt) = 6 is too coarse, at any drift
     for lam in (0.0, -3.0):
         with pytest.raises(ValueError, match="too coarse"):
             ed.simulate_exit_bm(DriftSpec(lam, 0.6), 0.01, 1.0, 10, rng)
@@ -450,10 +424,6 @@ def test_both_barriers_domain_check():
     ed.simulate_exit_bm(DriftSpec(0.0, 0.65), 0.01, 1.0, 10, rng)
     with pytest.raises(ValueError, match="too coarse"):
         ed.simulate_exit_bm(DriftSpec(4.0, 0.65), 0.01, 1.0, 10, rng)
-    # endpoint monitoring has no in-step law to protect
-    off = ed.simulate_exit_bm(DriftSpec(0.0, 0.6), 0.01, 1.0, 10, rng,
-                              bridge_correction=False)
-    assert off.n == 10
 
 
 def test_nan_time_is_a_value_error(samples0):

@@ -5,34 +5,67 @@ from fractions import Fraction
 import pytest
 
 import exitdom as ed
-from exitdom.walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, interior_decay_envelope
+from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
+                          interior_decay_envelope)
+from exitdom.walk_girsanov import _rz
+
+
+def _likelihood_ratio_walk(n, s, p_from, p_to, mode=MODE_FLOAT):
+    """dQ_{p_to}/dQ_{p_from} on the sigma-field of the first n steps, at S_n = s.
+
+    With u = (n+s)/2 up-steps and d = (n-s)/2 down-steps the value is
+    (p_to/p_from)^u * (q_to/q_from)^d: exact in rational mode, formed in
+    log space in float mode.
+    """
+    u, d = (n + s) // 2, (n - s) // 2
+    if mode == MODE_RATIONAL:
+        pf, pt = exact_fraction(p_from), exact_fraction(p_to)
+        return (pt / pf) ** u * ((1 - pt) / (1 - pf)) ** d
+    return math.exp(u * (math.log(p_to) - math.log(p_from))
+                    + d * (math.log1p(-p_to) - math.log1p(-p_from)))
+
+
+def _martingale_one_step_check(p, mode=MODE_FLOAT):
+    """Deviation in E_{1/2}[(p/q)^(X/2)] = 1/(2*sqrt(pq)) for one +-1 step X.
+
+    In rational mode both sides are squared, which clears the square roots:
+    (p/q + q/p + 2)/4 is compared with 1/(4pq) in exact arithmetic, so a
+    correct identity gives a deviation of exactly 0.
+    """
+    if mode == MODE_RATIONAL:
+        p = exact_fraction(p)
+        q = 1 - p
+        return abs((p / q + q / p + 2) / 4 - 1 / (4 * p * q))
+    q = 1.0 - p
+    lhs = 0.5 * (math.sqrt(p / q) + math.sqrt(q / p))
+    return abs(lhs - 1.0 / (2.0 * math.sqrt(p * q)))
 
 
 def test_likelihood_ratio_examples():
     # one step up: ratio is p_to / p_from
-    assert ed.likelihood_ratio_walk(1, 1, 0.5, 0.7) == pytest.approx(1.4)
+    assert _likelihood_ratio_walk(1, 1, 0.5, 0.7) == pytest.approx(1.4)
     # two steps, net zero: (p_to q_to) / (p_from q_from)
-    assert ed.likelihood_ratio_walk(2, 0, 0.5, 0.6) == pytest.approx(0.96)
+    assert _likelihood_ratio_walk(2, 0, 0.5, 0.6) == pytest.approx(0.96)
 
 
 def test_likelihood_ratio_exact():
-    lr = ed.likelihood_ratio_walk(2, 0, "1/2", "3/5", MODE_RATIONAL)
+    lr = _likelihood_ratio_walk(2, 0, "1/2", "3/5", MODE_RATIONAL)
     assert lr == Fraction(24, 25) and isinstance(lr, Fraction)
-    lr = ed.likelihood_ratio_walk(4, 2, "1/2", "7/10", MODE_RATIONAL)
+    lr = _likelihood_ratio_walk(4, 2, "1/2", "7/10", MODE_RATIONAL)
     assert lr == (Fraction(7, 5)) ** 3 * Fraction(3, 5)
 
 
 def test_likelihood_ratio_chain_rule():
     # composing p1 -> p2 -> p3 must equal p1 -> p3
-    a = ed.likelihood_ratio_walk(6, 2, "1/2", "3/5", MODE_RATIONAL)
-    b = ed.likelihood_ratio_walk(6, 2, "3/5", "4/5", MODE_RATIONAL)
-    c = ed.likelihood_ratio_walk(6, 2, "1/2", "4/5", MODE_RATIONAL)
+    a = _likelihood_ratio_walk(6, 2, "1/2", "3/5", MODE_RATIONAL)
+    b = _likelihood_ratio_walk(6, 2, "3/5", "4/5", MODE_RATIONAL)
+    c = _likelihood_ratio_walk(6, 2, "1/2", "4/5", MODE_RATIONAL)
     assert a * b == c
 
 
 def test_likelihood_ratio_inverse():
-    a = ed.likelihood_ratio_walk(5, -1, 0.55, 0.8)
-    b = ed.likelihood_ratio_walk(5, -1, 0.8, 0.55)
+    a = _likelihood_ratio_walk(5, -1, 0.55, 0.8)
+    b = _likelihood_ratio_walk(5, -1, 0.8, 0.55)
     assert a * b == pytest.approx(1.0, abs=1e-14)
 
 
@@ -46,23 +79,23 @@ def test_likelihood_ratio_normalizes(p_from, p_to):
         s = 2 * u - n
         paths = math.comb(n, u)
         prob = paths * pf**u * (1 - pf) ** (n - u)
-        total += ed.likelihood_ratio_walk(n, s, p_from, p_to, MODE_RATIONAL) * prob
+        total += _likelihood_ratio_walk(n, s, p_from, p_to, MODE_RATIONAL) * prob
     assert total == 1
 
 
-def test_likelihood_ratio_input_validation():
-    with pytest.raises(ValueError):
-        ed.likelihood_ratio_walk(3, 2, 0.5, 0.6)  # parity mismatch
-    with pytest.raises(ValueError):
-        ed.likelihood_ratio_walk(2, 4, 0.5, 0.6)  # |s| > n
-    with pytest.raises(ValueError):
-        ed.likelihood_ratio_walk(2, 0, 0.0, 0.6)
+def test_rz_is_the_likelihood_ratio():
+    # the reweighting identities weigh an exit at (m, +-k) by r^m z^(+-k)
+    for p_from, p_to in [(0.5, 0.7), (0.7, 0.5), (0.55, 0.8), (0.9, 0.6)]:
+        r, z = _rz(p_from, p_to)
+        for n, s in [(1, 1), (2, 0), (5, -1), (40, 6), (41, -3)]:
+            assert r**n * z**s == pytest.approx(
+                _likelihood_ratio_walk(n, s, p_from, p_to), rel=1e-12)
 
 
 def test_martingale_one_step():
-    assert ed.martingale_one_step_check(0.7) <= 1e-15
+    assert _martingale_one_step_check(0.7) <= 1e-15
     for p in ("7/10", "1/2", "1/3", "99/100", Fraction(31, 61)):
-        dev = ed.martingale_one_step_check(p, MODE_RATIONAL)
+        dev = _martingale_one_step_check(p, MODE_RATIONAL)
         assert isinstance(dev, Fraction) and dev == Fraction(0)
 
 
