@@ -150,9 +150,9 @@ def test_no_unreferenced_private_names():
 
 
 def test_every_public_name_has_a_production_reader():
-    library = {k: v for k, v in _production_sources().items()
-               if k.startswith("src/")}
-    assert unread_public_names(library, _production_sources()) == []
+    sources = _production_sources()
+    library = {k: v for k, v in sources.items() if k.startswith("src/")}
+    assert unread_public_names(library, sources) == []
 
 
 def test_import_leaves_scipy_stats_unloaded():
