@@ -1,30 +1,27 @@
 """Analytic exit-time formulas for Brownian motion on the interval (-b, b).
 
-The driftless survival probability P0(tau > t) has two classical forms: the
-eigenfunction series (fast for t of order b^2 and beyond) and the
-image-charge/reflection series (fast as t -> 0).  The drifted survival is
-obtained from the driftless exit density via the change-of-measure identity
+The drifted survival P_lam(tau > t) follows from the driftless law by the
+change of measure exp(lam*B_t - lam^2 t / 2).  Below t = ``_SMALL_T`` b^2 it
+is the image series (Feller, Vol. II, X.5), summed in closed form:
 
-    P_lambda(tau > t) = cosh(lambda*b) * int_t^inf e^(-lambda^2 s / 2) f(s) ds,
+    sum_k (-1)^k e^(2 lam k b) [Phi((b - 2kb - lam t) / sqrt(t))
+                                - Phi((-b - 2kb - lam t) / sqrt(t))].
 
-which combines the exponential reweighting on the stopped filtration with
-the independence of exit time and exit side.
+From there on it is cosh(lam*b) * int_t^inf e^(-lam^2 s / 2) f(s) ds, with
+f the driftless exit density, integrated termwise along the eigenseries: it
+stops at its first term below ``SERIES_TOL`` (1e-12) and raises
+ArithmeticError past ``_MAX_TERMS`` (2000) terms.  ``drifted_survival_quad``
+integrates that product by quadrature, independently of both series.
 
-The evaluators share fixed numerical settings.  Each series stops at its
-first term below ``SERIES_TOL`` (1e-12) and raises ArithmeticError if that
-takes more than ``_MAX_TERMS`` (2000) terms.  Quadrature runs at absolute
-tolerance ``SERIES_TOL`` with at most ``_QUAD_LIMIT`` (200) subintervals.
-Below t = ``_SMALL_T`` b^2 the reflection forms replace the eigenseries.
-
-The reflection forms sum images k = -20..20, but each loops only over the k
-whose terms can be nonzero; every skipped term is exactly +-0.0, so the sum
-and its ascending-k order are those of the full loop.  The density's image
-at distance c contributes c * exp(-c^2 / 2t), which is exactly 0.0 once
-c^2 / 2t exceeds 745.14; the survival's term is an ndtr triple that is
-exactly 2 - 1 - 1 or 0 - 0 - 0 once all three arguments lie above 8.30 or
-below -37.68, where ndtr returns exactly 1 or 0.  The loops use the wider
-cut-offs ``_EXP_ZERO`` (746), ``_NDTR_ONE`` (8.5) and ``_NDTR_ZERO`` (-38.5)
-as a safety margin.  Since t < 0.05 b^2 there, at most k = -3..3 remain.
+The image sums group the images into terms j = -20..20 and skip only terms
+that are exactly +-0.0, so the sum is that of the full loop.  A survival
+term j <= -1 is 0 once its three Phi are 1, as ndtr(x) is for x > 8.30.
+For j >= 1 a weight e^(2 lam k b) > 1 goes into log_ndtr, so it cannot
+overflow, and Phi(x) <= e^(-x^2 / 2) for x <= 0 bounds each weighted Phi by
+e^(-((4j - 3)^2 - 1) b^2 / 2t) at any drift; math.exp is 0.0 below
+e^-745.14.  The density's image at distance c contributes c e^(-c^2 / 2t),
+0.0 once c^2 / 2t > 745.14.  The cut-offs ``_EXP_ZERO`` (746) and
+``_NDTR_ONE`` (8.5) keep a margin.
 """
 
 from __future__ import annotations
@@ -34,11 +31,11 @@ import sys
 from dataclasses import dataclass
 
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .dominance import DominanceReport, _check_tie_tol, _worst_gap
 
-# fraction of b^2 below which the reflection form replaces the eigenseries
+# fraction of b^2 below which the image series replaces the eigenseries
 _SMALL_T = 0.05
 
 # largest lambda*b whose cosh is a finite float (about 710.48)
@@ -49,13 +46,12 @@ SERIES_TOL = 1e-12
 _MAX_TERMS = 2000
 _QUAD_LIMIT = 200
 
-# the reflection forms sum the images k = -_IMAGES.._IMAGES
-_IMAGES = 20
-# math.exp(-x) == 0.0 for x > 745.14; ndtr(x) == 1.0 for x > 8.30 and
-# ndtr(x) == 0.0 for x < -37.68; each cut-off below keeps a margin
+_IMAGES = 20  # the image sums run over at most j = -_IMAGES.._IMAGES
+# exp(-x) == 0.0 for x > 745.14 and ndtr(x) == 1.0 for x > 8.30, with margins
 _EXP_ZERO = 746.0
 _NDTR_ONE = 8.5
-_NDTR_ZERO = -38.5
+
+DOMINANCE_TIE_TOL = 1e-8  # tie tolerance of the continuous dominance scan
 
 
 @dataclass(frozen=True)
@@ -73,26 +69,38 @@ class DriftSpec:
 
 
 def _image_range(reach_down: float, reach_up: float) -> range:
-    """The image indices k whose terms can be nonzero.
-
-    Term k >= 1 is exactly zero once 4k - 3 > ``reach_up``, and term
-    k <= -1 once -4k - 1 > ``reach_down``, both in units of b.  The range
-    holds every k of -_IMAGES.._IMAGES that neither bound excludes.
+    """The indices j of the image terms that can be nonzero: every j of
+    -_IMAGES.._IMAGES but j >= 1 with 4j - 3 > ``reach_up`` and j <= -1 with
+    -4j - 1 > ``reach_down`` (in units of b), whose terms are exactly zero.
     """
-    return range(max(-_IMAGES, -math.ceil((reach_down + 1) / 4)),
-                 min(_IMAGES, math.ceil((reach_up + 3) / 4)) + 1)
+    return range(max(-_IMAGES, -math.floor((reach_down + 1) / 4)),
+                 min(_IMAGES, math.floor((reach_up + 3) / 4)) + 1)
 
 
-def _survival_reflection(b: float, t: float) -> float:
-    rt = math.sqrt(t)
+def _weighted_ndtr(log_w: float, x: float) -> float:
+    """e^log_w * Phi(x); a weight above 1 goes through log_ndtr."""
+    return (math.exp(log_w + log_ndtr(x)) if log_w > 0.0
+            else math.exp(log_w) * ndtr(x))
+
+
+def _survival_images(b: float, t: float, lam: float) -> float:
+    """The image series of P_lam(tau > t), for lam >= 0 and 0 < t < _SMALL_T b^2.
+
+    Term j pairs the images 2j and 2j - 1, which share Phi(a).  At lam = 0
+    a term j >= 0 is 2 Phi(a) - Phi(m) - Phi(c), the driftless form.
+    """
+    rt, lt, lb = math.sqrt(t), lam * t, lam * b
     acc = 0.0
-    # ndtr is exactly 1 above _NDTR_ONE (images k <= -1, all arguments
-    # positive) and exactly 0 below _NDTR_ZERO (k >= 1, all negative)
-    for k in _image_range(_NDTR_ONE * rt / b, -_NDTR_ZERO * rt / b):
-        term = (2.0 * ndtr((1 - 4 * k) * b / rt)
-                - ndtr((-1 - 4 * k) * b / rt)
-                - ndtr((3 - 4 * k) * b / rt))
-        acc += term
+    for j in _image_range(_NDTR_ONE * rt / b + lt / b,
+                          math.sqrt(1.0 + 2.0 * _EXP_ZERO * t / (b * b))):
+        a = ((1 - 4 * j) * b - lt) / rt
+        m = ((-1 - 4 * j) * b - lt) / rt
+        c = ((3 - 4 * j) * b - lt) / rt
+        l0, l1 = 4 * j * lb, (4 * j - 2) * lb
+        p, q = _weighted_ndtr(l0, a), _weighted_ndtr(l1, a)
+        r, s = _weighted_ndtr(l0, m), _weighted_ndtr(l1, c)
+        # below j = 0 equal weights pair first: three Phi of 1 give exactly 0
+        acc += (p - r) + (q - s) if j < 0 else p + q - r - s
     return float(acc)
 
 
@@ -109,16 +117,9 @@ def _check_time(t: float) -> None:
 
 def driftless_survival(b: float, t: float) -> float:
     """P0(tau > t) for the exit of standard Brownian motion from (-b, b)."""
-    if not b > 0.0:
-        raise ValueError("barrier b must be positive")
-    _check_time(t)
-    if t == 0.0:
-        return 1.0
-    if t < _SMALL_T * b * b:
-        val = _survival_reflection(b, t)
-    else:
-        val = _weighted_tail_series(b, t, 0.0)
-    return min(1.0, max(0.0, val))
+    if not 0.0 < b < math.inf:
+        raise ValueError("barrier b must be positive and finite")
+    return _survival(b, t, 0.0)
 
 
 def _density_series(b: float, t: float) -> float:
@@ -190,6 +191,19 @@ def _cosh_lambda_b(lam: float, b: float) -> float:
     return math.cosh(lam * b)
 
 
+def _survival(b: float, t: float, lam: float) -> float:
+    """P_lam(tau > t) for lam >= 0; ValueError where cosh(lam*b) overflows."""
+    _check_time(t)
+    cosh_lb = _cosh_lambda_b(lam, b)
+    if t == 0.0:
+        return 1.0
+    if t < _SMALL_T * b * b:
+        val = _survival_images(b, t, lam)
+    else:
+        val = cosh_lb * _weighted_tail_series(b, t, 0.5 * lam * lam)
+    return min(1.0, max(0.0, val))
+
+
 def drifted_survival(spec: DriftSpec, t: float) -> float:
     """P(tau > t) for Brownian motion with drift lam exiting (-b, b).
 
@@ -197,22 +211,7 @@ def drifted_survival(spec: DriftSpec, t: float) -> float:
     drifts are served by symmetry.  Raises ValueError where cosh(lam*b)
     overflows.
     """
-    _check_time(t)
-    lam = abs(spec.lam)
-    b = spec.b
-    cosh_lb = _cosh_lambda_b(lam, b)
-    g = 0.5 * lam * lam
-    t_switch = _SMALL_T * b * b
-    if t >= t_switch:
-        val = _weighted_tail_series(b, t, g)
-    else:
-        head, _ = integrate.quad(
-            lambda s: math.exp(-g * s) * _density_reflection(b, s),
-            t, t_switch, limit=_QUAD_LIMIT,
-            epsabs=SERIES_TOL, epsrel=1e-12)
-        val = head + _weighted_tail_series(b, t_switch, g)
-    val *= cosh_lb
-    return min(1.0, max(0.0, val))
+    return _survival(spec.b, t, abs(spec.lam))
 
 
 def drifted_survival_quad(spec: DriftSpec, t: float):
@@ -246,7 +245,7 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
 
 
 def dominance_scan_continuous(lambdas, b: float, times,
-                              tie_tol: float = 1e-8) -> DominanceReport:
+                              tie_tol: float = DOMINANCE_TIE_TOL) -> DominanceReport:
     """Check that survival is non-increasing across an ascending drift grid.
 
     Ties within ``tie_tol`` count as dominance (the curves coincide at t = 0

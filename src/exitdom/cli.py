@@ -95,7 +95,7 @@ _SUBCOMMANDS: dict[str, dict] = {
         "lambdas": ("0,0.5,1,2", "ascending nonnegative drift rates (1/time)"),
         "b": (1.0, "barrier half-width (length)"),
         "times": ("0.25,0.5,1,2", "evaluation times (time, comma list)"),
-        "tol": (verify.DOMINANCE_TIE_TOL,
+        "tol": (bm.DOMINANCE_TIE_TOL,
                 "tie tolerance for survival comparisons (probability)"),
     },
     "bm-couple": {

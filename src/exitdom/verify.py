@@ -2,7 +2,9 @@
 
 This module is the one home of each check: its sizes per profile
 (``SIZES``), its threshold (a constant below, which the matching CLI
-subcommand reads too) and its pass rule.  The battery returns one
+subcommand reads too) and its pass rule.  The one exception is the tie
+tolerance of the continuous dominance scan, ``bm.DOMINANCE_TIE_TOL``, which
+lives beside the scan as its default.  The battery returns one
 ``CheckResult`` per check for the CLI and the test suite to render or assert.
 All Monte Carlo is seeded from one master seed and reduced in fixed batch
 order, so the results are a pure function of (profile, seed), whatever the
@@ -39,19 +41,22 @@ QUICK = "quick"
 # truncations, reweighting step counts, the Donsker half-width, path counts.
 SIZES = {
     DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200, trunc_float=400,
-               trunc_exact=60, ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
+               ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
                n_paths=100_000, coupled_paths=1000, refinement=True),
     QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60, trunc_float=200,
-                trunc_exact=60, ns=[0, 10], trunc=300, donsker_k=100,
+                ns=[0, 10], trunc=300, donsker_k=100,
                 n_paths=20_000, coupled_paths=300, refinement=False),
 }
+# truncation of the exact-arithmetic independence tables, in both profiles
+_TRUNC_EXACT = 60
+# the biases of the reweighting and factorization grids
+_GRID_PS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 # Thresholds, each shared by a battery check and the CLI subcommand named.
 MAX_VIOLATIONS = 0            # rw-dominance, bm-dominance: dominance violations
 INDEPENDENCE_TOL = 1e-12      # rw-independence: float joint-vs-product deviation
 REWEIGHT_FLOOR = 1e-10        # rw-reweight: floor under the tail bound
 FACTORIZATION_TOL = 1e-10     # rw-factorization: identity deviation
-DOMINANCE_TIE_TOL = 1e-8      # bm-dominance: tie tolerance of the survival scan
 COUPLED_TOL = 1e-3            # bm-couple: ordering-violation step fraction
 INDEPENDENCE_ALPHA = 1e-3     # bm-independence: chi-square rejection level
 
@@ -108,16 +113,25 @@ def check_discrete_independence(ks_float, trunc_float, ks_exact, trunc_exact) ->
         "float <= 1e-12, exact == 0")
 
 
-def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
-    ps = [0.5, 0.6, 0.7, 0.8, 0.9]
+def _walk_grid(ks, ns, truncation) -> list:
+    """Per k, the exit tables and the direct survival values up to max(ns)
+    of each bias of ``_GRID_PS``, keyed by p: both walk checks read them."""
+    grid = []
+    for k in ks:
+        specs = {p: WalkSpec(p, k) for p in _GRID_PS}
+        grid.append(({p: walk.exit_joint(s, truncation, MODE_FLOAT)
+                      for p, s in specs.items()},
+                     {p: walk.survival_pmf(s, max(ns), MODE_FLOAT).values
+                      for p, s in specs.items()}))
+    return grid
+
+
+def check_discrete_reweighting(grid, ns) -> CheckResult:
     worst = 0.0
     ok = True
-    for k in ks:
-        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
-                  for p in ps}
-        for p_from in ps:
-            table = walk.exit_joint(WalkSpec(p_from, k), truncation, MODE_FLOAT)
-            for p_to in (p for p in ps if p != p_from):
+    for tables, direct in grid:
+        for p_from, table in tables.items():
+            for p_to in (p for p in _GRID_PS if p != p_from):
                 for n in ns:
                     est, bound = walk_girsanov.reweighted_survival_from_table(
                         table, p_to, n)
@@ -130,17 +144,13 @@ def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
         "within max(tail bound, 1e-10) everywhere")
 
 
-def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
-    ps = [0.5, 0.6, 0.7, 0.8, 0.9]
+def check_discrete_factorization(grid, ns) -> CheckResult:
     worst = 0.0
-    for k in ks:
-        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
-                  for p in ps[1:]}
-        for i, p1 in enumerate(ps[:-1]):
-            table = walk.exit_joint(WalkSpec(p1, k), truncation, MODE_FLOAT)
-            for p2 in ps[i + 1:]:
+    for tables, direct in grid:
+        for i, p1 in enumerate(_GRID_PS[:-1]):
+            for p2 in _GRID_PS[i + 1:]:
                 for n in ns:
-                    rhs = walk_girsanov.factorization_from_table(table, p2, n)
+                    rhs = walk_girsanov.factorization_from_table(tables[p1], p2, n)
                     worst = max(worst, abs(direct[p2][n] - rhs))
     return CheckResult(
         "discrete-factorization-identity", worst <= FACTORIZATION_TOL,
@@ -174,8 +184,7 @@ def check_donsker_series(k: int) -> CheckResult:
 
 def check_continuous_dominance() -> CheckResult:
     lambdas = [0.25 * i for i in range(9)]
-    rep = bm.dominance_scan_continuous(lambdas, 1.0, [0.25, 0.5, 1.0, 2.0],
-                                       tie_tol=DOMINANCE_TIE_TOL)
+    rep = bm.dominance_scan_continuous(lambdas, 1.0, [0.25, 0.5, 1.0, 2.0])
     return CheckResult(
         "continuous-analytic-dominance", rep.n_violations <= MAX_VIOLATIONS,
         f"{rep.n_violations} violations", "0 violations",
@@ -249,12 +258,13 @@ def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
         raise ValueError(f"unknown profile {profile!r}")
     s = SIZES[profile]
     rng_base = mc.RngStreamSpec(seed)
+    grid = _walk_grid(s["ks"], s["ns"], s["trunc"])
     results = [
         check_discrete_dominance_exact(s["ks"], s["horizon"]),
         check_discrete_independence(s["ks"], s["trunc_float"], s["ks_exact"],
-                                    s["trunc_exact"]),
-        check_discrete_reweighting(s["ks"], s["ns"], s["trunc"]),
-        check_discrete_factorization(s["ks"], s["ns"], s["trunc"]),
+                                    _TRUNC_EXACT),
+        check_discrete_reweighting(grid, s["ns"]),
+        check_discrete_factorization(grid, s["ns"]),
         check_sech_identity(),
         check_donsker_series(s["donsker_k"]),
         check_continuous_dominance(),

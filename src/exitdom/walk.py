@@ -86,11 +86,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown arithmetic mode {mode!r}; expected one of {_MODES}")
 
 
-def _number(mode: str):
-    """The number type of an arithmetic mode."""
-    return Fraction if mode == MODE_RATIONAL else float
-
-
 @dataclass(frozen=True)
 class WalkSpec:
     """Biased-walk exit problem: bias p, barrier half-width k."""
@@ -303,29 +298,20 @@ def survival_at(spec: WalkSpec, ns) -> list:
 
 
 def mean_exit(spec: WalkSpec, mode: str = MODE_FLOAT):
-    """E[sigma] from state 0, by solving the absorbing-chain linear system.
+    """E[sigma] from state 0, by the gambler's-ruin closed form.
 
-    The expected times h(j) over interior states satisfy
-    h(j) = 1 + p*h(j+1) + q*h(j-1) with h(+-k) = 0: a tridiagonal system
-    with diagonal 1, solved by the Thomas algorithm in the mode's numbers.
+    E[sigma] = k * sum_{i<k} p^(k-1-i) q^i / (p^k + q^k), here divided
+    through by m^(k-1), m = max(p, q), so that no power of a large k
+    underflows the denominator.  The terms r^i, r = min(p, q) / m, are all
+    positive, so nothing cancels near p = 1/2.  The sum runs in the mode's
+    numbers.
     """
     _check_mode(mode)
     p, q = spec.pq(mode)
-    one = _number(mode)(1)
+    m = max(p, q)
+    r = min(p, q) / m
     k = spec.k
-    m = 2 * k - 1
-    # forward elimination of the sub-diagonal -q
-    diag = [one]
-    rhs = [one]
-    for _ in range(1, m):
-        w = q / diag[-1]
-        diag.append(one - w * p)
-        rhs.append(one + w * rhs[-1])
-    # back substitution through the super-diagonal -p, down to state 0
-    h = rhs[m - 1] / diag[m - 1]
-    for i in range(m - 2, k - 2, -1):
-        h = (rhs[i] + p * h) / diag[i]
-    return h
+    return k * sum(r**i for i in range(k)) / (m * (1 + r**k))
 
 
 def upper_exit_prob(spec: WalkSpec, mode: str = MODE_FLOAT):

@@ -1,12 +1,13 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 import exitdom as ed
 from exitdom import bm
@@ -14,7 +15,7 @@ from exitdom.bm import (
     DriftSpec,
     _density_reflection,
     _density_series,
-    _survival_reflection,
+    _survival_images,
     _weighted_tail_series,
 )
 
@@ -23,7 +24,7 @@ def test_series_and_reflection_agree_across_crossover():
     for b in (0.5, 1.0, 2.0):
         for t in (0.01 * b * b, 0.05 * b * b, 0.2 * b * b, b * b):
             s = _weighted_tail_series(b, t, 0.0)
-            r = _survival_reflection(b, t)
+            r = _survival_images(b, t, 0.0)
             assert s == pytest.approx(r, abs=1e-13)
             ds = _density_series(b, t)
             dr = _density_reflection(b, t)
@@ -126,6 +127,18 @@ def test_drifted_survival_monotone_in_time_and_drift():
         prev_curve = curve
 
 
+def test_short_time_survival_at_large_drift():
+    # the quadrature head this branch once used read 0.023 at t = 0 and
+    # 0.45 at t = 1e-3 for lam*b = 300, so the curve rose in t
+    for lam_b in (100.0, 300.0, 700.0):
+        assert ed.drifted_survival(DriftSpec(lam_b, 1.0), 0.0) == 1.0
+    assert ed.drifted_survival(DriftSpec(300.0, 1.0), 1e-3) == pytest.approx(1.0, abs=1e-12)
+    times = [0.0, *np.geomspace(1e-6, 0.049, 40)]
+    for lam_b in (0.0, 12.0, 20.0, 100.0, 300.0, 700.0):
+        curve = [ed.drifted_survival(DriftSpec(lam_b, 1.0), t) for t in times]
+        assert all(b <= a + 1e-15 for a, b in zip(curve, curve[1:]))
+
+
 def _sign_given_modulus(lam, x):
     """P(B_t^lam = +x | |B_t^lam| = x) and its complement, for x >= 0.
 
@@ -197,16 +210,18 @@ def test_nan_time_is_a_value_error_and_inf_is_the_limit(fn, args):
 
 
 @pytest.mark.parametrize("fn", [ed.driftless_survival])
-@pytest.mark.parametrize("b", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("b", [math.nan, 0.0, -1.0, math.inf])
 def test_nan_or_nonpositive_barrier_is_a_value_error(fn, b):
-    # a NaN barrier once passed the b <= 0 check and ran 2,000 NaN terms
+    # a NaN barrier once passed the b <= 0 check and ran 2,000 NaN terms;
+    # an infinite one would weight the images by 0 * inf
     with pytest.raises(ValueError, match="barrier b must be positive"):
         fn(b, 1.0)
 
 
-# The image sums over all of k = -20..20 and the series with every
+# The image sums over all of j = -20..20 and the series with every
 # invariant recomputed in the loop: the forms before the image cut-off,
-# kept as oracles for bit-identity.
+# kept as oracles for bit-identity.  oracle_survival_reflection is the
+# driftless sum from before the drift entered the image series.
 
 def oracle_survival_reflection(b, t):
     rt = math.sqrt(t)
@@ -216,6 +231,26 @@ def oracle_survival_reflection(b, t):
                 - ndtr((-1 - 4 * k) * b / rt)
                 - ndtr((3 - 4 * k) * b / rt))
         acc += term
+    return float(acc)
+
+
+def oracle_survival_images(b, t, lam):
+    rt = math.sqrt(t)
+
+    def weighted(log_w, x):
+        if log_w > 0.0:
+            return math.exp(log_w + log_ndtr(x))
+        return math.exp(log_w) * ndtr(x)
+
+    acc = 0.0
+    for j in range(-20, 21):
+        a = ((1 - 4 * j) * b - lam * t) / rt
+        m = ((-1 - 4 * j) * b - lam * t) / rt
+        c = ((3 - 4 * j) * b - lam * t) / rt
+        l0, l1 = 4 * j * (lam * b), (4 * j - 2) * (lam * b)
+        p, q = weighted(l0, a), weighted(l1, a)
+        r, s = weighted(l0, m), weighted(l1, c)
+        acc += (p - r) + (q - s) if j < 0 else p + q - r - s
     return float(acc)
 
 
@@ -268,10 +303,12 @@ def test_exact_zero_cutoffs_hold():
     assert math.exp(-bm._EXP_ZERO) == 0.0
     xs = np.linspace(bm._NDTR_ONE, 60.0, 20001)
     assert (ndtr(xs) == 1.0).all() and (ndtr(-xs) < 1e-17).all()
-    xs = np.linspace(bm._NDTR_ZERO, -1000.0, 20001)
-    assert (ndtr(xs) == 0.0).all()
-    # below t = 0.05 b^2 at most seven images remain
-    assert len(bm._image_range(*[math.sqrt(2 * bm._EXP_ZERO * 0.05)] * 2)) == 7
+    # a weighted Phi of image term j >= 2 is exactly 0 by this bound
+    xs = np.linspace(-1000.0, 0.0, 20001)
+    assert (log_ndtr(xs) <= -xs * xs / 2).all()
+    assert (ndtr(xs[xs < -math.sqrt(2 * bm._EXP_ZERO)]) == 0.0).all()
+    # below t = 0.05 b^2 at most five density images remain
+    assert len(bm._image_range(*[math.sqrt(2 * bm._EXP_ZERO * 0.05)] * 2)) == 5
 
 
 @settings(max_examples=120, deadline=None)
@@ -288,10 +325,40 @@ def test_exact_zero_cutoffs_hold():
 def test_bm_values_match_oracles_bit_for_bit(b, log_t, lam_b):
     t = 10.0 ** log_t * b * b
     got = public_values(b, t, lam_b / b)
-    with mock.patch.multiple(bm, _survival_reflection=oracle_survival_reflection,
+    with mock.patch.multiple(bm, _survival_images=oracle_survival_images,
                              _density_series=oracle_density_series,
                              _density_reflection=oracle_density_reflection,
                              _weighted_tail_series=oracle_weighted_tail_series):
         want = public_values(b, t, lam_b / b)
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    if t < bm._SMALL_T * b * b:
+        driftless = min(1.0, max(0.0, oracle_survival_reflection(b, t)))
+        assert got[0].hex() == driftless.hex()
+
+
+def mp_survival_images(b, t, lam):
+    """The drifted image series at 50 digits, over images k = -40..40."""
+    with mpmath.workdps(50):
+        b, t, lam = mpmath.mpf(b), mpmath.mpf(t), mpmath.mpf(lam)
+        rt = mpmath.sqrt(t)
+        return sum((-1) ** k * mpmath.exp(2 * lam * k * b)
+                   * (mpmath.ncdf((b - 2 * k * b - lam * t) / rt)
+                      - mpmath.ncdf((-b - 2 * k * b - lam * t) / rt))
+                   for k in range(-40, 41))
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=st.floats(0.25, 4.0), log_t=st.floats(-8.0, math.log10(0.05)),
+       lam_b=st.floats(0.0, 700.0))
+@example(b=1.0, log_t=math.log10(0.049), lam_b=12.0)
+@example(b=1.0, log_t=math.log10(0.049), lam_b=20.0)
+@example(b=1.0, log_t=-4.0, lam_b=100.0)
+@example(b=1.0, log_t=-3.0, lam_b=300.0)
+@example(b=0.25, log_t=math.log10(0.049), lam_b=700.0)
+def test_short_time_survival_matches_mpmath(b, log_t, lam_b):
+    t = 10.0 ** log_t * b * b
+    assume(t < bm._SMALL_T * b * b)
+    got = ed.drifted_survival(DriftSpec(lam_b / b, b), t)
+    ref = mp_survival_images(b, t, lam_b / b)
+    assert abs(got - ref) <= 1e-15 + 1e-11 * ref

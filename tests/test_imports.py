@@ -6,7 +6,9 @@ outside its own definition.  Every public one is read by the library, the
 benchmark (``perfbench/``) or the demos outside its own definition; a
 re-export in ``__init__.py`` does not count.  In neither case does a
 reference from the tests alone count.  A fresh ``import exitdom`` also
-leaves ``scipy.stats``, slow to import, unloaded.
+leaves ``scipy.stats``, slow to import, unloaded.  In ``bm.py`` only the
+quadrature route, ``drifted_survival_quad``, reads ``integrate``, so that
+the series it is checked against do not share its quadrature.
 """
 
 import ast
@@ -101,6 +103,18 @@ def unread_public_names(library: dict[str, str], readers: dict[str, str]) -> lis
     return _unreferenced(library, readers, private=False)
 
 
+def references_outside(source: str, name: str, function: str) -> list[int]:
+    """Lines that read ``name``, as a name or an attribute, outside the
+    module-level function ``function``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside
+                  and (isinstance(node, ast.Name) and node.id == name
+                       or isinstance(node, ast.Attribute) and node.attr == name))
+
+
 def _production_sources() -> dict[str, str]:
     """The library modules, the benchmark and the demos, by path from the root.
 
@@ -137,6 +151,19 @@ def test_checker_flags_an_unread_public_name():
     # tested() stands for a name that only the tests call
     assert unread_public_names(library, readers) == [
         "lib/a.py:1: X", "lib/a.py:3: f", "lib/b.py:3: tested"]
+
+
+def test_checker_flags_a_reference_outside_the_function():
+    src = ("import scipy\nfrom scipy import integrate\n"
+           "def route(f):\n    return integrate.quad(f, 0, 1)\n"
+           "def series(f):\n    return integrate.quad(f, 0, 2)\n"
+           "def other(f):\n    return scipy.integrate.quad(f, 0, 3)\n")
+    assert references_outside(src, "integrate", "route") == [6, 8]
+
+
+def test_only_the_quadrature_route_reads_integrate():
+    source = (SRC / "bm.py").read_text()
+    assert references_outside(source, "integrate", "drifted_survival_quad") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
