@@ -414,6 +414,9 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float,
     the estimate coincide exactly with the plain empirical survival.
     """
     _check_before_horizon(t, samples.horizon)
+    if samples.n < 2:
+        raise ValueError(
+            f"reweighting needs at least 2 paths for a standard error, got {samples.n}")
     lam_from = samples.spec.lam
     frac = samples.censored_fraction
     contrib = np.zeros(samples.n)

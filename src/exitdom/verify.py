@@ -2,9 +2,9 @@
 
 This module is the one home of each check: its sizes per profile
 (``SIZES``), its threshold (a constant below, which the matching CLI
-subcommand reads too) and its pass rule.  The one exception is the tie
-tolerance of the continuous dominance scan, ``bm.DOMINANCE_TIE_TOL``, which
-lives beside the scan as its default.  The battery returns one
+subcommand, where there is one, reads too) and its pass rule.  The one
+exception is the tie tolerance of the continuous dominance scan,
+``bm.DOMINANCE_TIE_TOL``, which lives beside the scan as its default.  The battery returns one
 ``CheckResult`` per check for the CLI and the test suite to render or assert.
 All Monte Carlo is seeded from one master seed and reduced in fixed batch
 order, so the results are a pure function of (profile, seed), whatever the
@@ -59,6 +59,11 @@ REWEIGHT_FLOOR = 1e-10        # rw-reweight: floor under the tail bound
 FACTORIZATION_TOL = 1e-10     # rw-factorization: identity deviation
 COUPLED_TOL = 1e-3            # bm-couple: ordering-violation step fraction
 INDEPENDENCE_ALPHA = 1e-3     # bm-independence: chi-square rejection level
+# Thresholds of battery checks that no subcommand runs.
+SECH_TOL = 1e-6               # |cosh * integral - 1| of the Laplace identity
+DONSKER_TOL = 2e-3            # |walk - series| on the diffusive scale
+CONSISTENCY_SE = 3            # MC survival deviation, in standard errors
+CONTROL_P_MAX = 1e-6          # largest p the dependent control may reach
 
 DONSKER_TIMES = (0.25, 0.5, 1.0, 2.0)
 
@@ -161,7 +166,7 @@ def check_sech_identity() -> CheckResult:
     worst = max(abs(bm.drifted_survival_quad(DriftSpec(lam, b), 0.0)[0] - 1.0)
                 for lam in [0.0, 0.5, 1.0, 2.0, 3.0] for b in [0.5, 1.0, 2.0])
     return CheckResult(
-        "laplace-sech-identity", worst <= 1e-6,
+        "laplace-sech-identity", worst <= SECH_TOL,
         f"max |cosh * integral - 1| {_fmt(worst)}", "<= 1e-6")
 
 
@@ -177,7 +182,7 @@ def check_donsker_series(k: int) -> CheckResult:
     worst = max(abs(value - bm.driftless_survival(1.0, t))
                 for t, value in zip(DONSKER_TIMES, walk_values))
     return CheckResult(
-        "donsker-series-crosscheck", worst <= 2e-3,
+        "donsker-series-crosscheck", worst <= DONSKER_TOL,
         f"max |walk DP - series| {_fmt(worst)}", "<= 2e-3",
         f"walk half-width {k}")
 
@@ -203,15 +208,16 @@ def check_mc_consistency(samples0, samples1) -> CheckResult:
     et = samples0.exit_times()
     se = et.std(ddof=1) / math.sqrt(et.size)
     dev = abs(et.mean() - 1.0)
-    ok &= dev <= 3 * se
-    msgs.append(f"E[tau] dev {_fmt(dev)} vs 3se {_fmt(3 * se)}")
+    ok &= dev <= CONSISTENCY_SE * se
+    msgs.append(f"E[tau] dev {_fmt(dev)} vs 3se {_fmt(CONSISTENCY_SE * se)}")
     for s, lam in ((samples0, 0.0), (samples1, 1.0)):
         for t in (0.5, 1.0):
             an = bm.drifted_survival(DriftSpec(lam, 1.0), t)
             se = math.sqrt(max(an * (1 - an), 1e-12) / s.n)
             dev = abs(s.empirical_survival(t) - an)
-            ok &= dev <= 3 * se
-            msgs.append(f"lam={lam} t={t} dev {_fmt(dev)} vs 3se {_fmt(3 * se)}")
+            ok &= dev <= CONSISTENCY_SE * se
+            msgs.append(f"lam={lam} t={t} dev {_fmt(dev)} vs 3se "
+                        f"{_fmt(CONSISTENCY_SE * se)}")
     return CheckResult("mc-survival-consistency", ok, "; ".join(msgs),
                        "within 3 standard errors")
 
@@ -223,7 +229,7 @@ def check_continuous_independence(samples1) -> CheckResult:
     med = np.median(control.times[nc])
     control.sides[nc] = np.where(control.times[nc] > med, 1, -1).astype(np.int8)
     res_bad = mc.check_independence_continuous(control, time_bins=10)
-    ok = res.p_value >= INDEPENDENCE_ALPHA and res_bad.p_value < 1e-6
+    ok = res.p_value >= INDEPENDENCE_ALPHA and res_bad.p_value < CONTROL_P_MAX
     return CheckResult(
         "continuous-exit-independence", ok,
         f"p {_fmt(res.p_value)}, control p {_fmt(res_bad.p_value)}",

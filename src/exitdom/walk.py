@@ -26,8 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .io import fmt_cell
-
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
 _MODES = (MODE_RATIONAL, MODE_FLOAT)
@@ -122,9 +120,6 @@ class SurvivalCurve:
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
-
-    def to_json_obj(self) -> dict:
-        return {"mode": self.mode, "values": [fmt_cell(v) for v in self.values]}
 
 
 @dataclass

@@ -10,6 +10,7 @@ is computed twice here.
 
 import filecmp
 import json
+import re
 import subprocess
 import sys
 import time
@@ -145,3 +146,30 @@ def test_criterion_11_deterministic_battery(desk_runs, battery):
             "criterion-11 deterministic-battery",
             f"desk battery exit codes {status1}/{status4} "
             f"(threads 1 vs 4), output files byte-identical: {same}")
+
+
+# the constants each check's pass rule reads
+RULE_CONSTANTS = {
+    "discrete-exact-dominance": ("MAX_VIOLATIONS",),
+    "discrete-exit-independence": ("INDEPENDENCE_TOL",),
+    "discrete-girsanov-reweighting": ("REWEIGHT_FLOOR",),
+    "discrete-factorization-identity": ("FACTORIZATION_TOL",),
+    "laplace-sech-identity": ("SECH_TOL",),
+    "donsker-series-crosscheck": ("DONSKER_TOL",),
+    "continuous-analytic-dominance": ("MAX_VIOLATIONS",),
+    "mc-survival-consistency": ("CONSISTENCY_SE",),
+    "continuous-exit-independence": ("INDEPENDENCE_ALPHA", "CONTROL_P_MAX"),
+    "coupled-sde-ordering": ("COUPLED_TOL",),
+}
+
+
+def test_thresholds_state_the_constants_their_rules_read():
+    # the threshold strings are literals, so a constant changed alone would
+    # leave its check reporting the old value
+    results = verify.run_battery(verify.QUICK)
+    assert [r.name for r in results] == list(RULE_CONSTANTS)
+    for r in results:
+        stated = {float(x) for x in re.findall(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?",
+                                               r.threshold)}
+        for name in RULE_CONSTANTS[r.name]:
+            assert getattr(verify, name) in stated, (r.name, name, r.threshold)

@@ -62,7 +62,7 @@ def test_rw_survival_csv_rows(tmp_path, capsys):
     doc = json.loads(read(tmp_path / "rw_survival.json"))
     assert doc["schema_version"] == 1
     assert doc["config"]["horizon"] == "2"
-    assert doc["survival"]["values"][2] == "0.48"
+    assert doc["survival"] == {"mode": "float", "values": ["1", "1", "0.48"]}
 
 
 def test_rw_survival_rational_mode(tmp_path):
@@ -71,6 +71,9 @@ def test_rw_survival_rational_mode(tmp_path):
     data = [l for l in read(tmp_path / "rw_survival.csv").splitlines()
             if not l.startswith("#")]
     assert data[-1] == "2,12/25"
+    doc = json.loads(read(tmp_path / "rw_survival.json"))
+    assert doc["survival"] == {"mode": "rational",
+                               "values": ["1/1", "1/1", "12/25"]}
 
 
 def test_bad_flag_value_is_exit_1(tmp_path, capsys):
@@ -99,11 +102,20 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert "horizon = 2" in out   # flag wins over file
 
 
-def test_converters_are_exactly_the_subcommand_flags():
-    # outdir resolves on its own path, so a converter for it, or for a
-    # removed flag, would never be read
-    flags = {flag for flags in cli._SUBCOMMANDS.values() for flag in flags}
-    assert set(cli._CONVERTERS) == flags
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_config_file_of_defaults_resolves_as_no_file(tmp_path, command):
+    # every default, written as text, goes through its flag's converter
+    flags = cli._SUBCOMMANDS[command][1]
+    cfgfile = tmp_path / "defaults.cfg"
+    cfgfile.write_text("".join(f"{flag} = {default}\n"
+                               for flag, (default, _, _) in flags.items()))
+    parser = cli._build_parser()
+
+    def resolve(*extra):
+        args = parser.parse_args([command, "--outdir", str(tmp_path), *extra])
+        return cli._resolve(command, args)
+
+    assert resolve("--config", str(cfgfile)) == resolve()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -212,6 +224,18 @@ def test_negative_infinite_flag_value_is_exit_1(tmp_path, capsys):
     assert "expected one argument" not in err
 
 
+@pytest.mark.parametrize("command, flag", [("bm-dominance", "times"),
+                                           ("bm-survival", "lambdas"),
+                                           ("bm-couple", "lambdas")])
+def test_empty_float_list_is_exit_1(tmp_path, capsys, command, flag):
+    # an empty --times once made bm-dominance report dominance from zero
+    # comparisons, and an empty --lambdas an empty bm-survival table
+    assert run([command, f"--{flag}", "", "--outdir", str(tmp_path)]) == 1
+    assert f"bad value for key '{flag}'" in capsys.readouterr().err
+    assert run([command, f"--{flag}", ",", "--outdir", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_float_list_and_config_value_are_exit_1(tmp_path, capsys):
     assert run(["bm-survival", "--times", "0.5,nan", "--outdir", str(tmp_path)]) == 1
     assert "bad value for key 'times'" in capsys.readouterr().err
@@ -250,10 +274,11 @@ def test_bm_couple_step_count_overflow_is_exit_1(tmp_path, capsys):
             "horizon=1e+300") in capsys.readouterr().err
 
 
-def test_bm_couple_json_is_strict_without_hits(tmp_path):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
+def reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
+
+def test_bm_couple_json_is_strict_without_hits(tmp_path):
     assert run(["bm-couple", "--n-paths", "50", "--dt", "1e-3", "--level", "100",
                 "--time-horizon", "0.01", "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "bm_couple.json"), parse_constant=reject)
@@ -302,6 +327,35 @@ def test_bm_reweight(tmp_path):
     assert doc["z_score"] <= 4.0
     assert "bridge" not in doc["config"]
     assert not (tmp_path / "bm_reweight_paths.csv").exists()  # dump is opt-in
+
+
+def test_bm_reweight_exact_match_reads_z_zero(tmp_path):
+    # at t = 0 the estimate and the analytic value are both exactly 1 with
+    # stderr 0; this once wrote "z_score": Infinity and exited 2
+    assert run(["bm-reweight", "--lambda-from", "1", "--lambda-to", "1",
+                "--t", "0", "--n-paths", "2000", "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(read(tmp_path / "bm_reweight.json"), parse_constant=reject)
+    assert doc["estimate"] == doc["analytic"] == 1.0
+    assert doc["stderr"] == doc["z_score"] == 0.0
+
+
+def test_bm_reweight_infinite_z_is_null_and_exit_2(tmp_path):
+    # both paths outlive t, so stderr is 0 while the analytic value is below 1
+    assert run(["bm-reweight", "--lambda-from", "1", "--lambda-to", "1",
+                "--t", "0.3", "--n-paths", "2", "--seed", "2",
+                "--outdir", str(tmp_path)]) == 2
+    doc = json.loads(read(tmp_path / "bm_reweight.json"), parse_constant=reject)
+    assert doc["estimate"] == 1.0 and doc["stderr"] == 0.0
+    assert doc["analytic"] < 1.0
+    assert doc["z_score"] is None
+
+
+def test_bm_reweight_one_path_is_exit_1(tmp_path, capsys):
+    # one path once wrote "stderr": NaN, with numpy warnings on stderr
+    assert run(["bm-reweight", "--n-paths", "1", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: reweighting needs at least 2 paths for a standard error, got 1\n"
+    assert not (tmp_path / "bm_reweight.json").exists()
 
 
 def load_tracing():

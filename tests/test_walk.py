@@ -263,14 +263,6 @@ def test_float_dp_stays_at_most_one():
     assert ed.survival_at(spec, [1500]) == [1.0]
 
 
-def test_serialization_roundtrip(tmp_path):
-    obj = ed.survival_pmf(WalkSpec(0.6, 2), 4).to_json_obj()
-    assert obj["mode"] == MODE_FLOAT
-    assert obj["values"][:3] == ["1", "1", "0.48"]
-    obj = ed.survival_pmf(WalkSpec("3/5", 2), 4, MODE_RATIONAL).to_json_obj()
-    assert obj["values"][:3] == ["1/1", "1/1", "12/25"]
-
-
 def reference_dp(spec, horizon, mode):
     """The walk DP with every cell in the mode's own numbers (Fractions or
     floats): the library's recurrence before rational mode moved to integer
