@@ -11,7 +11,10 @@ From there on it is cosh(lam*b) * int_t^inf e^(-lam^2 s / 2) f(s) ds, with
 f the driftless exit density, integrated termwise along the eigenseries: it
 stops at its first term below ``SERIES_TOL`` (1e-12) and raises
 ArithmeticError past ``_MAX_TERMS`` (2000) terms.  ``drifted_survival_quad``
-integrates that product by quadrature, independently of both series.
+integrates that product by quadrature, independently of both series.  It is
+the only function that loads ``scipy.integrate``, on its first call, so a
+process that never integrates does not pay for that import (nor for
+``scipy.optimize`` and ``scipy.sparse``, which it pulls in).
 
 The image sums group the images into terms j = -20..20 and skip only terms
 that are exactly +-0.0, so the sum is that of the full loop.  A survival
@@ -30,7 +33,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy import integrate
 from scipy.special import log_ndtr, ndtr
 
 from .dominance import DominanceReport, _check_tie_tol, _worst_gap
@@ -221,6 +223,9 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
     the integrand beyond the truncation time.  The value is clamped to
     [0, 1]; ValueError where cosh(lam*b) overflows.
     """
+    # imported here, so that a process that never integrates never loads it
+    from scipy import integrate
+
     _check_time(t)
     lam = abs(spec.lam)
     b = spec.b

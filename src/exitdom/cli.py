@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import bm, dominance, io, mc, verify, walk, walk_girsanov
 from .bm import DriftSpec
@@ -39,6 +40,24 @@ def _floats(text: str) -> list[float]:
         raise ValueError(
             f"expected a comma-separated list of finite floats, got {text!r}")
     return values
+
+
+def _fractions(text: str) -> str:
+    """The comma list unchanged, once every entry reads as a Fraction."""
+    for entry in text.split(","):
+        entry = entry.strip()
+        try:
+            Fraction(entry)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {entry!r}") from None
+    return text
+
+
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"expected at least 1 thread, got {n}")
+    return n
 
 
 def _out(cfg: dict, stem: str, ext: str) -> str:
@@ -171,7 +190,7 @@ def _cmd_verify_all(cfg: dict) -> tuple[dict, str, bool]:
 
 # flags shared by several subcommands: (default, converter, help text)
 _SEED = (20240817, int, "master seed (64-bit integer)")
-_THREADS = (1, int, "worker threads for path batches (count)")
+_THREADS = (1, _threads, "worker threads for path batches (count)")
 _DUMP_PATHS = (0, int, "also write the large per-path CSV: 1 on, 0 off")
 
 # name -> (handler, {flag: (default, converter, help text)}); the order of
@@ -184,7 +203,7 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "mode": ("float", str, "arithmetic mode: rational|float"),
     }),
     "rw-dominance": (_cmd_rw_dominance, {
-        "ps": ("0.5,0.6,0.7,0.8,0.9", str, "ascending bias grid in [1/2,1) (comma list)"),
+        "ps": ("0.5,0.6,0.7,0.8,0.9", _fractions, "ascending bias grid in [1/2,1) (comma list)"),
         "k": (3, int, "barrier half-width (steps)"),
         "horizon": (200, int, "largest step count n (steps)"),
         "mode": ("rational", str, "arithmetic mode: rational|float"),

@@ -325,21 +325,23 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     reaches each barrier with its exact Brownian-bridge probability,
     exp(-2(b-x_i)(b-x_{i+1})/dt) at +b, and an exiting step samples its
     hitting time inside the step (``_hit_offsets``); a step that fires at
-    both barriers exits at the earlier of its two times.  Exit times are therefore not multiples of dt, but each lies in
-    its step's (k dt, (k + 1) dt], so survival at a grid time counts the
-    same exits as step-end times would.  The law is exact except where one
-    step reaches both barriers, whose chance is at most
-    4 P(Z > (b - |lam| dt) / sqrt(dt)): a ValueError rejects a dt that makes
-    this bound exceed 1e-9 (at lam = 0, b / sqrt(dt) below about 6.2).
-    Uniforms are drawn only for steps whose crossing probability is at least
-    2**-53, which changes each step's law by less than 2**-53; the module
-    docstring lists which numbers each batch draws and in what order.  Paths
-    alive at the horizon are censored (side 0).
+    both barriers exits at the earlier of its two times.  Exit times are
+    therefore not multiples of dt, but each lies in its step's
+    (k dt, (k + 1) dt], so survival at a grid time counts the same exits as
+    step-end times would.  The law is exact except where one step reaches
+    both barriers, whose chance is at most 4 P(Z > (b - |lam| dt) / sqrt(dt)):
+    a ValueError rejects a dt that makes this bound exceed 1e-9 (at lam = 0,
+    b / sqrt(dt) below about 6.2).  Uniforms are drawn only for steps whose
+    crossing probability is at least 2**-53, which changes each step's law
+    by less than 2**-53; the module docstring lists which numbers each batch
+    draws and in what order.  Paths alive at the horizon are censored
+    (side 0).
 
     Paths are simulated in batches of ``_BATCH_PATHS`` (4096): batch i,
     paths 4096 i to 4096 i + 4095, draws from ``rng.child(i)``, whatever the
-    thread count.  A spec passed here should therefore not also feed another
-    simulation; give each call its own spec or child.
+    thread count, which must be at least 1.  A spec passed here should
+    therefore not also feed another simulation; give each call its own spec
+    or child.
     """
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise ValueError(f"dt and horizon must be finite, got dt={dt!r}, "
@@ -350,6 +352,8 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
         raise ValueError("dt must not exceed the horizon")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads!r}")
     bound = _both_barriers_bound(spec.lam, spec.b, dt)
     if not bound <= _BOTH_BARRIERS_MAX:
         raise ValueError(

@@ -149,6 +149,36 @@ def test_rw_dominance_ok(tmp_path, capsys):
     assert doc["report"]["n_violations"] == 0
 
 
+@pytest.mark.parametrize("ps", ["0.5,,0.7", "", "0.5,x", "0.5,1/0"])
+def test_bad_bias_list_is_exit_1_before_the_echo(tmp_path, capsys, ps):
+    # each once failed in the handler, after the config echo
+    assert run(["rw-dominance", "--ps", ps, "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "bad value for key 'ps'" in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_valid_bias_list_is_kept_as_written(tmp_path, capsys):
+    assert run(["rw-dominance", "--ps", "1/2, 0.7", "--k", "2", "--horizon", "20",
+                "--outdir", str(tmp_path)]) == 0
+    assert "  ps = 1/2, 0.7" in capsys.readouterr().out
+    doc = json.loads(read(tmp_path / "rw_dominance.json"))
+    assert doc["config"]["ps"] == "1/2, 0.7"
+
+
+@pytest.mark.parametrize("command", ["bm-independence", "bm-reweight", "verify-all"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_exit_1(tmp_path, capsys, command, threads):
+    # bm-independence and bm-reweight once ran serially and echoed the value
+    assert run([command, "--threads", threads, "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert (f"bad value for key 'threads': expected at least 1 thread, "
+            f"got {threads}") in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
 def test_rw_independence_tolerance_failure_is_exit_2(tmp_path):
     assert run(["rw-independence", "--tol", "1e-300", "--truncation", "200",
                 "--outdir", str(tmp_path)]) == 2

@@ -5,10 +5,15 @@ private function, class or constant is referenced somewhere in the library
 outside its own definition.  Every public one is read by the library, the
 benchmark (``perfbench/``) or the demos outside its own definition; a
 re-export in ``__init__.py`` does not count.  In neither case does a
-reference from the tests alone count.  A fresh ``import exitdom`` also
-leaves ``scipy.stats``, slow to import, unloaded.  In ``bm.py`` only the
-quadrature route, ``drifted_survival_quad``, reads ``integrate``, so that
-the series it is checked against do not share its quadrature.
+reference from the tests alone count.
+
+A fresh ``import exitdom`` or ``import exitdom.cli`` leaves the slow scipy
+packages that most commands never use unloaded: ``scipy.stats``,
+``scipy.integrate`` and the ``scipy.optimize`` and ``scipy.sparse`` that
+``scipy.integrate`` pulls in.  In ``bm.py`` only the quadrature route,
+``drifted_survival_quad``, reads ``integrate``, so that the series it is
+checked against do not share its quadrature; it imports ``integrate`` on
+its first call, so only the commands that integrate load it.
 """
 
 import ast
@@ -17,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from exitdom import DriftSpec, drifted_survival_quad
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "exitdom"
@@ -182,9 +189,44 @@ def test_every_public_name_has_a_production_reader():
     assert unread_public_names(library, sources) == []
 
 
-def test_import_leaves_scipy_stats_unloaded():
+UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The last line that ``code`` prints, run in a fresh interpreter on ``src``."""
     # python -c puts its working directory first on sys.path
-    code = "import sys, exitdom; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT / "src",
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    for module in ("exitdom", "exitdom.cli"):
+        code = (f"import sys, {module}; "
+                f"print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])")
+        assert fresh_python(code) == "[]", module
+
+
+def test_quadrature_route_works_after_a_bare_import():
+    # its first call imports scipy.integrate, which import exitdom left out
+    spec = "exitdom.DriftSpec(1.0, 1.0)"
+    code = f"import exitdom; print(repr(exitdom.drifted_survival_quad({spec}, 0.5)))"
+    assert fresh_python(code) == repr(drifted_survival_quad(DriftSpec(1.0, 1.0), 0.5))
+
+
+def test_only_the_commands_that_integrate_load_integrate(tmp_path):
+    code = """
+import sys
+from exitdom import cli
+loaded = []
+for argv in (["rw-survival", "--horizon", "5"],
+             ["bm-couple", "--n-paths", "20", "--dt", "1e-3",
+              "--time-horizon", "0.05"],
+             ["verify-all", "--profile", "quick"]):
+    status = cli.main([*argv, "--outdir", sys.argv[1]])
+    loaded.append((argv[0], status, "scipy.integrate" in sys.modules))
+print(loaded)
+"""
+    assert fresh_python(code, str(tmp_path)) == str(
+        [("rw-survival", 0, False), ("bm-couple", 0, False),
+         ("verify-all", 0, True)])

@@ -561,6 +561,10 @@ def test_simulation_input_validation():
         ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 2.0, 1.0, 10, rng)
     with pytest.raises(ValueError):
         ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.1, 1.0, 0, rng)
+    for threads in (0, -1):  # once taken as one thread
+        with pytest.raises(ValueError, match="at least one thread"):
+            ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.1, 1.0, 10, rng,
+                                threads=threads)
     for dt, horizon in [(math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf),
                         (math.inf, 1.0)]:
         with pytest.raises(ValueError, match="dt and horizon must be finite"):
