@@ -16,6 +16,12 @@ the only function that loads ``scipy.integrate``, on its first call, so a
 process that never integrates does not pay for that import (nor for
 ``scipy.optimize`` and ``scipy.sparse``, which it pulls in).
 
+Its integrand factor, the driftless density ``_exit_density(b, s)``, is
+memoized on (b, s) by a ``functools.lru_cache`` of ``_DENSITY_CACHE`` (8192)
+entries: QUADPACK puts its nodes on the same pieces [0.05 b^2, b^2] and
+[b^2, T_cut] for many (lam, t), so most evaluations repeat.  The density is a
+pure function of (b, s), so a cached value is the computed value bit for bit.
+
 The image sums group the images into terms j = -20..20 and skip only terms
 that are exactly +-0.0, so the sum is that of the full loop.  A survival
 term j <= -1 is 0 once its three Phi are 1, as ndtr(x) is for x > 8.30.
@@ -29,6 +35,7 @@ e^-745.14.  The density's image at distance c contributes c e^(-c^2 / 2t),
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -47,6 +54,7 @@ _MAX_LAMBDA_B = math.acosh(sys.float_info.max)
 SERIES_TOL = 1e-12
 _MAX_TERMS = 2000
 _QUAD_LIMIT = 200
+_DENSITY_CACHE = 8192  # entries of the quadrature integrand's memo
 
 _IMAGES = 20  # the image sums run over at most j = -_IMAGES.._IMAGES
 # exp(-x) == 0.0 for x > 745.14 and ndtr(x) == 1.0 for x > 8.30, with margins
@@ -155,10 +163,13 @@ def _density_reflection(b: float, t: float) -> float:
     return max(0.0, acc * inv)
 
 
+@functools.lru_cache(maxsize=_DENSITY_CACHE)
 def _exit_density(b: float, t: float) -> float:
     """Density of tau at t (> 0) for driftless exit from (-b, b).
 
-    It is the quadrature route's integrand, so it skips the domain checks.
+    It is the quadrature route's integrand, so it skips the domain checks,
+    and it is memoized on (b, t), at most ``_DENSITY_CACHE`` entries.  An int
+    b shares the entries of the equal float: both compute the same bits.
     """
     if t < _SMALL_T * b * b:
         return _density_reflection(b, t)

@@ -17,7 +17,6 @@ import dataclasses
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import bm, dominance, io, mc, verify, walk, walk_girsanov
 from .bm import DriftSpec
@@ -42,14 +41,21 @@ def _floats(text: str) -> list[float]:
     return values
 
 
+def _bias(text: str) -> str:
+    """The text unchanged, once it reads as a bias strictly inside (0, 1)."""
+    if not text.strip():
+        raise ValueError("empty bias")
+    try:
+        walk._parse_bias(text, "bias")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    return text
+
+
 def _fractions(text: str) -> str:
-    """The comma list unchanged, once every entry reads as a Fraction."""
+    """The comma list unchanged, once every entry passes ``_bias``."""
     for entry in text.split(","):
-        entry = entry.strip()
-        try:
-            Fraction(entry)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {entry!r}") from None
+        _bias(entry)
     return text
 
 
@@ -197,7 +203,7 @@ _DUMP_PATHS = (0, int, "also write the large per-path CSV: 1 on, 0 off")
 # the entries and of their flags is the --help order
 _SUBCOMMANDS: dict[str, tuple] = {
     "rw-survival": (_cmd_rw_survival, {
-        "p": ("0.5", str, "step-up probability (dimensionless, in (0,1); '3/5' form allowed)"),
+        "p": ("0.5", _bias, "step-up probability (dimensionless, in (0,1); '3/5' form allowed)"),
         "k": (2, int, "barrier half-width (steps)"),
         "horizon": (50, int, "largest step count n (steps)"),
         "mode": ("float", str, "arithmetic mode: rational|float"),
@@ -209,7 +215,7 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "mode": ("rational", str, "arithmetic mode: rational|float"),
     }),
     "rw-independence": (_cmd_rw_independence, {
-        "p": ("0.7", str, "step-up probability (dimensionless)"),
+        "p": ("0.7", _bias, "step-up probability (dimensionless)"),
         "k": (2, int, "barrier half-width (steps)"),
         "truncation": (300, int, "table truncation (steps)"),
         "mode": ("float", str, "arithmetic mode: rational|float"),
@@ -217,8 +223,8 @@ _SUBCOMMANDS: dict[str, tuple] = {
                 "max allowed joint-vs-product independence deviation (probability)"),
     }),
     "rw-reweight": (_cmd_rw_reweight, {
-        "p-from": ("0.5", str, "simulated bias (dimensionless)"),
-        "p-to": ("0.7", str, "target bias (dimensionless)"),
+        "p-from": ("0.5", _bias, "simulated bias (dimensionless)"),
+        "p-to": ("0.7", _bias, "target bias (dimensionless)"),
         "k": (3, int, "barrier half-width (steps)"),
         "n": (10, int, "survival step count n (steps)"),
         "truncation": (400, int, "table truncation (steps)"),
@@ -227,8 +233,8 @@ _SUBCOMMANDS: dict[str, tuple] = {
                 "max(tail bound, tol) (probability)"),
     }),
     "rw-factorization": (_cmd_rw_factorization, {
-        "p1": ("0.5", str, "smaller bias, >= 1/2 (dimensionless)"),
-        "p2": ("0.6", str, "larger bias, < 1 (dimensionless)"),
+        "p1": ("0.5", _bias, "smaller bias, >= 1/2 (dimensionless)"),
+        "p2": ("0.6", _bias, "larger bias, < 1 (dimensionless)"),
         "k": (2, int, "barrier half-width (steps)"),
         "n": (4, int, "survival step count n (steps)"),
         "truncation": (400, int, "table truncation (steps)"),

@@ -147,9 +147,25 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     return report
 
 
-def _ecdf_survival(sorted_s: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical P(X > t) on a grid, from the sample in ascending order."""
-    return 1.0 - np.searchsorted(sorted_s, grid, side="right") / sorted_s.size
+def _merged_counts(a: np.ndarray, b: np.ndarray):
+    """(count_a, count_b) at each distinct point of two ascending samples.
+
+    count_x[i] is the number of x <= the i-th smallest distinct point.  One
+    stable argsort merges the two runs; the running count of a's entries is
+    read at the last copy of each point, where it counts every tie.  NaN
+    has no place in the order and raises ValueError.
+    """
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    if np.isnan(merged[-1]):  # NaN sorts last
+        raise ValueError("samples must not contain NaN")
+    count_a = np.cumsum(order < a.size)
+    count_b = np.arange(1, merged.size + 1) - count_a
+    last = np.empty(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    return count_a[last], count_b[last]
 
 
 def empirical_dominance_test(samples_a, samples_b):
@@ -158,7 +174,7 @@ def empirical_dominance_test(samples_a, samples_b):
     Simultaneous one-sided bands at joint confidence 0.99 (``_CONFIDENCE``;
     the risk is split evenly between the two samples).  Returns
     (verdict, band_widths) where verdict is one of CONSISTENT, VIOLATES,
-    INCONCLUSIVE.
+    INCONCLUSIVE.  A NaN sample point raises ValueError.
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
@@ -168,11 +184,10 @@ def empirical_dominance_test(samples_a, samples_b):
     eps_a = math.sqrt(math.log(2.0 / alpha) / (2.0 * a.size))
     eps_b = math.sqrt(math.log(2.0 / alpha) / (2.0 * b.size))
     # both curves step only at sample points, so comparing them at every
-    # sample point decides the test; a point repeated changes no any or all
-    a, b = np.sort(a), np.sort(b)
-    grid = np.concatenate([a, b])
-    surv_a = _ecdf_survival(a, grid)
-    surv_b = _ecdf_survival(b, grid)
+    # distinct sample point decides the test
+    count_a, count_b = _merged_counts(np.sort(a), np.sort(b))
+    surv_a = 1.0 - count_a / a.size
+    surv_b = 1.0 - count_b / b.size
     if np.any(surv_b - eps_b > surv_a + eps_a):
         return VIOLATES, (eps_a, eps_b)
     if np.all(surv_a >= surv_b):

@@ -8,16 +8,27 @@ bias p1 on the first n steps is r^n * z^s with
 evaluated at the terminal position s.  The same expression at (sigma,
 S_sigma) changes measure on the stopped filtration, which is what the
 reweighting and factorization identities below exercise.
+
+``reweighted_survival_walk`` and ``factorization_check_discrete`` read their
+float exit table from ``_float_exit_table``, a ``functools.lru_cache`` of
+``_TABLE_CACHE`` (16) tables keyed on (bias as a float, k, truncation), so a
+grid of calls that shares a bias builds its table once.  The table is a pure
+function of that key and only the ``*_from_table`` readers, which never
+change it, see the cached one: every returned value is the same bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 from . import walk
 from .walk import (MODE_FLOAT, JointExitTable, WalkSpec, _parse_bias,
                    exit_joint)
+
+
+_TABLE_CACHE = 16  # float exit tables kept by _float_exit_table
 
 
 class ReweightedSurvival(NamedTuple):
@@ -48,19 +59,31 @@ def _tail_bound(spec_from: WalkSpec, r: float, z: float, truncation: int,
     return bound
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE, typed=True)
+def _float_exit_table(p: float, k: int, truncation: int) -> JointExitTable:
+    """The float exit table at bias ``p`` (a float) up to ``truncation``.
+
+    Memoized on (p, k, truncation), at most ``_TABLE_CACHE`` tables; typed,
+    so that a k or truncation of another type is checked by ``exit_joint``
+    rather than served a table.  Callers hand it only to the readers.
+    """
+    return exit_joint(WalkSpec(p, k), truncation, MODE_FLOAT)
+
+
 def reweighted_survival_walk(p_from, p_to, k: int, n: int,
                              truncation: int) -> ReweightedSurvival:
     """Estimate P_{p_to}(sigma > n) from the p_from exit table by reweighting.
 
-    Builds the float exit table at p_from up to ``truncation`` and reads it
-    with ``reweighted_survival_from_table``.
+    Reads the float exit table at p_from up to ``truncation``, built once
+    per (p_from, k, truncation) by ``_float_exit_table``, with
+    ``reweighted_survival_from_table``.
     """
     pf = _parse_bias(p_from, "p_from")
     _parse_bias(p_to, "p_to")
     if truncation <= n:
         raise ValueError(f"truncation {truncation} must exceed n={n}")
-    table = exit_joint(WalkSpec(pf, k), truncation, MODE_FLOAT)
-    return reweighted_survival_from_table(table, p_to, n)
+    return reweighted_survival_from_table(_float_exit_table(pf, k, truncation),
+                                          p_to, n)
 
 
 def reweighted_survival_from_table(table: JointExitTable, p_to,
@@ -121,11 +144,12 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
 
     are computed independently: the left from a direct DP at p2, the right
     by ``factorization_from_table`` from the float exit table at p1 up to
-    ``truncation``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a pair so
-    close that r rounds to 1 raises ValueError.
+    ``truncation``, built once per (p1, k, truncation) by
+    ``_float_exit_table``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a
+    pair so close that r rounds to 1 raises ValueError.
     """
     _, p2f = _factorization_r(p1, p2, n, truncation)
-    table = exit_joint(WalkSpec(_parse_bias(p1, "p1"), k), truncation, MODE_FLOAT)
+    table = _float_exit_table(_parse_bias(p1, "p1"), k, truncation)
     direct = walk.survival_pmf(WalkSpec(p2f, k), n, MODE_FLOAT).values[n]
     return abs(direct - factorization_from_table(table, p2, n))
 

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -18,6 +21,9 @@ from exitdom.bm import (
     _survival_images,
     _weighted_tail_series,
 )
+from exitdom.walk_girsanov import _float_exit_table
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_series_and_reflection_agree_across_crossover():
@@ -92,6 +98,62 @@ def test_series_vs_quadrature_route():
                 a = ed.drifted_survival(DriftSpec(lam, b), t)
                 q, bound = ed.drifted_survival_quad(DriftSpec(lam, b), t)
                 assert a == pytest.approx(q, abs=1e-9 + bound)
+
+
+def _quad_bits(spec, t):
+    return [v.hex() for v in ed.drifted_survival_quad(spec, t)]
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 1])
+def test_density_memo_keeps_every_bit(b):
+    # t = 0, one short time below 0.05 b^2 and two from b^2 on
+    for lam_b in (0.0, 1.5, 8.0):
+        spec = DriftSpec(lam_b / b, b)
+        for t in (0.0, 0.01 * b * b, b * b, 3.0 * b * b):
+            bm._exit_density.cache_clear()
+            cold = _quad_bits(spec, t)
+            misses = bm._exit_density.cache_info().misses
+            assert _quad_bits(spec, t) == cold
+            info = bm._exit_density.cache_info()
+            assert info.misses == misses and info.hits >= misses > 0
+
+
+def test_density_memo_serves_an_int_barrier_the_float_bits():
+    for lam, t in ((0.0, 0.02), (2.0, 0.3), (5.0, 1.5)):
+        bm._exit_density.cache_clear()
+        cold = _quad_bits(DriftSpec(lam, 1), t)
+        bm._exit_density.cache_clear()
+        _quad_bits(DriftSpec(lam, 1.0), t)
+        misses = bm._exit_density.cache_info().misses
+        assert _quad_bits(DriftSpec(lam, 1), t) == cold
+        assert bm._exit_density.cache_info().misses == misses
+
+
+def test_a_second_exact_routes_pass_recomputes_nothing(tmp_path, monkeypatch):
+    # the benchmark's exact-routes workload, run twice in one process: the
+    # memos hold its whole working set, so the second pass misses none
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    exact = workloads.WORKLOADS["exact-routes"]
+    inputs = exact.build(1)
+    bm._exit_density.cache_clear()
+    _float_exit_table.cache_clear()
+    first = exact.run(inputs, str(tmp_path))
+    density, tables = bm._exit_density.cache_info(), _float_exit_table.cache_info()
+    second = exact.run(inputs, str(tmp_path))
+    assert bm._exit_density.cache_info().misses == density.misses
+    assert _float_exit_table.cache_info().misses == tables.misses
+    assert tables.misses == 7 and density.hits > density.misses
+    for out in (first, second):
+        checks, _ = exact.check(inputs, out, str(tmp_path))
+        assert all(c["passed"] for c in checks if c["gated"])
+    assert repr(first["reweight"]) == repr(second["reweight"])
+    assert repr(first["factorization"]) == repr(second["factorization"])
+    assert repr([q for *_, q in first["continuous"]]) == repr(
+        [q for *_, q in second["continuous"]])
 
 
 def test_quadrature_route_stays_in_the_unit_interval():
@@ -325,11 +387,16 @@ def test_exact_zero_cutoffs_hold():
 def test_bm_values_match_oracles_bit_for_bit(b, log_t, lam_b):
     t = 10.0 ** log_t * b * b
     got = public_values(b, t, lam_b / b)
-    with mock.patch.multiple(bm, _survival_images=oracle_survival_images,
-                             _density_series=oracle_density_series,
-                             _density_reflection=oracle_density_reflection,
-                             _weighted_tail_series=oracle_weighted_tail_series):
-        want = public_values(b, t, lam_b / b)
+    # the density memo would serve the oracle pass the values just computed
+    bm._exit_density.cache_clear()
+    try:
+        with mock.patch.multiple(bm, _survival_images=oracle_survival_images,
+                                 _density_series=oracle_density_series,
+                                 _density_reflection=oracle_density_reflection,
+                                 _weighted_tail_series=oracle_weighted_tail_series):
+            want = public_values(b, t, lam_b / b)
+    finally:
+        bm._exit_density.cache_clear()
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
     if t < bm._SMALL_T * b * b:

@@ -167,6 +167,28 @@ def test_valid_bias_list_is_kept_as_written(tmp_path, capsys):
     assert doc["config"]["ps"] == "1/2, 0.7"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("rw-survival", "p"), ("rw-independence", "p"), ("rw-reweight", "p-from"),
+    ("rw-reweight", "p-to"), ("rw-factorization", "p1"), ("rw-factorization", "p2")])
+@pytest.mark.parametrize("value", ["", "1/0", "x", "0", "1", "1.5", "-1/2"])
+def test_bad_bias_is_exit_1_before_the_echo(tmp_path, capsys, command, flag, value):
+    # each once failed in the library, after the config echo, without the flag
+    assert run([command, f"--{flag}", value, "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"bad value for key '{flag}'" in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_valid_bias_is_kept_as_written(tmp_path, capsys):
+    assert run(["rw-reweight", "--p-from", "1/2", "--p-to", " 0.7",
+                "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "  p-from = 1/2\n" in out and "  p-to =  0.7\n" in out
+    doc = json.loads(read(tmp_path / "rw_reweight.json"))
+    assert (doc["config"]["p-from"], doc["config"]["p-to"]) == ("1/2", " 0.7")
+
+
 @pytest.mark.parametrize("command", ["bm-independence", "bm-reweight", "verify-all"])
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_is_exit_1(tmp_path, capsys, command, threads):

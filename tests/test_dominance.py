@@ -169,14 +169,45 @@ def _unique_grid_dominance_test(a, b):
     return ed.INCONCLUSIVE, (eps_a, eps_b)
 
 
-def test_empirical_test_matches_the_unique_grid_rule():
+def _dkw_cases():
+    """(untied, tied) lists of sample pairs of unequal sizes."""
     rng = np.random.default_rng(4)
     untied = [(rng.exponential(size=3000) * s, rng.exponential(size=2000))
               for s in (3.0, 1.0, 1.02, 0.5)]
     tied = [(rng.integers(0, 6, size=n) + s, rng.integers(0, 6, size=500))
             for n, s in ((400, 0), (500, 1), (700, -1), (300, 0.5))]
     tied.append((np.repeat([1.0, 2.0], 50), np.repeat([1.0, 2.0], [60, 40])))
-    for cases in (untied, tied):
+    return untied, tied
+
+
+def test_merged_counts_match_two_searchsorted_calls():
+    # the counts as the test once read them: each sorted sample searched at
+    # every point of both samples
+    untied, tied = _dkw_cases()
+    edge = [(np.array([2.0]), np.array([1.0, 2.0, 2.0])),
+            (np.array([-np.inf, 0.0, np.inf]), np.array([np.inf, np.inf])),
+            (np.full(5, 3.0), np.full(2, 3.0))]
+    for a, b in untied + tied + edge:
+        a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+        grid = np.concatenate([a, b])
+        want_a = np.searchsorted(a, grid, side="right")
+        want_b = np.searchsorted(b, grid, side="right")
+        count_a, count_b = dominance._merged_counts(a, b)
+        distinct = np.unique(grid)
+        assert count_a.size == distinct.size
+        at = np.searchsorted(distinct, grid)  # each grid point's distinct point
+        assert count_a.dtype == want_a.dtype and count_b.dtype == want_b.dtype
+        assert np.array_equal(count_a[at], want_a)
+        assert np.array_equal(count_b[at], want_b)
+
+
+def test_empirical_test_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ed.empirical_dominance_test([1.0, math.nan], [2.0])
+
+
+def test_empirical_test_matches_the_unique_grid_rule():
+    for cases in _dkw_cases():
         verdicts = set()
         for a, b in cases:
             got = ed.empirical_dominance_test(a, b)

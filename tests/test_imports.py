@@ -14,6 +14,8 @@ packages that most commands never use unloaded: ``scipy.stats``,
 ``drifted_survival_quad``, reads ``integrate``, so that the series it is
 checked against do not share its quadrature; it imports ``integrate`` on
 its first call, so only the commands that integrate load it.
+
+Every ``functools`` memo in the library has a finite integer ``maxsize``.
 """
 
 import ast
@@ -122,6 +124,44 @@ def references_outside(source: str, name: str, function: str) -> list[int]:
                        or isinstance(node, ast.Attribute) and node.attr == name))
 
 
+def unbounded_caches(source: str) -> list[str]:
+    """Uses of ``functools.cache`` or ``functools.lru_cache`` that do not pass
+    a positive integer ``maxsize``: a literal, or a module-level constant
+    assigned one.  A bare ``@lru_cache`` leaves the bound to the default.
+    """
+    tree = ast.parse(source)
+    constants = {target.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for alias in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            kind = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            kind = aliases.get(node.id)
+        else:
+            continue
+        if kind == "cache":
+            out.append((node.lineno, "cache has no bound"))
+        elif kind == "lru_cache":
+            call = calls.get(id(node))
+            given = [] if call is None else call.args[:1] + [
+                k.value for k in call.keywords if k.arg == "maxsize"]
+            size = given[0] if given else None
+            if isinstance(size, ast.Name):
+                size = constants.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if not (type(size) is int and size >= 1):
+                out.append((node.lineno, "lru_cache without a finite maxsize"))
+    return [f"line {line}: {problem}" for line, problem in sorted(out)]
+
+
 def _production_sources() -> dict[str, str]:
     """The library modules, the benchmark and the demos, by path from the root.
 
@@ -166,6 +206,31 @@ def test_checker_flags_a_reference_outside_the_function():
            "def series(f):\n    return integrate.quad(f, 0, 2)\n"
            "def other(f):\n    return scipy.integrate.quad(f, 0, 3)\n")
     assert references_outside(src, "integrate", "route") == [6, 8]
+
+
+def test_checker_flags_an_unbounded_cache():
+    src = ("import functools\nfrom functools import cache, lru_cache as memo\n"
+           "_N = 16\n_NONE = None\n"
+           "@functools.cache\ndef a(x): pass\n"
+           "@functools.lru_cache(maxsize=None)\ndef b(x): pass\n"
+           "@memo\ndef c(x): pass\n"
+           "@cache\ndef d(x): pass\n"
+           "@functools.lru_cache(maxsize=_NONE, typed=True)\ndef e(x): pass\n"
+           "@functools.lru_cache(None)\ndef f(x): pass\n"
+           "@functools.lru_cache(maxsize=8)\ndef g(x): pass\n"
+           "@memo(_N, typed=True)\ndef h(x): pass\n")
+    assert unbounded_caches(src) == [
+        "line 5: cache has no bound",
+        "line 7: lru_cache without a finite maxsize",
+        "line 9: lru_cache without a finite maxsize",
+        "line 11: cache has no bound",
+        "line 13: lru_cache without a finite maxsize",
+        "line 15: lru_cache without a finite maxsize"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
 
 
 def test_only_the_quadrature_route_reads_integrate():

@@ -7,7 +7,7 @@ import pytest
 import exitdom as ed
 from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
                           interior_decay_envelope)
-from exitdom.walk_girsanov import _rz
+from exitdom.walk_girsanov import _float_exit_table, _rz
 
 
 def _likelihood_ratio_walk(n, s, p_from, p_to, mode=MODE_FLOAT):
@@ -149,20 +149,43 @@ def test_factorization_identity():
                 assert ed.factorization_check_discrete(p1, p2, k, n, 600) <= 1e-10
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 def test_table_readers_match_the_per_point_functions():
+    # the per-point functions read a memoized table: cold after the clear,
+    # warm after the first call, and bit for bit a freshly built one
     truncation = 300
+    _float_exit_table.cache_clear()
     for k in (1, 3):
         for p_from in (0.5, 0.7, Fraction(3, 5)):
             table = ed.exit_joint(WalkSpec(float(p_from), k), truncation)
             for p_to in (0.5, 0.6, 0.9, "3/4"):
                 for n in (0, 7, 40):
-                    assert ed.reweighted_survival_from_table(table, p_to, n) == \
-                        ed.reweighted_survival_walk(p_from, p_to, k, n, truncation)
+                    assert _bits(ed.reweighted_survival_from_table(table, p_to, n)) == \
+                        _bits(ed.reweighted_survival_walk(p_from, p_to, k, n, truncation))
                     if float(p_from) < float(Fraction(p_to)):
                         rhs = ed.factorization_from_table(table, p_to, n)
                         direct = ed.survival_pmf(WalkSpec(p_to, k), n).values[n]
-                        assert abs(direct - rhs) == ed.factorization_check_discrete(
-                            p_from, p_to, k, n, truncation)
+                        assert _bits([abs(direct - rhs)]) == _bits([
+                            ed.factorization_check_discrete(p_from, p_to, k, n,
+                                                            truncation)])
+    # one table per bias and half-width: three biases at k = 1 and 3
+    assert _float_exit_table.cache_info().misses == 6
+
+
+def test_table_memo_keys_on_the_float_bias():
+    _float_exit_table.cache_clear()
+    ed.reweighted_survival_walk(Fraction(3, 5), 0.7, 3, 10, 200)
+    ed.reweighted_survival_walk(0.6, "7/10", 3, 10, 200)
+    ed.factorization_check_discrete("3/5", 0.7, 3, 10, 200)
+    info = _float_exit_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # typed: a float k is checked by WalkSpec, not served the int k's table
+    with pytest.raises(ValueError, match="half-width"):
+        ed.reweighted_survival_walk(0.6, 0.7, 3.0, 10, 200)
+    assert _float_exit_table.cache_info().currsize == 1
 
 
 def test_factorization_preconditions():
