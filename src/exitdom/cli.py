@@ -41,21 +41,40 @@ def _floats(text: str) -> list[float]:
     return values
 
 
-def _bias(text: str) -> str:
-    """The text unchanged, once it reads as a bias strictly inside (0, 1)."""
+def _bias_value(text: str) -> float:
     if not text.strip():
         raise ValueError("empty bias")
     try:
-        walk._parse_bias(text, "bias")
+        return walk._parse_bias(text, "bias")
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _bias(text: str) -> str:
+    """The text unchanged, once it reads as a bias strictly inside (0, 1)."""
+    _bias_value(text)
+    return text
+
+
+def _upper_bias_value(text: str) -> float:
+    p = _bias_value(text)
+    if p < 0.5:
+        raise ValueError(f"expected a bias in [1/2, 1), got {text!r}")
+    return p
+
+
+def _upper_bias(text: str) -> str:
+    """The text unchanged, once it reads as a bias in [1/2, 1)."""
+    _upper_bias_value(text)
     return text
 
 
 def _fractions(text: str) -> str:
-    """The comma list unchanged, once every entry passes ``_bias``."""
-    for entry in text.split(","):
-        _bias(entry)
+    """The comma list unchanged, once its entries read as biases in
+    [1/2, 1) that strictly ascend."""
+    values = [_upper_bias_value(entry) for entry in text.split(",")]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"expected a strictly ascending list, got {text!r}")
     return text
 
 
@@ -233,8 +252,8 @@ _SUBCOMMANDS: dict[str, tuple] = {
                 "max(tail bound, tol) (probability)"),
     }),
     "rw-factorization": (_cmd_rw_factorization, {
-        "p1": ("0.5", _bias, "smaller bias, >= 1/2 (dimensionless)"),
-        "p2": ("0.6", _bias, "larger bias, < 1 (dimensionless)"),
+        "p1": ("0.5", _upper_bias, "smaller bias, >= 1/2 (dimensionless)"),
+        "p2": ("0.6", _upper_bias, "larger bias, < 1 (dimensionless)"),
         "k": (2, int, "barrier half-width (steps)"),
         "n": (4, int, "survival step count n (steps)"),
         "truncation": (400, int, "table truncation (steps)"),
@@ -356,6 +375,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if unknown:
         raise ValueError(
             f"config key '{sorted(unknown)[0]}' is not accepted by {command}")
+    if {"p1", "p2"} <= cfg.keys() and _bias_value(cfg["p1"]) >= _bias_value(cfg["p2"]):
+        raise ValueError(f"bad value for key 'p2': expected a bias above "
+                         f"p1 = {cfg['p1']!r}, got {cfg['p2']!r}")
     cfg["outdir"] = io.resolve_outdir(args.outdir or file_cfg.get("outdir"))
     return cfg
 

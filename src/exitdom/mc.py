@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .bm import DriftSpec
 
@@ -436,6 +435,28 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float,
     return ReweightedEstimate(est, se, frac)
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi-square with ``dof`` (>= 1) degrees of freedom > x), for x >= 0.
+
+    With h = x / 2 it is e^-h sum_{i < dof/2} h^i / i! for even dof, and
+    erfc(sqrt h) + e^-h sum_{1 <= i < (dof + 1)/2} h^(i - 1/2) / Gamma(i + 1/2)
+    for odd dof.
+    """
+    h = 0.5 * x
+    if dof % 2 == 0:
+        term = acc = 1.0
+        for i in range(1, dof // 2):
+            term *= h / i
+            acc += term
+        return math.exp(-h) * acc
+    rh = math.sqrt(h)
+    term, acc = 2.0 * rh / math.sqrt(math.pi), 0.0
+    for i in range(1, (dof + 1) // 2):
+        acc += term
+        term *= h / (i + 0.5)
+    return math.erfc(rh) + math.exp(-h) * acc
+
+
 class ChiSquareResult(NamedTuple):
     statistic: float
     dof: int
@@ -479,7 +500,7 @@ def check_independence_continuous(samples: ExitSamples,
     expected = row * col / n
     stat = float(np.sum((obs - expected) ** 2 / expected))
     dof = nb - 1
-    return ChiSquareResult(stat, dof, float(chdtrc(dof, stat)), obs)
+    return ChiSquareResult(stat, dof, _chi2_sf(dof, stat), obs)
 
 
 @dataclass

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import log_ndtr, ndtr
 
 import exitdom as ed
 from exitdom import bm
@@ -18,6 +17,8 @@ from exitdom.bm import (
     DriftSpec,
     _density_reflection,
     _density_series,
+    _log_ndtr,
+    _ndtr,
     _survival_images,
     _weighted_tail_series,
 )
@@ -104,29 +105,37 @@ def _quad_bits(spec, t):
     return [v.hex() for v in ed.drifted_survival_quad(spec, t)]
 
 
+def _clear_panel_memos():
+    bm._panel.cache_clear()
+    bm._gk21.cache_clear()
+
+
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 1])
 def test_density_memo_keeps_every_bit(b):
     # t = 0, one short time below 0.05 b^2 and two from b^2 on
     for lam_b in (0.0, 1.5, 8.0):
         spec = DriftSpec(lam_b / b, b)
         for t in (0.0, 0.01 * b * b, b * b, 3.0 * b * b):
-            bm._exit_density.cache_clear()
+            _clear_panel_memos()
             cold = _quad_bits(spec, t)
-            misses = bm._exit_density.cache_info().misses
+            misses = bm._panel.cache_info().misses, bm._gk21.cache_info().misses
+            # the density panels alone serve a second pass the same bits
+            bm._gk21.cache_clear()
             assert _quad_bits(spec, t) == cold
-            info = bm._exit_density.cache_info()
-            assert info.misses == misses and info.hits >= misses > 0
+            assert bm._panel.cache_info().misses == misses[0] > 0
+            assert _quad_bits(spec, t) == cold
+            assert bm._gk21.cache_info().misses == misses[1] > 0
 
 
 def test_density_memo_serves_an_int_barrier_the_float_bits():
     for lam, t in ((0.0, 0.02), (2.0, 0.3), (5.0, 1.5)):
-        bm._exit_density.cache_clear()
+        _clear_panel_memos()
         cold = _quad_bits(DriftSpec(lam, 1), t)
-        bm._exit_density.cache_clear()
+        _clear_panel_memos()
         _quad_bits(DriftSpec(lam, 1.0), t)
-        misses = bm._exit_density.cache_info().misses
+        misses = bm._panel.cache_info().misses, bm._gk21.cache_info().misses
         assert _quad_bits(DriftSpec(lam, 1), t) == cold
-        assert bm._exit_density.cache_info().misses == misses
+        assert (bm._panel.cache_info().misses, bm._gk21.cache_info().misses) == misses
 
 
 def test_a_second_exact_routes_pass_recomputes_nothing(tmp_path, monkeypatch):
@@ -139,14 +148,17 @@ def test_a_second_exact_routes_pass_recomputes_nothing(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     exact = workloads.WORKLOADS["exact-routes"]
     inputs = exact.build(1)
-    bm._exit_density.cache_clear()
+    _clear_panel_memos()
     _float_exit_table.cache_clear()
     first = exact.run(inputs, str(tmp_path))
-    density, tables = bm._exit_density.cache_info(), _float_exit_table.cache_info()
+    density, weighted = bm._panel.cache_info(), bm._gk21.cache_info()
+    tables = _float_exit_table.cache_info()
     second = exact.run(inputs, str(tmp_path))
-    assert bm._exit_density.cache_info().misses == density.misses
+    assert bm._panel.cache_info().misses == density.misses
+    assert bm._gk21.cache_info().misses == weighted.misses
     assert _float_exit_table.cache_info().misses == tables.misses
     assert tables.misses == 7 and density.hits > density.misses
+    assert weighted.currsize < bm._PANEL_CACHE and density.currsize < bm._PANEL_CACHE
     for out in (first, second):
         checks, _ = exact.check(inputs, out, str(tmp_path))
         assert all(c["passed"] for c in checks if c["gated"])
@@ -161,6 +173,45 @@ def test_quadrature_route_stays_in_the_unit_interval():
     val, bound = ed.drifted_survival_quad(DriftSpec(40.0, 1.0), 0.01)
     assert 0.0 <= val <= 1.0
     assert val == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam_b, t", [(100.0, 1e-4), (300.0, 1e-3)])
+def test_quadrature_route_at_large_drift(lam_b, t):
+    # a small integral times cosh(lam b) once read 0.99348 and 0.450 here
+    val, bound = ed.drifted_survival_quad(DriftSpec(lam_b, 1.0), t)
+    assert val == 1.0 and bound == 0.0
+    assert val == pytest.approx(float(mp_survival_images(1.0, t, lam_b)), abs=1e-15)
+    assert val == ed.drifted_survival(DriftSpec(lam_b, 1.0), t)
+
+
+def _quadpack_survival(spec, t):
+    """cosh(lam b) int_t^T e^(-lam^2 s / 2) f(s) ds by QUADPACK, on the pieces
+    and with the tolerances of the quadrature route."""
+    lam, b = abs(spec.lam), spec.b
+    g, a0 = 0.5 * lam * lam, math.pi**2 / (8.0 * b * b)
+    T = max(t + b * b, 4.0 * b * b)
+    while math.cosh(lam * b) * math.exp(-(g + a0) * T) * 4.0 / math.pi > 1e-13:
+        T *= 1.5
+    cuts = sorted(c for c in {t, 0.05 * b * b, b * b, T} if t <= c <= T)
+    total = sum(integrate.quad(lambda s: math.exp(-g * s) * bm._exit_density(b, s),
+                               lo, hi, limit=200, epsabs=1e-12, epsrel=1e-11)[0]
+                for lo, hi in zip(cuts, cuts[1:]))
+    return math.cosh(lam * b) * total
+
+
+def test_quadrature_rule_matches_quadpack():
+    # QUADPACK's adaptive rule as the oracle of the in-house one; the grid
+    # is the exact-routes scan's, where both routes agree with the series
+    worst = 0.0
+    for b in (0.5, 1.0, 2.0):
+        for lam_b in (0.0, 1.0, 3.0, 8.0, 12.0):
+            spec = DriftSpec(lam_b / b, b)
+            for t in (0.0, 0.005 * b * b, 0.049 * b * b, 0.3 * b * b, b * b, 2.0 * b * b):
+                val, bound = ed.drifted_survival_quad(spec, t)
+                ref = _quadpack_survival(spec, t)
+                worst = max(worst, abs(val - ref))
+                assert val == pytest.approx(ref, rel=1e-9, abs=1e-11 + bound)
+    assert worst > 0.0  # two rules, not one
 
 
 def test_cosh_overflow_is_a_value_error():
@@ -283,15 +334,16 @@ def test_nan_or_nonpositive_barrier_is_a_value_error(fn, b):
 # The image sums over all of j = -20..20 and the series with every
 # invariant recomputed in the loop: the forms before the image cut-off,
 # kept as oracles for bit-identity.  oracle_survival_reflection is the
-# driftless sum from before the drift entered the image series.
+# driftless sum from before the drift entered the image series.  They read
+# the library's own Phi, which the tests below hold to mpmath.
 
 def oracle_survival_reflection(b, t):
     rt = math.sqrt(t)
     acc = 0.0
     for k in range(-20, 21):
-        term = (2.0 * ndtr((1 - 4 * k) * b / rt)
-                - ndtr((-1 - 4 * k) * b / rt)
-                - ndtr((3 - 4 * k) * b / rt))
+        term = (2.0 * _ndtr((1 - 4 * k) * b / rt)
+                - _ndtr((-1 - 4 * k) * b / rt)
+                - _ndtr((3 - 4 * k) * b / rt))
         acc += term
     return float(acc)
 
@@ -301,8 +353,8 @@ def oracle_survival_images(b, t, lam):
 
     def weighted(log_w, x):
         if log_w > 0.0:
-            return math.exp(log_w + log_ndtr(x))
-        return math.exp(log_w) * ndtr(x)
+            return math.exp(log_w + _log_ndtr(x))
+        return math.exp(log_w) * _ndtr(x)
 
     acc = 0.0
     for j in range(-20, 21):
@@ -361,16 +413,65 @@ def public_values(b, t, lam):
 
 
 def test_exact_zero_cutoffs_hold():
-    # the image cut-offs rest on these exact zeros and ones
+    # the image cut-offs rest on these exact zeros and ones of the
+    # library's own Phi
     assert math.exp(-bm._EXP_ZERO) == 0.0
-    xs = np.linspace(bm._NDTR_ONE, 60.0, 20001)
-    assert (ndtr(xs) == 1.0).all() and (ndtr(-xs) < 1e-17).all()
+    xs = np.linspace(bm._NDTR_ONE, 60.0, 20001).tolist()
+    assert all(_ndtr(x) == 1.0 and _ndtr(-x) < 1e-17 for x in xs)
     # a weighted Phi of image term j >= 2 is exactly 0 by this bound
-    xs = np.linspace(-1000.0, 0.0, 20001)
-    assert (log_ndtr(xs) <= -xs * xs / 2).all()
-    assert (ndtr(xs[xs < -math.sqrt(2 * bm._EXP_ZERO)]) == 0.0).all()
+    xs = np.linspace(-1000.0, 0.0, 20001).tolist()
+    assert all(_log_ndtr(x) <= -x * x / 2 for x in xs)
+    assert all(_ndtr(x) == 0.0 for x in xs if x < -math.sqrt(2 * bm._EXP_ZERO))
     # below t = 0.05 b^2 at most five density images remain
     assert len(bm._image_range(*[math.sqrt(2 * bm._EXP_ZERO * 0.05)] * 2)) == 5
+
+
+# Phi at 40 digits; for a > 0 log Phi goes through log1p, so that the
+# reference keeps its digits where Phi rounds to 1
+def mp_log_ndtr(a):
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        if a > 0:
+            return mpmath.log1p(-mpmath.erfc(a / mpmath.sqrt(2)) / 2)
+        return mpmath.log(mpmath.ncdf(a))
+
+
+NDTR_POINTS = sorted({*np.linspace(-1e4, 40.0, 401).tolist(),
+                      *np.linspace(-45.0, 12.0, 571).tolist(),
+                      *(-np.geomspace(1e-8, 1e4, 60)).tolist(),
+                      *np.geomspace(1e-8, 40.0, 60).tolist(),
+                      0.0, -1.0, math.nextafter(-1.0, 0.0), -36.77, -36.8, -37.5, -38.4})
+
+
+def test_ndtr_matches_mpmath():
+    tiny = sys.float_info.min
+    for a in NDTR_POINTS:
+        with mpmath.workdps(40):
+            ref = mpmath.ncdf(mpmath.mpf(a))
+        got = _ndtr(a)
+        if ref >= tiny:
+            # the rounding of a / sqrt(2) alone costs up to a^2 ulps
+            assert abs(got - ref) <= 3e-13 * ref, a
+        else:  # subnormal: a relative bound no longer holds
+            assert abs(got - ref) <= 1e-320, a
+    assert _ndtr(-math.inf) == 0.0 and _ndtr(math.inf) == 1.0
+
+
+def test_log_ndtr_matches_mpmath():
+    worst = 0.0
+    for a in NDTR_POINTS:
+        ref = mp_log_ndtr(a)
+        got = _log_ndtr(a)
+        if a > 0.0:  # log Phi(a) ~ -Phi(-a): the relative bound of Phi's tail
+            assert abs(got - ref) <= 3e-13 * abs(ref) + 1e-320, a
+        else:
+            assert abs(got - ref) <= 1e-14 * abs(ref), a
+            worst = max(worst, float(abs(got - ref) / abs(ref)))
+    # the asymptotic branch, on both sides of its switch and far out
+    z = bm._ERFC_ASYMPTOTIC / bm._SQRT_HALF
+    for a in (-z * 1.0000001, -z * 0.9999999, -40.0, -1e3, -1e4, -1e150):
+        assert _log_ndtr(a) == pytest.approx(float(mp_log_ndtr(a)), rel=1e-14, abs=0)
+    assert worst < 1e-14
 
 
 @settings(max_examples=120, deadline=None)
@@ -387,8 +488,8 @@ def test_exact_zero_cutoffs_hold():
 def test_bm_values_match_oracles_bit_for_bit(b, log_t, lam_b):
     t = 10.0 ** log_t * b * b
     got = public_values(b, t, lam_b / b)
-    # the density memo would serve the oracle pass the values just computed
-    bm._exit_density.cache_clear()
+    # the panel memos would serve the oracle pass the values just computed
+    _clear_panel_memos()
     try:
         with mock.patch.multiple(bm, _survival_images=oracle_survival_images,
                                  _density_series=oracle_density_series,
@@ -396,7 +497,7 @@ def test_bm_values_match_oracles_bit_for_bit(b, log_t, lam_b):
                                  _weighted_tail_series=oracle_weighted_tail_series):
             want = public_values(b, t, lam_b / b)
     finally:
-        bm._exit_density.cache_clear()
+        _clear_panel_memos()
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
     if t < bm._SMALL_T * b * b:

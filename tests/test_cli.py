@@ -180,6 +180,34 @@ def test_bad_bias_is_exit_1_before_the_echo(tmp_path, capsys, command, flag, val
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rw-factorization", "--p1", "0.6", "--p2", "0.5"], "p2"),
+    (["rw-factorization", "--p1", "3/5", "--p2", "0.6"], "p2"),
+    (["rw-factorization", "--p1", "0.4"], "p1"),
+    (["rw-factorization", "--p2", "0.45"], "p2"),
+    (["rw-dominance", "--ps", "0.7,0.6"], "ps"),
+    (["rw-dominance", "--ps", "0.5,1/2"], "ps"),
+    (["rw-dominance", "--ps", "0.4,0.6"], "ps")])
+def test_bias_order_and_range_are_exit_1_before_the_echo(tmp_path, capsys, argv, flag):
+    # p1 >= p2, a bias below 1/2 and a grid that does not ascend once failed
+    # in the library, after the config echo, without naming a flag
+    assert run([*argv, "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"bad value for key '{flag}'" in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_bias_order_holds_across_config_file_and_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p1 = 0.7\n")
+    out_dir = tmp_path / "out"
+    assert run(["rw-factorization", "--config", str(cfg), "--p2", "0.6",
+                "--outdir", str(out_dir)]) == 1
+    assert "bad value for key 'p2'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_valid_bias_is_kept_as_written(tmp_path, capsys):
     assert run(["rw-reweight", "--p-from", "1/2", "--p-to", " 0.7",
                 "--outdir", str(tmp_path)]) == 0

@@ -7,13 +7,11 @@ benchmark (``perfbench/``) or the demos outside its own definition; a
 re-export in ``__init__.py`` does not count.  In neither case does a
 reference from the tests alone count.
 
-A fresh ``import exitdom`` or ``import exitdom.cli`` leaves the slow scipy
-packages that most commands never use unloaded: ``scipy.stats``,
-``scipy.integrate`` and the ``scipy.optimize`` and ``scipy.sparse`` that
-``scipy.integrate`` pulls in.  In ``bm.py`` only the quadrature route,
-``drifted_survival_quad``, reads ``integrate``, so that the series it is
-checked against do not share its quadrature; it imports ``integrate`` on
-its first call, so only the commands that integrate load it.
+The library runs on numpy alone: no file under ``src/`` imports scipy, and
+no scipy module is loaded by a fresh ``import exitdom`` or
+``import exitdom.cli``, nor by the commands run after it, the quadrature
+route's among them.  In ``bm.py`` nothing outside that route,
+``drifted_survival_quad``, reads a name ``integrate``.
 
 Every ``functools`` memo in the library has a finite integer ``maxsize``.
 """
@@ -24,8 +22,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from exitdom import DriftSpec, drifted_survival_quad
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "exitdom"
@@ -124,6 +120,21 @@ def references_outside(source: str, name: str, function: str) -> list[int]:
                        or isinstance(node, ast.Attribute) and node.attr == name))
 
 
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy or one of its modules, at any depth."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
 def unbounded_caches(source: str) -> list[str]:
     """Uses of ``functools.cache`` or ``functools.lru_cache`` that do not pass
     a positive integer ``maxsize``: a literal, or a module-level constant
@@ -208,6 +219,13 @@ def test_checker_flags_a_reference_outside_the_function():
     assert references_outside(src, "integrate", "route") == [6, 8]
 
 
+def test_checker_flags_a_scipy_import():
+    src = ("import math, scipy.special as sp\nfrom scipy import integrate\n"
+           "import scipyx\nfrom .scipy import x\n"
+           "def route():\n    from scipy.integrate import quad\n")
+    assert scipy_imports(src) == [1, 2, 6]
+
+
 def test_checker_flags_an_unbounded_cache():
     src = ("import functools\nfrom functools import cache, lru_cache as memo\n"
            "_N = 16\n_NONE = None\n"
@@ -254,9 +272,6 @@ def test_every_public_name_has_a_production_reader():
     assert unread_public_names(library, sources) == []
 
 
-UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
-
-
 def fresh_python(code: str, *args: str) -> str:
     """The last line that ``code`` prints, run in a fresh interpreter on ``src``."""
     # python -c puts its working directory first on sys.path
@@ -265,33 +280,27 @@ def fresh_python(code: str, *args: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    for module in ("exitdom", "exitdom.cli"):
-        code = (f"import sys, {module}; "
-                f"print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])")
-        assert fresh_python(code) == "[]", module
-
-
-def test_quadrature_route_works_after_a_bare_import():
-    # its first call imports scipy.integrate, which import exitdom left out
-    spec = "exitdom.DriftSpec(1.0, 1.0)"
-    code = f"import exitdom; print(repr(exitdom.drifted_survival_quad({spec}, 0.5)))"
-    assert fresh_python(code) == repr(drifted_survival_quad(DriftSpec(1.0, 1.0), 0.5))
-
-
-def test_only_the_commands_that_integrate_load_integrate(tmp_path):
+def test_the_library_runs_without_scipy(tmp_path):
+    assert [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+            for line in scipy_imports(p.read_text())] == []
     code = """
 import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import exitdom
+steps = [("import exitdom", scipy_loaded())]
 from exitdom import cli
-loaded = []
+steps.append(("import exitdom.cli", scipy_loaded()))
 for argv in (["rw-survival", "--horizon", "5"],
              ["bm-couple", "--n-paths", "20", "--dt", "1e-3",
               "--time-horizon", "0.05"],
              ["verify-all", "--profile", "quick"]):
     status = cli.main([*argv, "--outdir", sys.argv[1]])
-    loaded.append((argv[0], status, "scipy.integrate" in sys.modules))
-print(loaded)
+    steps.append((argv[0], status, scipy_loaded()))
+print(steps)
 """
     assert fresh_python(code, str(tmp_path)) == str(
-        [("rw-survival", 0, False), ("bm-couple", 0, False),
-         ("verify-all", 0, True)])
+        [("import exitdom", []), ("import exitdom.cli", []), ("rw-survival", 0, []),
+         ("bm-couple", 0, []), ("verify-all", 0, [])])

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import chdtrc, ndtr
 
 import exitdom as ed
 from exitdom import mc
@@ -155,6 +155,20 @@ def test_independence_chi_square(samples1):
     assert res.p_value > 1e-3
     assert res.dof == res.table.shape[0] - 1
     assert res.table.sum() == np.count_nonzero(samples1.sides)
+
+
+def test_chi_square_tail_matches_scipy():
+    # scipy's chdtrc as the oracle of the library's own tail, dof 1 to 20
+    worst = 0.0
+    for dof in range(1, 21):
+        for x in [0.0, *np.geomspace(1e-6, 400.0, 200).tolist()]:
+            ref = float(chdtrc(dof, x))
+            got = mc._chi2_sf(dof, x)
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-300), (dof, x)
+            if ref > 1e-300:
+                worst = max(worst, abs(got - ref) / ref)
+    assert mc._chi2_sf(3, 0.0) == 1.0 and mc._chi2_sf(4, 0.0) == 1.0
+    assert worst < 1e-13
 
 
 def test_independence_detects_dependence(samples1):
