@@ -1,19 +1,26 @@
 """Stochastic-dominance certification.
 
 A survival curve S_a dominates S_b when S_a(t) >= S_b(t) for every t.  The
-discrete side is certified exactly (rational arithmetic); Monte Carlo data is
-certified only up to simultaneous one-sided Dvoretzky-Kiefer-Wolfowitz bands.
+discrete side is certified exactly: with p = a/d, the walk's survival is
+N_n / d^n for integers N_n that ``walk`` computes fraction-free, and the scan
+compares those integers, cross-multiplied by powers of the scales when two
+biases differ in d.  A Fraction is formed only at a point where the order
+fails.  Monte Carlo data is certified only up to simultaneous one-sided
+Dvoretzky-Kiefer-Wolfowitz bands.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import walk
-from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec, _parse_bias
+from .walk import MODE_RATIONAL, WalkSpec, _parse_bias
 
 DOMINATES = "dominates"
 VIOLATES = "violates"
@@ -99,11 +106,8 @@ def _check_tie_tol(tie_tol) -> None:
 def _worst_gap(lo, hi, index, tie_tol=0):
     """(gap, location) of the largest hi - lo above ``tie_tol``, or None.
 
-    The gaps are formed in the curves' own numbers, so the comparison is
-    exact when they hold Fractions.  Because ``tie_tol`` is nonnegative, a
-    point with hi <= lo can never count and is skipped before subtracting:
-    comparing two Fractions cross-multiplies, while subtracting them also
-    runs gcds.
+    The gaps are formed in the curves' own numbers: exact on the Fractions
+    of ``_exact_worst_gap``.  The first location wins a tie.
     """
     _check_tie_tol(tie_tol)
     worst = None
@@ -116,14 +120,38 @@ def _worst_gap(lo, hi, index, tie_tol=0):
     return worst
 
 
+def _exact_worst_gap(lo, hi, index, powers):
+    """``_worst_gap`` of two exact curves, decided on integers.
+
+    Each curve is (numerators, d), with value numerators[n] / d**n, and
+    ``powers`` maps each d to its powers d**n.  hi exceeds lo at n exactly
+    when N_hi[n] > N_lo[n] for a shared d, and when
+    N_hi[n] * d_lo**n > N_lo[n] * d_hi**n otherwise.  Only those points
+    reach ``_worst_gap``, as Fractions.
+    """
+    (n_lo, d_lo), (n_hi, d_hi) = lo, hi
+    p_lo, p_hi = powers[d_lo], powers[d_hi]
+    if d_lo == d_hi:
+        above = [n for n, (a, b) in enumerate(zip(n_lo, n_hi)) if b > a]
+    else:
+        above = [n for n, (a, b, pa, pb) in enumerate(zip(n_lo, n_hi, p_lo, p_hi))
+                 if b * pa > a * pb]
+    return _worst_gap([Fraction(n_lo[n], p_lo[n]) for n in above],
+                      [Fraction(n_hi[n], p_hi[n]) for n in above],
+                      [index[n] for n in above])
+
+
 def dominance_scan_discrete(ps, k: int, horizon: int,
                             mode: str = MODE_RATIONAL) -> DominanceReport:
     """Pairwise survival comparison of adjacent biases on an ascending grid.
 
     All biases must lie in [1/2, 1).  In rational mode the comparisons are
-    exact.  In float mode, any apparent violation is automatically recomputed
-    in rational arithmetic before being reported (a true violation would
-    falsify the dominance theorem, so a float-mode artifact must not survive).
+    exact, on the integer numerators of ``_exact_worst_gap``, and the
+    report's values are those numerators over d**n, rounded once.  In float
+    mode, any apparent violation is automatically rechecked the same exact
+    way before being reported (a true violation would falsify the dominance
+    theorem, so a float-mode artifact must not survive); a bias shared by
+    two escalated pairs runs its exact DP once.
     """
     ps = list(ps)
     floats = [_parse_bias(p) for p in ps]
@@ -132,17 +160,33 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     if any(not 0.5 <= f < 1.0 for f in floats):
         raise ValueError("all biases must lie in [1/2, 1)")
     steps = list(range(horizon + 1))
-    curves = [walk.survival_pmf(WalkSpec(p, k), horizon, mode).values for p in ps]
-    report = DominanceReport("p", ps, "n", steps,
-                             [[float(v) for v in c] for c in curves])
+    exact = {}   # grid position -> (numerators, d)
+    powers = {}  # d -> [d**n for n = 0..horizon]
+
+    def exact_curve(i):
+        if i not in exact:
+            numerators, d = walk._survival_entries(WalkSpec(ps[i], k), horizon,
+                                                   MODE_RATIONAL)
+            if d not in powers:
+                powers[d] = list(itertools.accumulate(itertools.repeat(d, horizon),
+                                                      operator.mul, initial=1))
+            exact[i] = numerators, d
+        return exact[i]
+
+    if mode == MODE_RATIONAL:
+        # int / int is correctly rounded, as float(Fraction) is
+        values = [[n / pw for n, pw in zip(numerators, powers[d])]
+                  for numerators, d in map(exact_curve, range(len(ps)))]
+    else:
+        values = [[float(v) for v in walk.survival_pmf(WalkSpec(p, k), horizon,
+                                                        mode).values]
+                  for p in ps]
+    report = DominanceReport("p", ps, "n", steps, values)
     for i in range(len(ps) - 1):
-        worst = _worst_gap(curves[i], curves[i + 1], steps)
-        if worst is not None and mode == MODE_FLOAT:
-            # escalate to exact arithmetic before declaring a violation
-            lo_x, hi_x = (walk.survival_pmf(WalkSpec(p, k), horizon,
-                                            MODE_RATIONAL).values
-                          for p in ps[i:i + 2])
-            worst = _worst_gap(lo_x, hi_x, steps)
+        worst = None
+        if (mode == MODE_RATIONAL
+                or _worst_gap(values[i], values[i + 1], steps) is not None):
+            worst = _exact_worst_gap(exact_curve(i), exact_curve(i + 1), steps, powers)
         report.add_pair(str(ps[i]), str(ps[i + 1]), worst)
     return report
 

@@ -7,7 +7,9 @@ two number types: exact rationals (``fractions.Fraction``) or 64-bit floats.
 The ``mode`` argument picks the type; the recurrence, the mean-exit solve and
 the closed forms are shared.  In rational mode, with p = a/d, the recurrence
 runs fraction-free on the integer vectors d^n * u_n (Bareiss, Math. Comp. 22,
-1968) and a Fraction is formed only for a returned value.
+1968) and a Fraction is formed only for a returned value.  The exact routes
+of ``dominance`` and ``walk_girsanov`` read those integers themselves, through
+``_survival_entries`` and ``_joint_entries``, and decide on them.
 
 ``survival_at`` gives float survival probabilities at selected steps
 without running the recurrence: the interior matrix is tridiagonal Toeplitz,
@@ -20,6 +22,7 @@ exact reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +146,12 @@ class JointExitTable:
     def exit_pmf(self, n: int):
         return self.up[n] + self.down[n]
 
+    @functools.cached_property
+    def _exit_pmfs(self) -> list:
+        """exit_pmf(n) for n = 0..horizon, formed on the first read; the
+        readers never change a table, so the list stays its exit law."""
+        return [u + d for u, d in zip(self.up, self.down)]
+
 
 def _dp(spec: WalkSpec, horizon: int, mode: str):
     """(up, down, residual, scale) for steps 0..horizon.
@@ -218,25 +227,35 @@ def _values(entries: list, scale: int) -> list:
     return out
 
 
+def _joint_entries(spec: WalkSpec, horizon: int, mode: str):
+    """``_dp``'s (up, down, residual, scale) after ``exit_joint``'s checks."""
+    _check_mode(mode)
+    if horizon < spec.k:
+        raise ValueError(f"horizon {horizon} is below the half-width k={spec.k}")
+    return _dp(spec, horizon, mode)
+
+
+def _survival_entries(spec: WalkSpec, horizon: int, mode: str):
+    """``_dp``'s (residual, scale) after ``survival_pmf``'s checks."""
+    _check_mode(mode)
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    _, _, residual, scale = _dp(spec, horizon, mode)
+    return residual, scale
+
+
 def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExitTable:
     """Joint law of (sigma, S_sigma) up to ``horizon`` steps.
 
     Requires horizon >= k so that at least one exit row is nonzero.
     """
-    _check_mode(mode)
-    if horizon < spec.k:
-        raise ValueError(f"horizon {horizon} is below the half-width k={spec.k}")
-    *columns, scale = _dp(spec, horizon, mode)
+    *columns, scale = _joint_entries(spec, horizon, mode)
     return JointExitTable(spec, *(_values(c, scale) for c in columns), mode)
 
 
 def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> SurvivalCurve:
     """Survival probabilities P(sigma > n) for n = 0..horizon."""
-    _check_mode(mode)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    _, _, residual, scale = _dp(spec, horizon, mode)
-    return SurvivalCurve(_values(residual, scale), mode)
+    return SurvivalCurve(_values(*_survival_entries(spec, horizon, mode)), mode)
 
 
 def survival_at(spec: WalkSpec, ns) -> list:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import walk
-from .walk import (MODE_FLOAT, JointExitTable, WalkSpec, _parse_bias,
-                   exit_joint)
+from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec,
+                   _parse_bias, exit_joint)
 
 
 _TABLE_CACHE = 16  # float exit tables kept by _float_exit_table
@@ -160,11 +161,12 @@ def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
     Computed entirely from a float exit table built at p1, truncated at the
     table's horizon; it estimates Q_{p2}(sigma > n), as
     ``reweighted_survival_from_table`` does.  One table serves every
-    (p2, n) that shares its bias and half-width.
+    (p2, n) that shares its bias and half-width, and forms its list of
+    exit masses once.
     """
     truncation = table.horizon
     r, _ = _factorization_r(table.spec.p, p2, n, truncation)
-    terms = [r**m * table.exit_pmf(m) for m in range(truncation + 1)]
+    terms = [r**m * pmf for m, pmf in enumerate(table._exit_pmfs)]
     return sum(terms[n + 1:]) / sum(terms)
 
 
@@ -174,9 +176,22 @@ def check_independence_discrete(p, k: int, truncation: int,
 
     The side marginal P(S_sigma = +k) is the exact gambler's-ruin split
     p^k/(p^k + q^k), so in rational mode a correct table factorizes with
-    deviation exactly 0 at every step up to the truncation.
+    deviation exactly 0 at every step up to the truncation.  There, with
+    p = a/d, q = b/d and the DP's integer exits U_m = d^m P(sigma=m, +k) and
+    D_m = d^m P(sigma=m, -k), the deviation at step m is
+    |U_m b^k - D_m a^k| / (d^m (a^k + b^k)): it is decided on integers, and
+    a Fraction is formed only when some step misses.
     """
     spec = WalkSpec(p, k)
+    if mode == MODE_RATIONAL:
+        up, down, _, d = walk._joint_entries(spec, truncation, mode)
+        a, b = (x.numerator for x in spec.pq(mode))
+        a_k, b_k = a**k, b**k
+        misses = [abs(u * b_k - v * a_k) for u, v in zip(up, down)]
+        if not any(misses):
+            return Fraction(0)
+        return max(Fraction(miss, d**m * (a_k + b_k))
+                   for m, miss in enumerate(misses))
     table = exit_joint(spec, truncation, mode)
     h = walk.upper_exit_prob(spec, mode)
     return max(abs(table.up[m] - table.exit_pmf(m) * h)

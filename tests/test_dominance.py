@@ -87,25 +87,107 @@ def test_worst_gap_rejects_negative_or_nan_tolerance(tie_tol):
         dominance._worst_gap([0.5], [0.4], [0], tie_tol)
 
 
+def _corrupting_scan(monkeypatch, ps, lift):
+    """The float scan of ``ps`` at k = 2 up to step 20, its float curves
+    lifted at step 3 by lift(p), with the biases whose exact numerators it
+    computes, in order."""
+    real_curve, real_entries = ed.survival_pmf, dominance.walk._survival_entries
+    exact = []
+
+    def fake(spec, horizon, mode=MODE_FLOAT):
+        curve = real_curve(spec, horizon, mode)
+        curve.values[3] += lift(spec.p_float())  # inject a fake crossing
+        return curve
+
+    def counting(spec, horizon, mode):
+        if mode == MODE_RATIONAL:
+            exact.append(spec.p)
+        return real_entries(spec, horizon, mode)
+
+    monkeypatch.setattr(dominance.walk, "survival_pmf", fake)
+    monkeypatch.setattr(dominance.walk, "_survival_entries", counting)
+    return ed.dominance_scan_discrete(ps, 2, 20, MODE_FLOAT), exact
+
+
 def test_float_violation_escalates_to_exact(monkeypatch):
     # feed the float path deliberately corrupted curves; escalation must
     # recompute exactly and clear the spurious violation
-    real = ed.survival_pmf
-    calls = {"rational": 0}
-
-    def fake(spec, horizon, mode=MODE_FLOAT):
-        curve = real(spec, horizon, mode)
-        if mode == MODE_RATIONAL:
-            calls["rational"] += 1
-            return curve
-        if spec.p_float() > 0.55:
-            curve.values[3] += 0.1  # inject a fake crossing
-        return curve
-
-    monkeypatch.setattr(dominance.walk, "survival_pmf", fake)
-    rep = ed.dominance_scan_discrete([0.5, 0.6], 2, 20, MODE_FLOAT)
-    assert calls["rational"] == 2
+    rep, exact = _corrupting_scan(monkeypatch, [0.5, 0.6],
+                                  lambda p: 0.1 if p > 0.55 else 0.0)
+    assert exact == [0.5, 0.6]
     assert rep.n_violations == 0
+
+
+def test_escalated_pairs_share_the_exact_curve_of_their_common_bias(monkeypatch):
+    # S(3) = 2pq at k = 2: 0.5, 0.48 and 0.42, lifted to 0.5, 0.68 and 0.82,
+    # so both pairs escalate; 0.6 belongs to both and runs its DP once
+    rep, exact = _corrupting_scan(monkeypatch, [0.5, 0.6, 0.7],
+                                  lambda p: round(2 * p - 1, 1))
+    assert exact == [0.5, 0.6, 0.7]
+    assert rep.n_violations == 0
+
+
+def _fraction_scan(ps, k, horizon):
+    """(values, worst gaps) of the rational scan as it once ran: every
+    survival value a Fraction, every pair compared by ``_worst_gap``."""
+    curves = [ed.survival_pmf(WalkSpec(p, k), horizon, MODE_RATIONAL).values
+              for p in ps]
+    steps = list(range(horizon + 1))
+    return ([[float(v) for v in c] for c in curves],
+            [dominance._worst_gap(lo, hi, steps) for lo, hi in zip(curves, curves[1:])])
+
+
+@pytest.mark.parametrize("ps, k, horizon", [
+    # the desk grid 1/2, 11/20, 3/5, ..., 19/20: scales 2, 20, 5, 10 and 4
+    ([Fraction(1, 2) + Fraction(i, 20) for i in range(10)], 4, 160),
+    # a grid on the shared scale 61
+    ([Fraction(j, 61) for j in (31, 34, 40, 47, 53, 58)], 3, 200),
+])
+def test_rational_scan_matches_the_fraction_scan(ps, k, horizon):
+    values, gaps = _fraction_scan(ps, k, horizon)
+    rep = ed.dominance_scan_discrete(ps, k, horizon, MODE_RATIONAL)
+    assert [[v.hex() for v in row] for row in rep.values] == \
+        [[v.hex() for v in row] for row in values]
+    want = dominance.DominanceReport("p", ps, "n", rep.index, values)
+    for i, gap in enumerate(gaps):
+        want.add_pair(str(ps[i]), str(ps[i + 1]), gap)
+    assert rep.pairs == want.pairs
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # shared scale 2: gaps 1/2 at n = 1 and n = 2, 1/8 at n = 3
+    (([1, 0, 1, 3, 9], 2), ([1, 1, 3, 4, 1], 2)),
+    # scales 2 and 3: gaps 1/2 at n = 1 and n = 2, 1/16 at n = 4; at n = 3,
+    # 1/9 < 1/8 though 3 * 3**3 > 1 * 2**3
+    (([1, 1, 2, 1, 15], 2), ([1, 3, 9, 3, 81], 3)),
+    # scales 3 and 2: hi never exceeds lo
+    (([1, 3, 9, 1, 81], 3), ([1, 1, 2, 0, 15], 2)),
+])
+def test_exact_worst_gap_matches_worst_gap_on_fractions(monkeypatch, lo, hi):
+    index = "abcde"
+    powers = {d: [d**n for n in range(len(index))] for d in (lo[1], hi[1])}
+    fractions = [[Fraction(n, d**i) for i, n in enumerate(numerators)]
+                 for numerators, d in (lo, hi)]
+    want = dominance._worst_gap(*fractions, index)
+    made = []
+    monkeypatch.setattr(dominance, "Fraction",
+                        lambda *args: made.append(args) or Fraction(*args))
+    got = dominance._exact_worst_gap(lo, hi, index, powers)
+    assert got == want
+    assert got is None or (type(got[0]) is Fraction and got[1] == "b")
+    # a Fraction for each curve at each point where hi exceeds lo, no more
+    assert len(made) == 2 * sum(b > a for a, b in zip(*fractions))
+
+
+def test_rational_scan_without_violation_forms_no_fraction(monkeypatch):
+    calls = []
+    real = dominance.walk._values
+    monkeypatch.setattr(dominance.walk, "_values",
+                        lambda *args: calls.append(args) or real(*args))
+    ps = [Fraction(1, 2) + Fraction(i, 20) for i in range(6)]
+    rep = ed.dominance_scan_discrete(ps, 3, 60, MODE_RATIONAL)
+    assert rep.n_violations == 0
+    assert calls == []
 
 
 def test_report_serializes(tmp_path):

@@ -10,8 +10,7 @@ reference from the tests alone count.
 The library runs on numpy alone: no file under ``src/`` imports scipy, and
 no scipy module is loaded by a fresh ``import exitdom`` or
 ``import exitdom.cli``, nor by the commands run after it, the quadrature
-route's among them.  In ``bm.py`` nothing outside that route,
-``drifted_survival_quad``, reads a name ``integrate``.
+route's among them.
 
 Every ``functools`` memo in the library has a finite integer ``maxsize``.
 """
@@ -108,18 +107,6 @@ def unread_public_names(library: dict[str, str], readers: dict[str, str]) -> lis
     return _unreferenced(library, readers, private=False)
 
 
-def references_outside(source: str, name: str, function: str) -> list[int]:
-    """Lines that read ``name``, as a name or an attribute, outside the
-    module-level function ``function``."""
-    tree = ast.parse(source)
-    inside = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == function
-              for node in ast.walk(top)}
-    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside
-                  and (isinstance(node, ast.Name) and node.id == name
-                       or isinstance(node, ast.Attribute) and node.attr == name))
-
-
 def scipy_imports(source: str) -> list[int]:
     """Lines that import scipy or one of its modules, at any depth."""
     out = []
@@ -211,14 +198,6 @@ def test_checker_flags_an_unread_public_name():
         "lib/a.py:1: X", "lib/a.py:3: f", "lib/b.py:3: tested"]
 
 
-def test_checker_flags_a_reference_outside_the_function():
-    src = ("import scipy\nfrom scipy import integrate\n"
-           "def route(f):\n    return integrate.quad(f, 0, 1)\n"
-           "def series(f):\n    return integrate.quad(f, 0, 2)\n"
-           "def other(f):\n    return scipy.integrate.quad(f, 0, 3)\n")
-    assert references_outside(src, "integrate", "route") == [6, 8]
-
-
 def test_checker_flags_a_scipy_import():
     src = ("import math, scipy.special as sp\nfrom scipy import integrate\n"
            "import scipyx\nfrom .scipy import x\n"
@@ -249,11 +228,6 @@ def test_checker_flags_an_unbounded_cache():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
     assert unbounded_caches(path.read_text()) == []
-
-
-def test_only_the_quadrature_route_reads_integrate():
-    source = (SRC / "bm.py").read_text()
-    assert references_outside(source, "integrate", "drifted_survival_quad") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

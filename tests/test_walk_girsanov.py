@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import exitdom as ed
+from exitdom import walk
 from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
                           interior_decay_envelope)
 from exitdom.walk_girsanov import _float_exit_table, _rz
@@ -188,6 +189,16 @@ def test_table_memo_keys_on_the_float_bias():
     assert _float_exit_table.cache_info().currsize == 1
 
 
+def test_factorization_reads_the_exit_law_bit_for_bit():
+    # the sum as it once read the table: one exit_pmf call per step
+    table = ed.exit_joint(WalkSpec(0.6, 3), 300)
+    for p2, n in ((0.65, 0), (0.7, 10), (0.95, 50)):
+        r, _ = _rz(0.6, p2)
+        terms = [r**m * table.exit_pmf(m) for m in range(table.horizon + 1)]
+        want = sum(terms[n + 1:]) / sum(terms)
+        assert ed.factorization_from_table(table, p2, n).hex() == want.hex()
+
+
 def test_factorization_preconditions():
     with pytest.raises(ValueError):
         ed.factorization_check_discrete(0.6, 0.5, 2, 5, 200)  # p1 >= p2
@@ -218,6 +229,29 @@ def test_independence_float_and_exact():
     assert ed.check_independence_discrete(0.7, 2, 400) <= 1e-12
     assert ed.check_independence_discrete("7/10", 2, 60, MODE_RATIONAL) == 0
     assert ed.check_independence_discrete("9/10", 3, 60, MODE_RATIONAL) == 0
+
+
+@pytest.mark.parametrize("p, k, step", [("7/10", 2, 5), ("31/61", 3, 20),
+                                         ("1/2", 1, 1)])
+def test_exact_independence_reports_a_corrupted_exit(monkeypatch, p, k, step):
+    # one upper exit moved off the product form: the integer route must
+    # report the exact deviation that the Fraction table gives
+    real = walk._joint_entries
+
+    def corrupted(spec, horizon, mode):
+        up, down, residual, scale = real(spec, horizon, mode)
+        up = list(up)
+        up[step] += 1
+        return up, down, residual, scale
+
+    monkeypatch.setattr(walk, "_joint_entries", corrupted)
+    spec = WalkSpec(p, k)
+    table = ed.exit_joint(spec, 40, MODE_RATIONAL)
+    h = ed.upper_exit_prob(spec, MODE_RATIONAL)
+    want = max(abs(u - (u + d) * h) for u, d in zip(table.up, table.down))
+    got = ed.check_independence_discrete(p, k, 40, MODE_RATIONAL)
+    assert want > 0
+    assert type(got) is Fraction and got == want
 
 
 def test_independence_oracle_enumeration():
