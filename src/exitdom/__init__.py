@@ -20,8 +20,6 @@ from .walk import (
 from .walk_girsanov import (
     check_independence_discrete,
     factorization_check_discrete,
-    factorization_from_table,
-    reweighted_survival_from_table,
     reweighted_survival_walk,
 )
 from .bm import (

@@ -78,6 +78,15 @@ def _fractions(text: str) -> str:
     return text
 
 
+def _choice(values):
+    """A converter that keeps the text when it is one of ``values``."""
+    def conv(text: str) -> str:
+        if text not in values:
+            raise ValueError(f"expected one of {'|'.join(values)}, got {text!r}")
+        return text
+    return conv
+
+
 def _threads(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -108,10 +117,13 @@ def _cmd_rw_dominance(cfg: dict) -> tuple[dict, str, bool]:
 
 
 def _cmd_rw_independence(cfg: dict) -> tuple[dict, str, bool]:
-    dev = float(walk_girsanov.check_independence_discrete(
-        cfg["p"], cfg["k"], cfg["truncation"], cfg["mode"]))
+    dev = walk_girsanov.check_independence_discrete(
+        cfg["p"], cfg["k"], cfg["truncation"], cfg["mode"])
+    # an exact deviation passes only at 0: one that rounds to 0.0 must fail
+    passed = dev == 0 if cfg["mode"] == walk.MODE_RATIONAL else dev <= cfg["tol"]
+    dev = float(dev)
     return ({"max_deviation": dev},
-            f"max joint-vs-product deviation: {dev:.6e}", dev <= cfg["tol"])
+            f"max joint-vs-product deviation: {dev:.6e}", passed)
 
 
 def _cmd_rw_reweight(cfg: dict) -> tuple[dict, str, bool]:
@@ -217,6 +229,7 @@ def _cmd_verify_all(cfg: dict) -> tuple[dict, str, bool]:
 _SEED = (20240817, int, "master seed (64-bit integer)")
 _THREADS = (1, _threads, "worker threads for path batches (count)")
 _DUMP_PATHS = (0, int, "also write the large per-path CSV: 1 on, 0 off")
+_MODE_HELP = f"arithmetic mode: {'|'.join(walk._MODES)}"
 
 # name -> (handler, {flag: (default, converter, help text)}); the order of
 # the entries and of their flags is the --help order
@@ -225,21 +238,22 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "p": ("0.5", _bias, "step-up probability (dimensionless, in (0,1); '3/5' form allowed)"),
         "k": (2, int, "barrier half-width (steps)"),
         "horizon": (50, int, "largest step count n (steps)"),
-        "mode": ("float", str, "arithmetic mode: rational|float"),
+        "mode": ("float", _choice(walk._MODES), _MODE_HELP),
     }),
     "rw-dominance": (_cmd_rw_dominance, {
         "ps": ("0.5,0.6,0.7,0.8,0.9", _fractions, "ascending bias grid in [1/2,1) (comma list)"),
         "k": (3, int, "barrier half-width (steps)"),
         "horizon": (200, int, "largest step count n (steps)"),
-        "mode": ("rational", str, "arithmetic mode: rational|float"),
+        "mode": ("rational", _choice(walk._MODES), _MODE_HELP),
     }),
     "rw-independence": (_cmd_rw_independence, {
         "p": ("0.7", _bias, "step-up probability (dimensionless)"),
         "k": (2, int, "barrier half-width (steps)"),
         "truncation": (300, int, "table truncation (steps)"),
-        "mode": ("float", str, "arithmetic mode: rational|float"),
+        "mode": ("float", _choice(walk._MODES), _MODE_HELP),
         "tol": (verify.INDEPENDENCE_TOL, _finite,
-                "max allowed joint-vs-product independence deviation (probability)"),
+                "max allowed joint-vs-product independence deviation (probability); "
+                "rational mode passes only at exactly 0"),
     }),
     "rw-reweight": (_cmd_rw_reweight, {
         "p-from": ("0.5", _bias, "simulated bias (dimensionless)"),
@@ -311,7 +325,8 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "dump-paths": _DUMP_PATHS,
     }),
     "verify-all": (_cmd_verify_all, {
-        "profile": ("desk", str, "battery size: desk|quick"),
+        "profile": ("desk", _choice(verify.SIZES),
+                    f"battery size: {'|'.join(verify.SIZES)}"),
         "seed": _SEED,
         "threads": _THREADS,
     }),

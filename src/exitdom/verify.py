@@ -118,28 +118,17 @@ def check_discrete_independence(ks_float, trunc_float, ks_exact, trunc_exact) ->
         "float <= 1e-12, exact == 0")
 
 
-def _walk_grid(ks, ns, truncation) -> list:
-    """Per k, the exit tables and the direct survival values up to max(ns)
-    of each bias of ``_GRID_PS``, keyed by p: both walk checks read them."""
-    grid = []
-    for k in ks:
-        specs = {p: WalkSpec(p, k) for p in _GRID_PS}
-        grid.append(({p: walk.exit_joint(s, truncation, MODE_FLOAT)
-                      for p, s in specs.items()},
-                     {p: walk.survival_pmf(s, max(ns), MODE_FLOAT).values
-                      for p, s in specs.items()}))
-    return grid
-
-
-def check_discrete_reweighting(grid, ns) -> CheckResult:
+def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
     worst = 0.0
     ok = True
-    for tables, direct in grid:
-        for p_from, table in tables.items():
+    for k in ks:
+        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
+                  for p in _GRID_PS}
+        for p_from in _GRID_PS:
             for p_to in (p for p in _GRID_PS if p != p_from):
                 for n in ns:
-                    est, bound = walk_girsanov.reweighted_survival_from_table(
-                        table, p_to, n)
+                    est, bound = walk_girsanov.reweighted_survival_walk(
+                        p_from, p_to, k, n, truncation)
                     diff = abs(est - direct[p_to][n])
                     worst = max(worst, diff)
                     ok &= reweight_within(diff, bound)
@@ -149,14 +138,10 @@ def check_discrete_reweighting(grid, ns) -> CheckResult:
         "within max(tail bound, 1e-10) everywhere")
 
 
-def check_discrete_factorization(grid, ns) -> CheckResult:
-    worst = 0.0
-    for tables, direct in grid:
-        for i, p1 in enumerate(_GRID_PS[:-1]):
-            for p2 in _GRID_PS[i + 1:]:
-                for n in ns:
-                    rhs = walk_girsanov.factorization_from_table(tables[p1], p2, n)
-                    worst = max(worst, abs(direct[p2][n] - rhs))
+def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
+    worst = max(walk_girsanov.factorization_check_discrete(p1, p2, k, n, truncation)
+                for k in ks for i, p1 in enumerate(_GRID_PS[:-1])
+                for p2 in _GRID_PS[i + 1:] for n in ns)
     return CheckResult(
         "discrete-factorization-identity", worst <= FACTORIZATION_TOL,
         f"max deviation {_fmt(worst)}", "<= 1e-10")
@@ -264,13 +249,12 @@ def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
         raise ValueError(f"unknown profile {profile!r}")
     s = SIZES[profile]
     rng_base = mc.RngStreamSpec(seed)
-    grid = _walk_grid(s["ks"], s["ns"], s["trunc"])
     results = [
         check_discrete_dominance_exact(s["ks"], s["horizon"]),
         check_discrete_independence(s["ks"], s["trunc_float"], s["ks_exact"],
                                     _TRUNC_EXACT),
-        check_discrete_reweighting(grid, s["ns"]),
-        check_discrete_factorization(grid, s["ns"]),
+        check_discrete_reweighting(s["ks"], s["ns"], s["trunc"]),
+        check_discrete_factorization(s["ks"], s["ns"], s["trunc"]),
         check_sech_identity(),
         check_donsker_series(s["donsker_k"]),
         check_continuous_dominance(),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,7 +260,7 @@ def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> Surviv
 
 
 def survival_at(spec: WalkSpec, ns) -> list:
-    """P(sigma > n) for each step count n in ``ns``, as floats.
+    """P(sigma > n) for each integer step count n in ``ns``, as floats.
 
     Evaluates the closed-form solution of the DP recurrence instead of
     running it.  The interior matrix is similar, through the diagonal
@@ -277,7 +278,10 @@ def survival_at(spec: WalkSpec, ns) -> list:
     (2k-1) * sqrt(R), with R = (max(p,q)/min(p,q))^(k-1), exceeds
     ``_MAX_CONDITION``, the values come from the float DP instead.
     """
-    ns = [int(n) for n in ns]
+    try:
+        ns = [operator.index(n) for n in ns]
+    except TypeError:
+        raise ValueError("step counts must be integers") from None
     if any(n < 0 for n in ns):
         raise ValueError("step counts must be >= 0")
     p, q = spec.pq(MODE_FLOAT)

@@ -9,12 +9,14 @@ evaluated at the terminal position s.  The same expression at (sigma,
 S_sigma) changes measure on the stopped filtration, which is what the
 reweighting and factorization identities below exercise.
 
-``reweighted_survival_walk`` and ``factorization_check_discrete`` read their
-float exit table from ``_float_exit_table``, a ``functools.lru_cache`` of
-``_TABLE_CACHE`` (16) tables keyed on (bias as a float, k, truncation), so a
-grid of calls that shares a bias builds its table once.  The table is a pure
-function of that key and only the ``*_from_table`` readers, which never
-change it, see the cached one: every returned value is the same bit for bit.
+Each identity has one route, ``reweighted_survival_walk`` and
+``factorization_check_discrete``, which the CLI and the battery both call.
+They read their float exit tables from ``_float_exit_table``, a
+``functools.lru_cache`` of ``_TABLE_CACHE`` (32) tables keyed on (bias as a
+float, k, truncation), so a grid of calls that shares a bias builds its
+table once: the desk battery's two walk grids read 20 tables.  The table is
+a pure function of that key and the two functions never change it, so
+every returned value is the same bit for bit, cold or warm.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec,
                    _parse_bias, exit_joint)
 
 
-_TABLE_CACHE = 16  # float exit tables kept by _float_exit_table
+_TABLE_CACHE = 32  # float exit tables kept by _float_exit_table
 
 
 class ReweightedSurvival(NamedTuple):
@@ -66,7 +68,7 @@ def _float_exit_table(p: float, k: int, truncation: int) -> JointExitTable:
 
     Memoized on (p, k, truncation), at most ``_TABLE_CACHE`` tables; typed,
     so that a k or truncation of another type is checked by ``exit_joint``
-    rather than served a table.  Callers hand it only to the readers.
+    rather than served a table.  Only the two identities below read it.
     """
     return exit_joint(WalkSpec(p, k), truncation, MODE_FLOAT)
 
@@ -75,34 +77,16 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int,
                              truncation: int) -> ReweightedSurvival:
     """Estimate P_{p_to}(sigma > n) from the p_from exit table by reweighting.
 
-    Reads the float exit table at p_from up to ``truncation``, built once
-    per (p_from, k, truncation) by ``_float_exit_table``, with
-    ``reweighted_survival_from_table``.
+    Sums r^m * z^(+-k) over the exit rows m = n+1..truncation of the float
+    exit table at p_from, and returns the truncation error bound alongside
+    for the caller to compare with its tolerance.
     """
     pf = _parse_bias(p_from, "p_from")
-    _parse_bias(p_to, "p_to")
-    if truncation <= n:
-        raise ValueError(f"truncation {truncation} must exceed n={n}")
-    return reweighted_survival_from_table(_float_exit_table(pf, k, truncation),
-                                          p_to, n)
-
-
-def reweighted_survival_from_table(table: JointExitTable, p_to,
-                                   n: int) -> ReweightedSurvival:
-    """P_{p_to}(sigma > n) by reweighting a float exit table built at p_from.
-
-    Sums r^m * z^(+-k) over the exit rows m = n+1..truncation, where the
-    truncation is the table's horizon, and returns the truncation error
-    bound alongside for the caller to compare with its tolerance.  One table
-    serves every (p_to, n) that shares its bias and half-width.
-    """
     pt = _parse_bias(p_to, "p_to")
-    truncation = table.horizon
-    if truncation <= n:
-        raise ValueError(f"truncation {truncation} must exceed n={n}")
-    spec = table.spec
-    k = spec.k
-    r, z = _rz(spec.p_float(), pt)
+    if not 0 <= n < truncation:
+        raise ValueError(f"need 0 <= n < truncation={truncation}, got n={n}")
+    table = _float_exit_table(pf, k, truncation)
+    r, z = _rz(pf, pt)
     exp, log = math.exp, math.log
     log_r, log_z = log(r), log(z)
     up_log_z, down_log_z = k * log_z, -k * log_z
@@ -115,24 +99,8 @@ def reweighted_survival_from_table(table: JointExitTable, p_to,
             est += exp(m * log_r + up_log_z + log(up))
         if down > 0.0:
             est += exp(m * log_r + down_log_z + log(down))
-    bound = _tail_bound(spec, r, z, truncation, table.residual[truncation])
+    bound = _tail_bound(table.spec, r, z, truncation, table.residual[truncation])
     return ReweightedSurvival(est, bound)
-
-
-def _factorization_r(p1, p2, n: int, truncation: int):
-    """(r, p2 as a float) for the factorization identity, after its preconditions."""
-    p1f = _parse_bias(p1, "p1")
-    p2f = _parse_bias(p2, "p2")
-    if not (0.5 <= p1f < p2f < 1.0):
-        raise ValueError(f"need 1/2 <= p1 < p2 < 1, got p1={p1}, p2={p2}")
-    if truncation <= n:
-        raise ValueError(f"truncation {truncation} must exceed n={n}")
-    r, _ = _rz(p1f, p2f)
-    if not r < 1.0:
-        raise ValueError(
-            f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
-            "the identity needs r < 1")
-    return r, p2f
 
 
 def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> float:
@@ -143,31 +111,26 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
         Q_{p2}(sigma > n) = E_{p1}[r^sigma | sigma > n] / E_{p1}[r^sigma]
                             * Q_{p1}(sigma > n)
 
-    are computed independently: the left from a direct DP at p2, the right
-    by ``factorization_from_table`` from the float exit table at p1 up to
-    ``truncation``, built once per (p1, k, truncation) by
-    ``_float_exit_table``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a
-    pair so close that r rounds to 1 raises ValueError.
+    are computed independently: the left from the float exit table at p2,
+    the right from the exit law of the table at p1 alone, truncated at
+    ``truncation``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a pair so
+    close that r rounds to 1 raises ValueError.
     """
-    _, p2f = _factorization_r(p1, p2, n, truncation)
-    table = _float_exit_table(_parse_bias(p1, "p1"), k, truncation)
-    direct = walk.survival_pmf(WalkSpec(p2f, k), n, MODE_FLOAT).values[n]
-    return abs(direct - factorization_from_table(table, p2, n))
-
-
-def factorization_from_table(table: JointExitTable, p2, n: int) -> float:
-    """Right-hand side of the factorization identity at (p2, n).
-
-    Computed entirely from a float exit table built at p1, truncated at the
-    table's horizon; it estimates Q_{p2}(sigma > n), as
-    ``reweighted_survival_from_table`` does.  One table serves every
-    (p2, n) that shares its bias and half-width, and forms its list of
-    exit masses once.
-    """
-    truncation = table.horizon
-    r, _ = _factorization_r(table.spec.p, p2, n, truncation)
-    terms = [r**m * pmf for m, pmf in enumerate(table._exit_pmfs)]
-    return sum(terms[n + 1:]) / sum(terms)
+    p1f = _parse_bias(p1, "p1")
+    p2f = _parse_bias(p2, "p2")
+    if not (0.5 <= p1f < p2f < 1.0):
+        raise ValueError(f"need 1/2 <= p1 < p2 < 1, got p1={p1}, p2={p2}")
+    if not 0 <= n < truncation:
+        raise ValueError(f"need 0 <= n < truncation={truncation}, got n={n}")
+    r, _ = _rz(p1f, p2f)
+    if not r < 1.0:
+        raise ValueError(
+            f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
+            "the identity needs r < 1")
+    direct = _float_exit_table(p2f, k, truncation).residual[n]
+    terms = [r**m * pmf for m, pmf in
+             enumerate(_float_exit_table(p1f, k, truncation)._exit_pmfs)]
+    return abs(direct - sum(terms[n + 1:]) / sum(terms))
 
 
 def check_independence_discrete(p, k: int, truncation: int,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exitdom import cli, io
+from exitdom import cli, io, walk
 from exitdom.io import OUTDIR_ENV
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -234,6 +234,26 @@ def test_rw_independence_tolerance_failure_is_exit_2(tmp_path):
                 "--outdir", str(tmp_path)]) == 2
     assert run(["rw-independence", "--truncation", "200",
                 "--outdir", str(tmp_path)]) == 0
+
+
+def test_rw_independence_rational_passes_only_on_exact_zero(tmp_path, monkeypatch):
+    argv = ["rw-independence", "--p", "31/61", "--k", "3", "--truncation", "300",
+            "--mode", "rational", "--tol", "0", "--outdir", str(tmp_path)]
+    assert run(argv) == 0
+    assert json.loads(read(tmp_path / "rw_independence.json"))["max_deviation"] == 0
+    # one upper exit moved off the product form by 1 / 61^250: the exact
+    # deviation is above 0 but rounds to 0.0 as a float, and once passed
+    real = walk._joint_entries
+
+    def corrupted(spec, horizon, mode):
+        up, down, residual, scale = real(spec, horizon, mode)
+        up = list(up)
+        up[250] += 1
+        return up, down, residual, scale
+
+    monkeypatch.setattr(walk, "_joint_entries", corrupted)
+    assert run(argv) == 2
+    assert json.loads(read(tmp_path / "rw_independence.json"))["max_deviation"] == 0
 
 
 def test_rw_reweight_and_factorization(tmp_path):
@@ -471,5 +491,32 @@ def test_verify_all_quick(tmp_path, capsys):
 
 
 def test_verify_all_bad_profile(tmp_path, capsys):
+    # once failed in the battery, after the echo
     assert run(["verify-all", "--profile", "huge",
                 "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert ("bad value for key 'profile': expected one of desk|quick, "
+            "got 'huge'") in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["rw-survival", "rw-dominance", "rw-independence"])
+@pytest.mark.parametrize("value", ["decimal", "Float", ""])
+def test_bad_mode_is_exit_1_before_the_echo(tmp_path, capsys, command, value):
+    # each once failed in the library, after the echo
+    assert run([command, "--mode", value, "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert (f"bad value for key 'mode': expected one of rational|float, "
+            f"got {value!r}") in err
+    assert "resolved config" not in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_mode_in_a_config_file_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = exact\n")
+    out_dir = tmp_path / "out"
+    assert run(["rw-survival", "--config", str(cfg), "--outdir", str(out_dir)]) == 1
+    assert "bad value for key 'mode'" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -189,6 +189,18 @@ def test_invalid_inputs():
         ed.survival_at(WalkSpec(0.5, 2), [3, -1])
 
 
+@pytest.mark.parametrize("n", [2.7, 625.0, np.float64(3.0), "3", Fraction(5)])
+def test_survival_at_rejects_a_step_count_that_is_not_an_integer(n):
+    # int(2.7) once read it as 2, which can flip the parity of an exit step
+    with pytest.raises(ValueError, match="integers"):
+        ed.survival_at(WalkSpec(0.5, 2), [4, n])
+
+
+def test_survival_at_takes_numpy_integers():
+    spec = WalkSpec(0.5, 3)
+    assert ed.survival_at(spec, np.arange(8)) == ed.survival_at(spec, range(8))
+
+
 def test_exact_mode_rejects_unrepresentable():
     with pytest.raises(ValueError):
         exact_fraction(0.1 + 0.2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import exitdom as ed
-from exitdom import walk
+from exitdom import verify, walk
 from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
                           interior_decay_envelope)
 from exitdom.walk_girsanov import _float_exit_table, _rz
@@ -154,26 +154,43 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def test_table_readers_match_the_per_point_functions():
-    # the per-point functions read a memoized table: cold after the clear,
-    # warm after the first call, and bit for bit a freshly built one
+def test_identities_read_the_same_bits_cold_and_warm():
+    # the two functions read memoized tables: a cold call, after the clear,
+    # and a warm one, served by the memo, return the same bits
     truncation = 300
+    points = [(k, p_from, p_to, n) for k in (1, 3)
+              for p_from in (0.5, 0.7, Fraction(3, 5))
+              for p_to in (0.5, 0.6, 0.9, "3/4") for n in (0, 7, 40)]
+
+    def values(k, p_from, p_to, n):
+        out = list(ed.reweighted_survival_walk(p_from, p_to, k, n, truncation))
+        if float(p_from) < float(Fraction(p_to)):
+            out.append(ed.factorization_check_discrete(p_from, p_to, k, n,
+                                                       truncation))
+        return _bits(out)
+
+    cold = []
+    for point in points:
+        _float_exit_table.cache_clear()
+        cold.append(values(*point))
     _float_exit_table.cache_clear()
-    for k in (1, 3):
-        for p_from in (0.5, 0.7, Fraction(3, 5)):
-            table = ed.exit_joint(WalkSpec(float(p_from), k), truncation)
-            for p_to in (0.5, 0.6, 0.9, "3/4"):
-                for n in (0, 7, 40):
-                    assert _bits(ed.reweighted_survival_from_table(table, p_to, n)) == \
-                        _bits(ed.reweighted_survival_walk(p_from, p_to, k, n, truncation))
-                    if float(p_from) < float(Fraction(p_to)):
-                        rhs = ed.factorization_from_table(table, p_to, n)
-                        direct = ed.survival_pmf(WalkSpec(p_to, k), n).values[n]
-                        assert _bits([abs(direct - rhs)]) == _bits([
-                            ed.factorization_check_discrete(p_from, p_to, k, n,
-                                                            truncation)])
-    # one table per bias and half-width: three biases at k = 1 and 3
-    assert _float_exit_table.cache_info().misses == 6
+    assert [values(*point) for point in points] == cold
+    # one table per bias and half-width: five biases at k = 1 and 3
+    assert _float_exit_table.cache_info().misses == 10
+    assert [values(*point) for point in points] == cold
+    assert _float_exit_table.cache_info().misses == 10
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 58 / 61])
+def test_table_residual_is_the_survival_curve_bit_for_bit(p):
+    # the factorization's direct side reads the residual of the exit table
+    # at p2 where it once ran its own survival DP to n
+    truncation = 300
+    for k in range(1, 9):
+        residual = ed.exit_joint(WalkSpec(p, k), truncation).residual
+        for n in (0, 1, 63, 64, 65, truncation - 1):
+            curve = ed.survival_pmf(WalkSpec(p, k), n).values
+            assert residual[n].hex() == curve[n].hex()
 
 
 def test_table_memo_keys_on_the_float_bias():
@@ -182,21 +199,49 @@ def test_table_memo_keys_on_the_float_bias():
     ed.reweighted_survival_walk(0.6, "7/10", 3, 10, 200)
     ed.factorization_check_discrete("3/5", 0.7, 3, 10, 200)
     info = _float_exit_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # the factorization reads the 3/5 table and builds the 7/10 one
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     # typed: a float k is checked by WalkSpec, not served the int k's table
     with pytest.raises(ValueError, match="half-width"):
         ed.reweighted_survival_walk(0.6, 0.7, 3.0, 10, 200)
-    assert _float_exit_table.cache_info().currsize == 1
+    assert _float_exit_table.cache_info().currsize == 2
+
+
+def test_desk_walk_checks_build_each_table_once():
+    # the reweighting builds one table per (k, bias) of the desk grid, 4 x 5,
+    # and the factorization pass finds every one of them in the memo
+    desk = verify.SIZES[verify.DESK]
+    args = desk["ks"], desk["ns"], desk["trunc"]
+    _float_exit_table.cache_clear()
+    assert verify.check_discrete_reweighting(*args).passed
+    assert _float_exit_table.cache_info().misses == 20
+    assert verify.check_discrete_factorization(*args).passed
+    info = _float_exit_table.cache_info()
+    assert (info.misses, info.currsize) == (20, 20)
 
 
 def test_factorization_reads_the_exit_law_bit_for_bit():
-    # the sum as it once read the table: one exit_pmf call per step
+    # the sum as it once read the table: one exit_pmf call per step, against
+    # a direct survival DP to n
     table = ed.exit_joint(WalkSpec(0.6, 3), 300)
     for p2, n in ((0.65, 0), (0.7, 10), (0.95, 50)):
         r, _ = _rz(0.6, p2)
         terms = [r**m * table.exit_pmf(m) for m in range(table.horizon + 1)]
-        want = sum(terms[n + 1:]) / sum(terms)
-        assert ed.factorization_from_table(table, p2, n).hex() == want.hex()
+        direct = ed.survival_pmf(WalkSpec(p2, 3), n).values[n]
+        want = abs(direct - sum(terms[n + 1:]) / sum(terms))
+        got = ed.factorization_check_discrete(0.6, p2, 3, n, 300)
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("n, truncation", [(-5, 400), (-1, 400), (400, 400),
+                                           (401, 400)])
+def test_identities_need_a_step_below_the_truncation(n, truncation):
+    # n = -5 once read the table's last rows and returned 2.7e-25 for
+    # P(sigma > -5) = 1
+    with pytest.raises(ValueError, match="0 <= n < truncation"):
+        ed.reweighted_survival_walk(0.5, 0.7, 3, n, truncation)
+    with pytest.raises(ValueError, match="0 <= n < truncation"):
+        ed.factorization_check_discrete(0.5, 0.7, 3, n, truncation)
 
 
 def test_factorization_preconditions():
