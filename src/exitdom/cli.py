@@ -41,23 +41,14 @@ def _floats(text: str) -> list[float]:
     return values
 
 
-def _bias_value(text: str) -> float:
-    if not text.strip():
-        raise ValueError("empty bias")
-    try:
-        return walk._parse_bias(text, "bias")
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _bias(text: str) -> str:
     """The text unchanged, once it reads as a bias strictly inside (0, 1)."""
-    _bias_value(text)
+    walk._parse_bias(text, "bias")
     return text
 
 
 def _upper_bias_value(text: str) -> float:
-    p = _bias_value(text)
+    p = walk._parse_bias(text, "bias")
     if p < 0.5:
         raise ValueError(f"expected a bias in [1/2, 1), got {text!r}")
     return p
@@ -132,8 +123,10 @@ def _cmd_rw_reweight(cfg: dict) -> tuple[dict, str, bool]:
     direct = float(walk.survival_pmf(WalkSpec(cfg["p-to"], cfg["k"]),
                                      cfg["n"]).values[cfg["n"]])
     diff = abs(est - direct)
-    return ({"estimate": est, "tail_bound": bound, "direct": direct,
-             "abs_diff": diff},
+    # a tail bound that is not finite is written as null
+    return ({"estimate": est,
+             "tail_bound": bound if math.isfinite(bound) else None,
+             "direct": direct, "abs_diff": diff},
             f"reweighted {est:.12g}  direct {direct:.12g}  "
             f"diff {diff:.3e}  tail bound {bound:.3e}",
             verify.reweight_within(diff, bound, cfg["tol"]))
@@ -390,7 +383,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if unknown:
         raise ValueError(
             f"config key '{sorted(unknown)[0]}' is not accepted by {command}")
-    if {"p1", "p2"} <= cfg.keys() and _bias_value(cfg["p1"]) >= _bias_value(cfg["p2"]):
+    if ({"p1", "p2"} <= cfg.keys()
+            and walk._parse_bias(cfg["p1"]) >= walk._parse_bias(cfg["p2"])):
         raise ValueError(f"bad value for key 'p2': expected a bias above "
                          f"p1 = {cfg['p1']!r}, got {cfg['p2']!r}")
     cfg["outdir"] = io.resolve_outdir(args.outdir or file_cfg.get("outdir"))

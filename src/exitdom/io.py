@@ -54,9 +54,11 @@ def write_json(path: str, payload: dict, config: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION,
            "config": {k: fmt_cell(v) for k, v in embeddable_config(config).items()}}
     doc.update(payload)
+    # a NaN or an infinity is a ValueError here, before the file is opened:
+    # the file must parse as standard JSON
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_config_file(path: str) -> dict:

@@ -123,7 +123,12 @@ class ExitSamples:
     """Struct-of-arrays collection of simulated exits from (-b, b).
 
     ``sides`` holds +1 / -1 for exits at +-b and 0 for paths censored at the
-    horizon; censored rows keep ``times`` equal to the horizon.
+    horizon; censored rows keep ``times`` equal to the horizon.  ``terminal``
+    holds, for an exited path, its position at the end of the step in which
+    it exited, not the exit point side * b: the exit is placed inside the
+    step, and the simulated endpoint may lie back inside (-b, b), as it did
+    for 9,993 of 20,000 driftless exits at b = 1, dt = 1e-2, seed 5.  For a
+    censored path it holds the position at the horizon.
     """
 
     spec: DriftSpec

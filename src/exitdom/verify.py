@@ -4,11 +4,13 @@ This module is the one home of each check: its sizes per profile
 (``SIZES``), its threshold (a constant below, which the matching CLI
 subcommand, where there is one, reads too) and its pass rule.  The one
 exception is the tie tolerance of the continuous dominance scan,
-``bm.DOMINANCE_TIE_TOL``, which lives beside the scan as its default.  The battery returns one
-``CheckResult`` per check for the CLI and the test suite to render or assert.
-All Monte Carlo is seeded from one master seed and reduced in fixed batch
-order, so the results are a pure function of (profile, seed), whatever the
-thread count.
+``bm.DOMINANCE_TIE_TOL``, which lives beside the scan as its default.  The
+battery returns one ``CheckResult`` per check for the CLI and the test suite
+to render or assert.  The three float walk checks read every table from one
+memo, ``walk_girsanov._float_exit_table``, at the profile's ``trunc``: 20
+tables on the desk, 10 on quick.  All Monte Carlo is seeded from one master
+seed and reduced in fixed batch order, so the results are a pure function of
+(profile, seed), whatever the thread count.
 
 Two checks are statistical.  ``mc-survival-consistency`` makes 5 comparisons
 at 3 standard errors (0.27% each) and ``continuous-exit-independence`` one
@@ -37,13 +39,13 @@ from .walk import MODE_FLOAT, MODE_RATIONAL, WalkSpec
 DESK = "desk"
 QUICK = "quick"
 
-# Per-profile sizes of every check: walk half-widths, horizons, table
-# truncations, reweighting step counts, the Donsker half-width, path counts.
+# Per-profile sizes of every check: walk half-widths, horizons, the one float
+# table truncation, reweighting step counts, the Donsker half-width, paths.
 SIZES = {
-    DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200, trunc_float=400,
+    DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200,
                ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
                n_paths=100_000, coupled_paths=1000, refinement=True),
-    QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60, trunc_float=200,
+    QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60,
                 ns=[0, 10], trunc=300, donsker_k=100,
                 n_paths=20_000, coupled_paths=300, refinement=False),
 }
@@ -106,8 +108,8 @@ def check_discrete_dominance_exact(ks, horizon) -> CheckResult:
         f"k in {list(ks)}, {len(ps)}-point bias grid, horizon {horizon}, exact arithmetic")
 
 
-def check_discrete_independence(ks_float, trunc_float, ks_exact, trunc_exact) -> CheckResult:
-    worst_f = max(walk_girsanov.check_independence_discrete(p, k, trunc_float, MODE_FLOAT)
+def check_discrete_independence(ks_float, truncation, ks_exact, trunc_exact) -> CheckResult:
+    worst_f = max(walk_girsanov.check_independence_discrete(p, k, truncation, MODE_FLOAT)
                   for k in ks_float for p in [0.6, 0.7, 0.8, 0.9])
     worst_x = max(walk_girsanov.check_independence_discrete(p, k, trunc_exact, MODE_RATIONAL)
                   for k in ks_exact for p in ["3/5", "7/10", "4/5", "9/10"])
@@ -122,14 +124,13 @@ def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
     worst = 0.0
     ok = True
     for k in ks:
-        direct = {p: walk.survival_pmf(WalkSpec(p, k), max(ns), MODE_FLOAT).values
-                  for p in _GRID_PS}
         for p_from in _GRID_PS:
             for p_to in (p for p in _GRID_PS if p != p_from):
+                direct = walk_girsanov._float_exit_table(p_to, k, truncation).residual
                 for n in ns:
                     est, bound = walk_girsanov.reweighted_survival_walk(
                         p_from, p_to, k, n, truncation)
-                    diff = abs(est - direct[p_to][n])
+                    diff = abs(est - direct[n])
                     worst = max(worst, diff)
                     ok &= reweight_within(diff, bound)
     return CheckResult(
@@ -251,8 +252,7 @@ def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
     rng_base = mc.RngStreamSpec(seed)
     results = [
         check_discrete_dominance_exact(s["ks"], s["horizon"]),
-        check_discrete_independence(s["ks"], s["trunc_float"], s["ks_exact"],
-                                    _TRUNC_EXACT),
+        check_discrete_independence(s["ks"], s["trunc"], s["ks_exact"], _TRUNC_EXACT),
         check_discrete_reweighting(s["ks"], s["ns"], s["trunc"]),
         check_discrete_factorization(s["ks"], s["ns"], s["trunc"]),
         check_sech_identity(),

@@ -76,8 +76,17 @@ def exact_fraction(x) -> Fraction:
 
 
 def _parse_bias(p, name: str = "bias p") -> float:
-    """A bias given as float, Fraction or "num/den" string, as a float in (0, 1)."""
-    pf = float(Fraction(p) if isinstance(p, str) else p)
+    """A bias given as float, Fraction or "num/den" string, as a float in (0, 1).
+
+    Raises ValueError for a value outside (0, 1), for empty text and for a
+    zero denominator.
+    """
+    if isinstance(p, str) and not p.strip():
+        raise ValueError(f"empty {name}")
+    try:
+        pf = float(Fraction(p) if isinstance(p, str) else p)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {p!r}") from None
     if not 0.0 < pf < 1.0:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {p!r}")
     return pf
@@ -121,10 +130,6 @@ class SurvivalCurve:
         if not self.values or self.values[0] != 1:
             raise ValueError("survival curve must start at 1")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
 
 @dataclass
 class JointExitTable:
@@ -139,10 +144,6 @@ class JointExitTable:
     down: list
     residual: list
     mode: str
-
-    @property
-    def horizon(self) -> int:
-        return len(self.residual) - 1
 
     def exit_pmf(self, n: int):
         return self.up[n] + self.down[n]
@@ -340,15 +341,22 @@ def upper_exit_prob(spec: WalkSpec, mode: str = MODE_FLOAT):
 
 
 def interior_decay_envelope(spec: WalkSpec):
-    """(A, rho) with P(sigma > n) <= A * rho^n for all n.
+    """(log A, rho) with P(sigma > n) <= A * rho^n for all n.
 
     rho = 2*sqrt(pq)*cos(pi/(2k)) is the Perron value of the substochastic
     interior transition matrix; A comes from symmetrising the matrix with the
-    diagonal weights (q/p)^(j/2).
+    diagonal weights (q/p)^(j/2), A^2 = sum_{|j|<k} y^j with
+    y = max(p,q)/min(p,q).  A is returned as its log, from the geometric sum
+    in closed form, log A^2 = (k-1) log y + log(1 - y^-(2k-1)) - log(1 - 1/y):
+    A^2 itself overflows a float once (k-1) log y passes 709.78, at p = 0.99
+    from k = 156 on.
     """
     p, q = spec.pq(MODE_FLOAT)
     k = spec.k
     rho = 2.0 * np.sqrt(p * q) * np.cos(np.pi / (2 * k))
-    j = np.arange(-(k - 1), k)
-    A = float(np.sqrt(np.sum((p / q) ** j)))
-    return A, rho
+    log_y = abs(math.log(p / q))
+    if log_y == 0.0:
+        return 0.5 * math.log(2 * k - 1), rho
+    log_a2 = ((k - 1) * log_y + math.log(-math.expm1(-(2 * k - 1) * log_y))
+              - math.log(-math.expm1(-log_y)))
+    return 0.5 * log_a2, rho

@@ -9,14 +9,14 @@ evaluated at the terminal position s.  The same expression at (sigma,
 S_sigma) changes measure on the stopped filtration, which is what the
 reweighting and factorization identities below exercise.
 
-Each identity has one route, ``reweighted_survival_walk`` and
-``factorization_check_discrete``, which the CLI and the battery both call.
-They read their float exit tables from ``_float_exit_table``, a
-``functools.lru_cache`` of ``_TABLE_CACHE`` (32) tables keyed on (bias as a
-float, k, truncation), so a grid of calls that shares a bias builds its
-table once: the desk battery's two walk grids read 20 tables.  The table is
-a pure function of that key and the two functions never change it, so
-every returned value is the same bit for bit, cold or warm.
+Each identity has one route, ``reweighted_survival_walk``,
+``factorization_check_discrete`` or ``check_independence_discrete``, which the
+CLI and the battery both call.  In float mode they read their exit tables from
+``_float_exit_table``, a ``functools.lru_cache`` of ``_TABLE_CACHE`` (32)
+tables keyed on (bias as a float, k, truncation), so a grid of calls that
+shares a bias builds its table once: the desk battery's three float walk
+checks read 20 tables.  The table is a pure function of that key and no
+reader changes it, so every value is the same bit for bit, cold or warm.
 """
 
 from __future__ import annotations
@@ -49,17 +49,28 @@ def _rz(p_from: float, p_to: float):
 
 def _tail_bound(spec_from: WalkSpec, r: float, z: float, truncation: int,
                 residual_at_truncation: float) -> float:
-    """Rigorous bound on the reweighted mass beyond the truncation step."""
+    """Rigorous bound on the reweighted mass beyond the truncation step.
+
+    Formed in logs and exponentiated once, so it is inf only where its log
+    passes the float range, and never NaN: A alone overflows at p = 0.99,
+    k = 200, where the bound itself can be finite or 0.
+    """
     k = spec_from.k
-    zmax = max(z**k, z**-k)
-    A, rho = walk.interior_decay_envelope(spec_from)
-    # r * rho equals the Perron value at the target bias, hence < 1 always;
-    # powering the product rather than r alone keeps r > 1 from overflowing
-    geo = A * r * (r * rho) ** truncation / (1.0 - r * rho)
-    bound = zmax * geo
+    log_zmax = k * abs(math.log(z))
+    log_A, rho = walk.interior_decay_envelope(spec_from)
+    # r * rho equals the Perron value at the target bias, hence < 1 always
+    r_rho = r * rho
+    log_bound = (log_zmax + log_A + math.log(r) + truncation * math.log(r_rho)
+                 - math.log1p(-r_rho))
     if r <= 1.0:
-        bound = min(bound, r**truncation * zmax * residual_at_truncation)
-    return bound
+        if residual_at_truncation == 0.0:
+            return 0.0
+        log_bound = min(log_bound, truncation * math.log(r) + log_zmax
+                        + math.log(residual_at_truncation))
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE, typed=True)
@@ -68,7 +79,7 @@ def _float_exit_table(p: float, k: int, truncation: int) -> JointExitTable:
 
     Memoized on (p, k, truncation), at most ``_TABLE_CACHE`` tables; typed,
     so that a k or truncation of another type is checked by ``exit_joint``
-    rather than served a table.  Only the two identities below read it.
+    rather than served a table.  Only the three identities below read it.
     """
     return exit_joint(WalkSpec(p, k), truncation, MODE_FLOAT)
 
@@ -114,7 +125,8 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     are computed independently: the left from the float exit table at p2,
     the right from the exit law of the table at p1 alone, truncated at
     ``truncation``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a pair so
-    close that r rounds to 1 raises ValueError.
+    close that r rounds to 1 raises ValueError, and so does a pair whose
+    r^sigma underflows on every truncated exit step.
     """
     p1f = _parse_bias(p1, "p1")
     p2f = _parse_bias(p2, "p2")
@@ -130,7 +142,12 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     direct = _float_exit_table(p2f, k, truncation).residual[n]
     terms = [r**m * pmf for m, pmf in
              enumerate(_float_exit_table(p1f, k, truncation)._exit_pmfs)]
-    return abs(direct - sum(terms[n + 1:]) / sum(terms))
+    total = sum(terms)
+    if total == 0.0:
+        raise ValueError(
+            f"every term r^m P(sigma = m) underflows to 0 at p1={p1}, p2={p2}, "
+            f"k={k}, so E_p1[r^sigma] reads 0")
+    return abs(direct - sum(terms[n + 1:]) / total)
 
 
 def check_independence_discrete(p, k: int, truncation: int,
@@ -155,7 +172,7 @@ def check_independence_discrete(p, k: int, truncation: int,
             return Fraction(0)
         return max(Fraction(miss, d**m * (a_k + b_k))
                    for m, miss in enumerate(misses))
-    table = exit_joint(spec, truncation, mode)
+    table = _float_exit_table(spec.p_float(), k, truncation)
     h = walk.upper_exit_prob(spec, mode)
     return max(abs(table.up[m] - table.exit_pmf(m) * h)
                for m in range(truncation + 1))

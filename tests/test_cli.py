@@ -208,6 +208,13 @@ def test_bias_order_holds_across_config_file_and_flags(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value, message", [("", "empty bias"),
+                                            ("1/0", "zero denominator in '1/0'")])
+def test_bias_text_error_names_the_fault(tmp_path, capsys, value, message):
+    assert run(["rw-survival", "--p", value, "--outdir", str(tmp_path)]) == 1
+    assert f"bad value for key 'p': {message}" in capsys.readouterr().err
+
+
 def test_valid_bias_is_kept_as_written(tmp_path, capsys):
     assert run(["rw-reweight", "--p-from", "1/2", "--p-to", " 0.7",
                 "--outdir", str(tmp_path)]) == 0
@@ -261,6 +268,42 @@ def test_rw_reweight_and_factorization(tmp_path):
     doc = json.loads(read(tmp_path / "rw_reweight.json"))
     assert doc["abs_diff"] <= max(doc["tail_bound"], 1e-10)
     assert run(["rw-factorization", "--outdir", str(tmp_path)]) == 0
+
+
+def test_factorization_underflow_is_exit_1_without_nan(tmp_path, capsys):
+    # every r^m P(sigma = m) underflowed: the command exited 2 and wrote
+    # "deviation": NaN
+    assert run(["rw-factorization", "--p1", "0.5", "--p2", "0.999999", "--k", "200",
+                "--n", "4", "--outdir", str(tmp_path)]) == 1
+    assert "underflows" in capsys.readouterr().err
+    assert not (tmp_path / "rw_factorization.json").exists()
+
+
+def test_reweight_bound_past_a_float_overflow_is_strict_json(tmp_path, capsys):
+    # the float sum inside the tail bound overflowed: the bound read nan,
+    # the command printed "tail bound nan" and exited 2
+    assert run(["rw-reweight", "--p-from", "0.99", "--p-to", "0.98", "--k", "200",
+                "--n", "300", "--truncation", "5000", "--outdir", str(tmp_path)]) == 0
+    assert "tail bound 0.000e+00" in capsys.readouterr().out
+    doc = json.loads(read(tmp_path / "rw_reweight.json"), parse_constant=reject)
+    assert doc["tail_bound"] == 0.0 and doc["abs_diff"] <= 1e-40
+
+
+def test_reweight_infinite_tail_bound_is_written_as_null(tmp_path, capsys):
+    # a bound whose log passes the float range is inf; the JSON holds null
+    assert run(["rw-reweight", "--p-from", "0.99", "--p-to", "0.5", "--k", "400",
+                "--truncation", "600", "--outdir", str(tmp_path)]) == 0
+    assert "tail bound inf" in capsys.readouterr().out
+    doc = json.loads(read(tmp_path / "rw_reweight.json"), parse_constant=reject)
+    assert doc["tail_bound"] is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_a_non_finite_value_before_the_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        io.write_json(str(path), {"x": [1.0, value]}, {})
+    assert not path.exists()
 
 
 def test_bm_survival_csv(tmp_path):

@@ -189,6 +189,14 @@ def test_invalid_inputs():
         ed.survival_at(WalkSpec(0.5, 2), [3, -1])
 
 
+@pytest.mark.parametrize("text, message", [("", "empty bias p"), ("  ", "empty bias p"),
+                                           ("1/0", "zero denominator in '1/0'")])
+def test_bias_text_errors_are_value_errors(text, message):
+    # "1/0" once raised ZeroDivisionError from WalkSpec
+    with pytest.raises(ValueError, match=message):
+        WalkSpec(text, 2)
+
+
 @pytest.mark.parametrize("n", [2.7, 625.0, np.float64(3.0), "3", Fraction(5)])
 def test_survival_at_rejects_a_step_count_that_is_not_an_integer(n):
     # int(2.7) once read it as 2, which can flip the parity of an exit step

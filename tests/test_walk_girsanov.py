@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import exitdom as ed
 from exitdom import verify, walk
 from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
                           interior_decay_envelope)
-from exitdom.walk_girsanov import _float_exit_table, _rz
+from exitdom.walk_girsanov import _float_exit_table, _rz, _tail_bound
 
 
 def _likelihood_ratio_walk(n, s, p_from, p_to, mode=MODE_FLOAT):
@@ -207,17 +208,52 @@ def test_table_memo_keys_on_the_float_bias():
     assert _float_exit_table.cache_info().currsize == 2
 
 
+def _desk_float_walk_checks():
+    desk = verify.SIZES[verify.DESK]
+    args = desk["ks"], desk["ns"], desk["trunc"]
+    return [verify.check_discrete_independence(desk["ks"], desk["trunc"],
+                                               desk["ks_exact"], 60),
+            verify.check_discrete_reweighting(*args),
+            verify.check_discrete_factorization(*args)]
+
+
 def test_desk_walk_checks_build_each_table_once():
-    # the reweighting builds one table per (k, bias) of the desk grid, 4 x 5,
+    # the independence check builds the 16 tables of its biases 0.6 to 0.9,
+    # the reweighting the 4 more at 0.5, one per (k, bias) of the desk grid,
     # and the factorization pass finds every one of them in the memo
     desk = verify.SIZES[verify.DESK]
     args = desk["ks"], desk["ns"], desk["trunc"]
     _float_exit_table.cache_clear()
+    assert verify.check_discrete_independence(desk["ks"], desk["trunc"],
+                                              desk["ks_exact"], 60).passed
+    assert _float_exit_table.cache_info().misses == 16
     assert verify.check_discrete_reweighting(*args).passed
     assert _float_exit_table.cache_info().misses == 20
     assert verify.check_discrete_factorization(*args).passed
     info = _float_exit_table.cache_info()
     assert (info.misses, info.currsize) == (20, 20)
+
+
+def test_desk_float_walk_checks_run_twenty_dps_then_none(monkeypatch):
+    # one float DP per (k, bias) on a cold pass, where the independence
+    # tables at a second truncation and the reweighting's direct survival
+    # curves once made 56; a warm pass reads every table from the memo
+    real, modes = walk._dp, []
+
+    def counted(spec, horizon, mode):
+        modes.append(mode)
+        return real(spec, horizon, mode)
+
+    monkeypatch.setattr(walk, "_dp", counted)
+    _float_exit_table.cache_clear()
+    cold = _desk_float_walk_checks()
+    assert modes.count(MODE_FLOAT) == 20
+    assert _float_exit_table.cache_info().misses == 20
+    del modes[:]
+    assert _desk_float_walk_checks() == cold
+    assert modes.count(MODE_FLOAT) == 0
+    assert _float_exit_table.cache_info().misses == 20
+    assert all(result.passed for result in cold)
 
 
 def test_factorization_reads_the_exit_law_bit_for_bit():
@@ -226,7 +262,7 @@ def test_factorization_reads_the_exit_law_bit_for_bit():
     table = ed.exit_joint(WalkSpec(0.6, 3), 300)
     for p2, n in ((0.65, 0), (0.7, 10), (0.95, 50)):
         r, _ = _rz(0.6, p2)
-        terms = [r**m * table.exit_pmf(m) for m in range(table.horizon + 1)]
+        terms = [r**m * table.exit_pmf(m) for m in range(len(table.residual))]
         direct = ed.survival_pmf(WalkSpec(p2, 3), n).values[n]
         want = abs(direct - sum(terms[n + 1:]) / sum(terms))
         got = ed.factorization_check_discrete(0.6, p2, 3, n, 300)
@@ -244,6 +280,12 @@ def test_identities_need_a_step_below_the_truncation(n, truncation):
         ed.factorization_check_discrete(0.5, 0.7, 3, n, truncation)
 
 
+def test_factorization_underflow_is_a_value_error():
+    # every r^m P(sigma = m) underflows, so the ratio once read 0/0 = nan
+    with pytest.raises(ValueError, match="underflows"):
+        ed.factorization_check_discrete(0.5, 0.999999, 200, 4, 400)
+
+
 def test_factorization_preconditions():
     with pytest.raises(ValueError):
         ed.factorization_check_discrete(0.6, 0.5, 2, 5, 200)  # p1 >= p2
@@ -254,6 +296,58 @@ def test_factorization_preconditions():
     with pytest.raises(ValueError):
         # p2 is the next float above p1, so r rounds to exactly 1
         ed.factorization_check_discrete(0.5, math.nextafter(0.5, 1.0), 2, 5, 200)
+
+
+def _product_form_tail_bound(p_from, p_to, k, truncation, residual):
+    """The tail bound as products of floats, A from a float sum of (p/q)^j."""
+    r, z = _rz(p_from, p_to)
+    q_from = 1.0 - p_from
+    _, rho = interior_decay_envelope(WalkSpec(p_from, k))
+    A = math.sqrt(math.fsum((p_from / q_from) ** j for j in range(-(k - 1), k)))
+    bound = max(z**k, z**-k) * A * r * (r * rho) ** truncation / (1.0 - r * rho)
+    if r <= 1.0:
+        bound = min(bound, r**truncation * max(z**k, z**-k) * residual)
+    return bound
+
+
+def test_tail_bound_in_logs_matches_the_product_form():
+    # wherever A and the product form are normal floats, the bound formed in
+    # logs reads the same value within 1e-12
+    ps = (0.5, 0.500001, 0.55, 0.6, 0.7, 0.9, 0.95, 0.3, 0.1)
+    seen = 0
+    for p_from, p_to in itertools.product(ps, ps):
+        for k, truncation in itertools.product((1, 2, 3, 8, 40), (8, 50, 400, 600)):
+            for residual in (0.0, 1e-30, 0.5):
+                want = _product_form_tail_bound(p_from, p_to, k, truncation, residual)
+                r, z = _rz(p_from, p_to)
+                got = _tail_bound(WalkSpec(p_from, k), r, z, truncation, residual)
+                assert type(got) is float
+                if want == 0.0:
+                    assert got < 1e-300
+                elif math.isfinite(want) and want >= sys.float_info.min:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    seen += 1
+    assert seen > 1000
+
+
+def test_tail_bound_stays_finite_where_A_overflows():
+    # at p = 0.99, k = 200 the float sum of (p/q)^j overflows: the bound
+    # read inf here, and nan (inf * 0) at truncation 5000
+    log_A, _ = interior_decay_envelope(WalkSpec(0.99, 200))
+    assert math.isfinite(log_A) and log_A > 0.5 * math.log(sys.float_info.max)
+    est, bound = ed.reweighted_survival_walk(0.99, 0.9, 200, 10, 400)
+    assert math.isfinite(est) and math.isfinite(bound)
+    est, bound = ed.reweighted_survival_walk(0.99, 0.98, 200, 300, 5000)
+    direct = ed.survival_pmf(WalkSpec(0.98, 200), 300).values[300]
+    assert bound == 0.0 and abs(est - direct) <= 1e-40
+
+
+def test_interior_envelope_log_A_matches_the_sum():
+    for p in (0.5, 0.500001, 0.6, 0.9, 0.1, 0.99):
+        for k in (1, 2, 5, 40, 150):
+            log_A, _ = interior_decay_envelope(WalkSpec(p, k))
+            total = math.fsum((p / (1 - p)) ** j for j in range(-(k - 1), k))
+            assert log_A == pytest.approx(0.5 * math.log(total), rel=1e-13, abs=1e-15)
 
 
 def test_r_contraction_into_perron_value():
