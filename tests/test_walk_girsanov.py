@@ -212,7 +212,7 @@ def _desk_float_walk_checks():
     desk = verify.SIZES[verify.DESK]
     args = desk["ks"], desk["ns"], desk["trunc"]
     return [verify.check_discrete_independence(desk["ks"], desk["trunc"],
-                                               desk["ks_exact"], 60),
+                                               desk["ks_exact"], verify._TRUNC_EXACT),
             verify.check_discrete_reweighting(*args),
             verify.check_discrete_factorization(*args)]
 
@@ -224,8 +224,8 @@ def test_desk_walk_checks_build_each_table_once():
     desk = verify.SIZES[verify.DESK]
     args = desk["ks"], desk["ns"], desk["trunc"]
     _float_exit_table.cache_clear()
-    assert verify.check_discrete_independence(desk["ks"], desk["trunc"],
-                                              desk["ks_exact"], 60).passed
+    assert verify.check_discrete_independence(desk["ks"], desk["trunc"], desk["ks_exact"],
+                                              verify._TRUNC_EXACT).passed
     assert _float_exit_table.cache_info().misses == 16
     assert verify.check_discrete_reweighting(*args).passed
     assert _float_exit_table.cache_info().misses == 20
