@@ -123,13 +123,15 @@ def _cmd_rw_reweight(cfg: dict) -> tuple[dict, str, bool]:
     direct = float(walk.survival_pmf(WalkSpec(cfg["p-to"], cfg["k"]),
                                      cfg["n"]).values[cfg["n"]])
     diff = abs(est - direct)
-    # a tail bound that is not finite is written as null
+    text = (f"reweighted {est:.12g}  direct {direct:.12g}  "
+            f"diff {diff:.3e}  tail bound {bound:.3e}")
+    # a tail bound that is not finite is written as null, and fails the check
+    if not math.isfinite(bound):
+        text += " (not finite: the check cannot pass)"
     return ({"estimate": est,
              "tail_bound": bound if math.isfinite(bound) else None,
              "direct": direct, "abs_diff": diff},
-            f"reweighted {est:.12g}  direct {direct:.12g}  "
-            f"diff {diff:.3e}  tail bound {bound:.3e}",
-            verify.reweight_within(diff, bound, cfg["tol"]))
+            text, verify.reweight_within(diff, bound, cfg["tol"]))
 
 
 def _cmd_rw_factorization(cfg: dict) -> tuple[dict, str, bool]:
@@ -256,7 +258,8 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "truncation": (400, int, "table truncation (steps)"),
         "tol": (verify.REWEIGHT_FLOOR, _finite,
                 "floor under the tail bound: pass when |reweighted - direct| <= "
-                "max(tail bound, tol) (probability)"),
+                "max(tail bound, tol) (probability); a tail bound that is not "
+                "finite fails"),
     }),
     "rw-factorization": (_cmd_rw_factorization, {
         "p1": ("0.5", _upper_bias, "smaller bias, >= 1/2 (dimensionless)"),

@@ -160,33 +160,30 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     if any(not 0.5 <= f < 1.0 for f in floats):
         raise ValueError("all biases must lie in [1/2, 1)")
     steps = list(range(horizon + 1))
-    exact = {}   # grid position -> (numerators, d)
-    powers = {}  # d -> [d**n for n = 0..horizon]
-
-    def exact_curve(i):
-        if i not in exact:
-            numerators, d = walk._survival_entries(WalkSpec(ps[i], k), horizon,
-                                                   MODE_RATIONAL)
-            if d not in powers:
-                powers[d] = list(itertools.accumulate(itertools.repeat(d, horizon),
-                                                      operator.mul, initial=1))
-            exact[i] = numerators, d
-        return exact[i]
-
+    specs = [WalkSpec(p, k) for p in ps]
+    if mode == MODE_RATIONAL:
+        escalated, need = range(len(ps) - 1), range(len(ps))
+    else:
+        values = [[float(v) for v in residual] for residual, _
+                  in walk._survival_entries(specs, horizon, mode)]
+        escalated = {i for i in range(len(ps) - 1)
+                     if _worst_gap(values[i], values[i + 1], steps) is not None}
+        need = sorted({j for i in escalated for j in (i, i + 1)})
+    # one exact DP for every bias that an exact comparison reads
+    exact = dict(zip(need, walk._survival_entries([specs[j] for j in need], horizon,
+                                                  MODE_RATIONAL))) if need else {}
+    powers = {d: list(itertools.accumulate(itertools.repeat(d, horizon), operator.mul,
+                                           initial=1))
+              for d in {d for _, d in exact.values()}}  # d -> [d**n for n = 0..horizon]
     if mode == MODE_RATIONAL:
         # int / int is correctly rounded, as float(Fraction) is
         values = [[n / pw for n, pw in zip(numerators, powers[d])]
-                  for numerators, d in map(exact_curve, range(len(ps)))]
-    else:
-        values = [[float(v) for v in walk.survival_pmf(WalkSpec(p, k), horizon,
-                                                        mode).values]
-                  for p in ps]
+                  for numerators, d in exact.values()]
     report = DominanceReport("p", ps, "n", steps, values)
     for i in range(len(ps) - 1):
         worst = None
-        if (mode == MODE_RATIONAL
-                or _worst_gap(values[i], values[i + 1], steps) is not None):
-            worst = _exact_worst_gap(exact_curve(i), exact_curve(i + 1), steps, powers)
+        if i in escalated:
+            worst = _exact_worst_gap(exact[i], exact[i + 1], steps, powers)
         report.add_pair(str(ps[i]), str(ps[i + 1]), worst)
     return report
 

@@ -90,8 +90,10 @@ class CheckResult:
 
 
 def reweight_within(diff: float, bound: float, floor: float = REWEIGHT_FLOOR) -> bool:
-    """The reweighting pass rule: |reweighted - direct| <= max(tail bound, floor)."""
-    return diff <= max(bound, floor)
+    """The reweighting pass rule: a finite tail bound, and
+    |reweighted - direct| <= max(tail bound, floor).  An infinite bound
+    would let any estimate pass."""
+    return math.isfinite(bound) and diff <= max(bound, floor)
 
 
 def _fmt(x: float) -> str:

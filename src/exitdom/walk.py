@@ -154,64 +154,91 @@ class JointExitTable:
         readers never change a table, so the list stays its exit law."""
         return [u + d for u, d in zip(self.up, self.down)]
 
+    @functools.cached_property
+    def _log_exits(self) -> tuple:
+        """(log up, log down) as float arrays, -inf where a mass is 0, formed
+        on the first read like ``_exit_pmfs``; only float tables are read."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.up), np.log(self.down)
 
-def _dp(spec: WalkSpec, horizon: int, mode: str):
-    """(up, down, residual, scale) for steps 0..horizon.
 
-    Entry n of each list is the step-n value times scale**n.  One recurrence
-    serves both modes: each step multiplies the interior vector by the up and
-    down weights.  Float mode uses the weights (p, q) with scale 1, so its
-    entries are the values themselves.  Rational mode, for p = a/d in lowest
-    terms, uses the integers (a, d - a) with scale d: the vector d^n * u_n is
-    integral, so the recurrence runs on Python ints in an object array and
-    never normalises a Fraction.  ``_values`` divides by d^n afterwards.
+def _dp(specs: list, horizon: int, mode: str) -> list:
+    """(up, down, residual, scale) for steps 0..horizon, one per spec.
 
-    The steps run in blocks of at most ``_DP_BLOCK``.  Row 0 of a
-    (block + 1, 2k - 1) buffer holds the vector entering the block, and
-    step i writes row i + 1 from row i in place: new[1:] = w_up * u[:-1],
-    then new[:-1] += w_down * u[1:] onto new[0] = 0, one multiply and one
-    add per cell as in a single-vector loop.  Once per block, the exits are
-    a column times its weight and the residuals np.add.reduce(..., axis=1),
-    which sums each row in numpy's pairwise order, the order of a 1-D
-    u.sum(); the last row then moves to row 0.  The buffer and one scratch
-    row for the down products bound the memory by the block, not by the
-    horizon.
+    The specs share one half-width k.  Entry n of each list is the step-n
+    value times scale**n.  One recurrence serves both modes and every spec:
+    each step multiplies the interior vector by the up and down weights.
+    Float mode uses the weights (p, q) with scale 1, so its entries are the
+    values themselves.  Rational mode, for p = a/d in lowest terms, uses the
+    integers (a, d - a) with scale d: the vector d^n * u_n is integral, so
+    the recurrence runs on Python ints in an object array and never
+    normalises a Fraction.  ``_values`` divides by d^n afterwards.
+
+    The specs run side by side in one flat row of a (block + 1,
+    len(specs) * (2k + 1)) buffer.  Each spec owns 2k + 1 cells: one for
+    its exit at -k, its 2k - 1 interior states, and one for its exit at +k.
+    A state cell carries its spec's weights and an exit cell the weights 0,
+    so no mass crosses from one spec to the next.  Row 0 holds the vectors
+    entering the block, and step i writes row i + 1 from row i in place:
+    new[1:] = w_up * u[:-1], then new[:-1] += w_down * u[1:] onto
+    new[0] = 0.  Every state and exit cell of a spec sees the multiply of a
+    run of its own, w_up * u[j - 1] or w_down * u[j + 1], plus the other
+    neighbour's product or an exact 0 from a cell of weight 0, so each spec
+    gets the same bits as alone; a grid of biases costs the numpy calls of
+    one bias, each on one flat row.  Once per block, the exit columns are
+    copied out and the residuals are np.add.reduce(..., axis=2) over each
+    spec's state cells, numpy's pairwise order of a 1-D u.sum(); the last
+    row then moves to row 0.  A block is max(1, ``_DP_BLOCK`` // len(specs))
+    steps, so the buffer holds about as many cells as one spec's buffer of
+    ``_DP_BLOCK`` steps: the memory is bounded by the block, not by the
+    horizon or the grid.
     """
-    w_up, w_down = spec.pq(mode)
+    k = specs[0].k
+    if any(spec.k != k for spec in specs):
+        raise ValueError("the specs of one DP must share their half-width k")
+    weights = [spec.pq(mode) for spec in specs]
     if mode == MODE_RATIONAL:  # p = a/d and q = (d - a)/d, both in lowest terms
-        w_up, w_down, scale, num = w_up.numerator, w_down.numerator, w_up.denominator, int
+        scales = [p.denominator for p, _ in weights]
+        weights = [(p.numerator, q.numerator) for p, q in weights]
+        zero, one, dtype = 0, 1, object
     else:
-        scale, num = 1, float
-    zero, one = num(0), num(1)
-    k = spec.k
-    dtype = object if mode == MODE_RATIONAL else float
-    block = min(horizon, _DP_BLOCK)
-    rows = np.full((block + 1, 2 * k - 1), zero, dtype=dtype)
-    rows[0, k - 1] = one
+        scales, zero, one, dtype = [1] * len(specs), 0.0, 1.0, float
+    width = 2 * k + 1  # cells per spec: exit at -k, 2k - 1 states, exit at +k
+    # each cell's weights as the source of a move: 0 on the exit cells
+    cell_up, cell_down = (np.array([w for pair in weights
+                                    for w in (zero, *[pair[side]] * (width - 2), zero)],
+                                   dtype=dtype) for side in (0, 1))
+    cell_up, cell_down = cell_up[:-1], cell_down[1:]
+    block = min(horizon, max(1, _DP_BLOCK // len(specs)))
+    rows = np.full((block + 1, len(specs) * width), zero, dtype=dtype)
+    rows[0, k::width] = one
     heads = [row[:-1] for row in rows]
     tails = [row[1:] for row in rows]
-    down_part = np.empty(2 * k - 2, dtype=dtype)
-    # 0-d weights and a positional out= make the per-step ufunc calls cheapest
-    mul, add = np.multiply, np.add
-    up_w, down_w = np.array(w_up, dtype=dtype), np.array(w_down, dtype=dtype)
-    up = [zero]
-    down = [zero]
-    residual = [one]
+    down_part = np.empty(len(specs) * width - 1, dtype=dtype)
+    cells = rows.reshape(block + 1, len(specs), width)
+    mul, add = np.multiply, np.add  # a positional out= makes each call cheapest
+    # steps 1..horizon of each spec's up, down and residual columns
+    out = np.empty((len(specs), 3, horizon), dtype=dtype)
     for start in range(0, horizon, block or 1):
         steps = min(block, horizon - start)
         rows[1:, 0] = zero
         for u_head, u_tail, new_head, new_tail in zip(heads, tails, heads[1:steps + 1],
                                                       tails[1:steps + 1]):
-            mul(u_head, up_w, new_tail)
-            mul(u_tail, down_w, down_part)
+            mul(u_head, cell_up, new_tail)
+            mul(u_tail, cell_down, down_part)
             add(new_head, down_part, new_head)
-        up += list(w_up * rows[:steps, -1])
-        down += list(w_down * rows[:steps, 0])
-        residual += list(np.add.reduce(rows[1:steps + 1], axis=1))
+        done, new = slice(start, start + steps), cells[1:steps + 1]
+        out[:, 0, done] = new[:, :, -1].T
+        out[:, 1, done] = new[:, :, 0].T
+        out[:, 2, done] = np.add.reduce(new[:, :, 1:-1], axis=2).T
         rows[0] = rows[steps]
-    if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
-        residual = [min(r, one) for r in residual]
-    return up, down, residual, scale
+    tables = []
+    for (up, down, residual), scale in zip(out, scales):
+        residual = [one, *residual]
+        if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
+            residual = [min(r, one) for r in residual]
+        tables.append(([zero, *up], [zero, *down], residual, scale))
+    return tables
 
 
 def _values(entries: list, scale: int) -> list:
@@ -234,16 +261,16 @@ def _joint_entries(spec: WalkSpec, horizon: int, mode: str):
     _check_mode(mode)
     if horizon < spec.k:
         raise ValueError(f"horizon {horizon} is below the half-width k={spec.k}")
-    return _dp(spec, horizon, mode)
+    return _dp([spec], horizon, mode)[0]
 
 
-def _survival_entries(spec: WalkSpec, horizon: int, mode: str):
-    """``_dp``'s (residual, scale) after ``survival_pmf``'s checks."""
+def _survival_entries(specs: list, horizon: int, mode: str) -> list:
+    """``_dp``'s (residual, scale) per spec after ``survival_pmf``'s checks,
+    from one DP over specs that share their half-width."""
     _check_mode(mode)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    _, _, residual, scale = _dp(spec, horizon, mode)
-    return residual, scale
+    return [(residual, scale) for _, _, residual, scale in _dp(specs, horizon, mode)]
 
 
 def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExitTable:
@@ -257,7 +284,7 @@ def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExi
 
 def survival_pmf(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> SurvivalCurve:
     """Survival probabilities P(sigma > n) for n = 0..horizon."""
-    return SurvivalCurve(_values(*_survival_entries(spec, horizon, mode)), mode)
+    return SurvivalCurve(_values(*_survival_entries([spec], horizon, mode)[0]), mode)
 
 
 def survival_at(spec: WalkSpec, ns) -> list:

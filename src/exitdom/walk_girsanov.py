@@ -26,6 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 from . import walk
 from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec,
                    _parse_bias, exit_joint)
@@ -84,6 +85,12 @@ def _float_exit_table(p: float, k: int, truncation: int) -> JointExitTable:
     return exit_joint(WalkSpec(p, k), truncation, MODE_FLOAT)
 
 
+def _check_truncation(spec: WalkSpec, truncation: int) -> None:
+    """Raise ValueError unless the truncation reaches step k, the first exit."""
+    if truncation < spec.k:
+        raise ValueError(f"truncation {truncation} is below the half-width k={spec.k}")
+
+
 def reweighted_survival_walk(p_from, p_to, k: int, n: int,
                              truncation: int) -> ReweightedSurvival:
     """Estimate P_{p_to}(sigma > n) from the p_from exit table by reweighting.
@@ -91,21 +98,50 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int,
     Sums r^m * z^(+-k) over the exit rows m = n+1..truncation of the float
     exit table at p_from, and returns the truncation error bound alongside
     for the caller to compare with its tolerance.
+
+    The sum stops at the first row after which no term can change it.  Every
+    term is exp(m log r + log mass + -k log z), and the table's log masses
+    (``_log_exits``, formed once per table) give numpy a cap for each row
+    m: exp of the suffix maximum, over rows m' >= m, of
+    m' log r + max(log up + k log z, log down - k log z), plus a margin of
+    1e-9 + 1e-15 M, where M = truncation |log r| + k |log z| + 746 bounds
+    every partial sum of either exponent.  The two routes form the exponent
+    in another order, and numpy's log and exp may differ from ``math``'s in
+    the last bits; each rounding is below 2^-53 M, and a few ulp of log and
+    exp are far below 1e-9, so the cap is above every term from row m on.
+    A term that overflows ``math.exp`` makes its cap inf.  The loop stops
+    before row m once cap * 2^55 < est (the product is exact, or inf).  For
+    est in [2^e, 2^(e+1)), every later term t is then below
+    est * 2^-55 < 2^(e-54), a quarter of est's ulp 2^(e-52) (below the
+    normal range, est * 2^-55 is below a quarter of the least ulp too).  So
+    est + t rounds back to est, est stays as it is, and the same holds for
+    every later term: the result is the full sum's bit for bit, and an
+    overflowing term still raises OverflowError.
     """
     pf = _parse_bias(p_from, "p_from")
     pt = _parse_bias(p_to, "p_to")
     if not 0 <= n < truncation:
         raise ValueError(f"need 0 <= n < truncation={truncation}, got n={n}")
+    _check_truncation(WalkSpec(pf, k), truncation)
     table = _float_exit_table(pf, k, truncation)
     r, z = _rz(pf, pt)
     exp, log = math.exp, math.log
     log_r, log_z = log(r), log(z)
     up_log_z, down_log_z = k * log_z, -k * log_z
+    log_up, log_down = table._log_exits
+    margin = 1e-9 + 1e-15 * (truncation * abs(log_r) + abs(up_log_z) + 746.0)
+    with np.errstate(over="ignore"):
+        logs = np.arange(n + 1, truncation + 1) * log_r + np.maximum(
+            log_up[n + 1:] + up_log_z, log_down[n + 1:] + down_log_z)
+        caps = (np.exp(np.maximum.accumulate(logs[::-1])[::-1] + margin)
+                * 2.0**55).tolist()
     est = 0.0
     # each term is weight * mass, formed as exp(log weight + log mass): the
     # weight alone overflows for r > 1 long before the product does
-    for m, up, down in zip(range(n + 1, truncation + 1), table.up[n + 1:],
-                           table.down[n + 1:]):
+    for m, up, down, cap in zip(range(n + 1, truncation + 1), table.up[n + 1:],
+                                table.down[n + 1:], caps):
+        if cap < est:
+            break
         if up > 0.0:
             est += exp(m * log_r + up_log_z + log(up))
         if down > 0.0:
@@ -134,6 +170,7 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
         raise ValueError(f"need 1/2 <= p1 < p2 < 1, got p1={p1}, p2={p2}")
     if not 0 <= n < truncation:
         raise ValueError(f"need 0 <= n < truncation={truncation}, got n={n}")
+    _check_truncation(WalkSpec(p1f, k), truncation)
     r, _ = _rz(p1f, p2f)
     if not r < 1.0:
         raise ValueError(
@@ -163,6 +200,7 @@ def check_independence_discrete(p, k: int, truncation: int,
     a Fraction is formed only when some step misses.
     """
     spec = WalkSpec(p, k)
+    _check_truncation(spec, truncation)
     if mode == MODE_RATIONAL:
         up, down, _, d = walk._joint_entries(spec, truncation, mode)
         a, b = (x.numerator for x in spec.pq(mode))

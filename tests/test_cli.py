@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exitdom import cli, io, walk
+from exitdom import cli, io, verify, walk
 from exitdom.io import OUTDIR_ENV
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -296,6 +296,36 @@ def test_reweight_infinite_tail_bound_is_written_as_null(tmp_path, capsys):
     assert "tail bound inf" in capsys.readouterr().out
     doc = json.loads(read(tmp_path / "rw_reweight.json"), parse_constant=reject)
     assert doc["tail_bound"] is None
+
+
+def test_reweight_infinite_tail_bound_fails_the_check(tmp_path, capsys):
+    # |reweighted - direct| = 1 passed as within max(inf, tol), and exited 0
+    assert run(["rw-reweight", "--p-from", "0.99", "--p-to", "0.5", "--k", "400",
+                "--truncation", "600", "--outdir", str(tmp_path)]) == 2
+    assert "tail bound inf (not finite" in capsys.readouterr().out
+    doc = json.loads(read(tmp_path / "rw_reweight.json"), parse_constant=reject)
+    assert doc["tail_bound"] is None and doc["abs_diff"] == 1.0
+
+
+def test_reweight_rule_needs_a_finite_bound():
+    assert verify.reweight_within(0.0, 0.0)
+    assert verify.reweight_within(1e-10, 1e-20)
+    assert verify.reweight_within(1e-3, 1e-3)
+    assert not verify.reweight_within(2e-10, 1e-20)
+    assert not verify.reweight_within(0.0, math.inf)
+    assert not verify.reweight_within(0.0, math.nan)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rw-factorization", "--p1", "0.5", "--p2", "0.6", "--n", "0"],
+    ["rw-independence", "--mode", "float"],
+    ["rw-independence", "--mode", "rational"],
+    ["rw-reweight", "--n", "0"],
+])
+def test_truncation_below_k_is_exit_1_and_named(tmp_path, capsys, argv):
+    # the message named a horizon, which these commands take as --truncation
+    assert run(argv + ["--k", "2", "--truncation", "1", "--outdir", str(tmp_path)]) == 1
+    assert "error: truncation 1 is below the half-width k=2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

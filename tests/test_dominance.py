@@ -91,21 +91,19 @@ def _corrupting_scan(monkeypatch, ps, lift):
     """The float scan of ``ps`` at k = 2 up to step 20, its float curves
     lifted at step 3 by lift(p), with the biases whose exact numerators it
     computes, in order."""
-    real_curve, real_entries = ed.survival_pmf, dominance.walk._survival_entries
+    real_entries = dominance.walk._survival_entries
     exact = []
 
-    def fake(spec, horizon, mode=MODE_FLOAT):
-        curve = real_curve(spec, horizon, mode)
-        curve.values[3] += lift(spec.p_float())  # inject a fake crossing
-        return curve
-
-    def counting(spec, horizon, mode):
+    def corrupting(specs, horizon, mode):
+        curves = real_entries(specs, horizon, mode)
         if mode == MODE_RATIONAL:
-            exact.append(spec.p)
-        return real_entries(spec, horizon, mode)
+            exact.extend(spec.p for spec in specs)
+        else:
+            for spec, (residual, _) in zip(specs, curves):
+                residual[3] += lift(spec.p_float())  # inject a fake crossing
+        return curves
 
-    monkeypatch.setattr(dominance.walk, "survival_pmf", fake)
-    monkeypatch.setattr(dominance.walk, "_survival_entries", counting)
+    monkeypatch.setattr(dominance.walk, "_survival_entries", corrupting)
     return ed.dominance_scan_discrete(ps, 2, 20, MODE_FLOAT), exact
 
 

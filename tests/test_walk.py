@@ -367,3 +367,40 @@ def test_float_dp_matches_reference_dp_bit_for_bit(p, k, horizon):
         for got, want in ((table.up, up), (table.down, down),
                           (table.residual, residual)):
             assert bits(got) == bits(want)
+
+
+def grid_examples(test):
+    """Pin k = 1, horizons 0 and around the block of a one-spec run, a grid
+    larger than the block (one step per block), and a row of 131 cells."""
+    block = walk._DP_BLOCK
+    mixed = ["1/2", "6/10", "14/20", "31/61", "9/10"]  # denominators 2, 5, 10, 61
+    test = example(ps=mixed, k=1, horizon=9)(test)
+    test = example(ps=mixed, k=2, horizon=0)(test)
+    for horizon in (block - 1, block + 1):
+        test = example(ps=["7/12"], k=3, horizon=horizon)(test)
+        test = example(ps=mixed, k=3, horizon=horizon)(test)
+    test = example(ps=[f"{a}/{block + 7}" for a in range(1, block + 7)], k=2,
+                   horizon=5)(test)
+    return example(ps=["31/61", "4/6", "9/10"], k=66, horizon=2 * block + 1)(test)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=st.lists(_BIASES, min_size=1, max_size=8), k=st.integers(1, 6),
+       horizon=st.integers(0, 80))
+@grid_examples
+def test_grid_dp_matches_one_run_per_spec(ps, k, horizon):
+    # one recurrence over a grid of biases gives each spec the values of a
+    # run of its own: the same reprs in rational mode, the same bits in float
+    specs = [WalkSpec(p, k) for p in ps]
+    exact = walk._dp(specs, horizon, MODE_RATIONAL)
+    assert repr(exact) == repr([walk._dp([spec], horizon, MODE_RATIONAL)[0]
+                                for spec in specs])
+    for got, spec in zip(walk._dp(specs, horizon, MODE_FLOAT), specs):
+        *columns, scale = walk._dp([spec], horizon, MODE_FLOAT)[0]
+        assert got[3] == scale == 1
+        assert [bits(c) for c in got[:3]] == [bits(c) for c in columns]
+
+
+def test_grid_dp_needs_one_half_width():
+    with pytest.raises(ValueError, match="share their half-width"):
+        walk._dp([WalkSpec(0.6, 2), WalkSpec(0.7, 3)], 10, MODE_FLOAT)

@@ -1,14 +1,15 @@
 import itertools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import exitdom as ed
-from exitdom import verify, walk
-from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, exact_fraction,
-                          interior_decay_envelope)
+from exitdom import verify, walk, walk_girsanov
+from exitdom.walk import (MODE_FLOAT, MODE_RATIONAL, WalkSpec, _parse_bias,
+                          exact_fraction, interior_decay_envelope)
 from exitdom.walk_girsanov import _float_exit_table, _rz, _tail_bound
 
 
@@ -142,6 +143,77 @@ def test_reweighting_from_bias_near_one_stays_finite():
                                                  3, n, 600)
         direct = ed.survival_pmf(WalkSpec(Fraction(31, 61), 3), n).values[n]
         assert abs(est - direct) <= max(bound, 1e-10)
+
+
+def _full_reweighted_sum(table, p_from, p_to, n, truncation):
+    """The reweighted sum over every exit row n+1..truncation of ``table``:
+    the route's loop before it stopped early, kept as its oracle."""
+    k = table.spec.k
+    r, z = _rz(_parse_bias(p_from), _parse_bias(p_to))
+    log_r, log_z = math.log(r), math.log(z)
+    up_log_z, down_log_z = k * log_z, -k * log_z
+    est = 0.0
+    for m in range(n + 1, truncation + 1):
+        up, down = table.up[m], table.down[m]
+        if up > 0.0:
+            est += math.exp(m * log_r + up_log_z + math.log(up))
+        if down > 0.0:
+            est += math.exp(m * log_r + down_log_z + math.log(down))
+    return est
+
+
+@pytest.mark.parametrize("p_from, p_to, k, n, truncation", [
+    (0.5, 0.8, 3, 0, 600), (0.6, 0.9, 2, 10, 600),            # r < 1
+    (0.6, 0.4, 3, 5, 600), (0.6, 0.6, 2, 10, 500),            # r = 1
+    (0.8, 0.5, 3, 10, 600), (0.9, 0.6, 4, 0, 600),            # r > 1
+    (0.5, 0.7, 3, 599, 600), (0.7, 0.5, 3, 399, 400),         # n = truncation - 1
+    (0.99, 0.5, 200, 0, 600), (0.5, 0.99, 200, 0, 600), (0.99, 0.98, 200, 300, 600),
+    (Fraction(60, 61), Fraction(31, 61), 3, 0, 600),          # the 60/61 probe
+    (Fraction(60, 61), Fraction(31, 61), 3, 50, 600),
+])
+def test_reweighted_sum_stops_with_the_bits_of_the_full_sum(p_from, p_to, k, n,
+                                                            truncation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, _ = ed.reweighted_survival_walk(p_from, p_to, k, n, truncation)
+    table = _float_exit_table(_parse_bias(p_from), k, truncation)
+    assert est.hex() == _full_reweighted_sum(table, p_from, p_to, n, truncation).hex()
+
+
+def test_reweighted_sum_stops_once_no_term_counts(monkeypatch):
+    # from p = 1/2 to 0.8 at k = 3 the terms fall below a quarter ulp of the
+    # sum within the first 200 of the 600 rows
+    calls = []
+    real_exp = math.exp
+    monkeypatch.setattr(walk_girsanov.math, "exp", lambda x: calls.append(x) or real_exp(x))
+    ed.reweighted_survival_walk(0.5, 0.8, 3, 0, 600)
+    assert 0 < len(calls) < 200
+
+
+def test_reweighted_term_that_overflows_still_raises(monkeypatch):
+    # a mass planted at the last row makes its term exp(766 - 3.3 - 23):
+    # every cap before it is inf, so the sum runs to it and raises, as the
+    # full sum does
+    table = ed.exit_joint(WalkSpec(0.9, 3), 1500)
+    table.up[1500] = 1e-10
+    monkeypatch.setattr(walk_girsanov, "_float_exit_table", lambda *args: table)
+    with pytest.raises(OverflowError):
+        _full_reweighted_sum(table, 0.9, 0.5, 0, 1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            ed.reweighted_survival_walk(0.9, 0.5, 3, 0, 1500)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ed.reweighted_survival_walk(0.5, 0.7, 3, 0, 2),
+    lambda: ed.factorization_check_discrete(0.5, 0.7, 3, 0, 2),
+    lambda: ed.check_independence_discrete(0.7, 3, 2),
+    lambda: ed.check_independence_discrete("7/10", 3, 2, MODE_RATIONAL),
+])
+def test_truncation_below_the_half_width_is_named(call):
+    with pytest.raises(ValueError, match=r"truncation 2 is below the half-width k=3"):
+        call()
 
 
 def test_factorization_identity():
