@@ -5,8 +5,11 @@ discrete side is certified exactly: with p = a/d, the walk's survival is
 N_n / d^n for integers N_n that ``walk`` computes fraction-free, and the scan
 compares those integers, cross-multiplied by powers of the scales when two
 biases differ in d.  A Fraction is formed only at a point where the order
-fails.  Monte Carlo data is certified only up to simultaneous one-sided
-Dvoretzky-Kiefer-Wolfowitz bands.
+fails.  The scan reads every curve of one mode from one DP over the grid
+(``walk._survival_entries``): the float scan makes one float call, decides
+which adjacent pairs escalate, and makes one exact call for the union of
+their biases.  Monte Carlo data is certified only up to simultaneous
+one-sided Dvoretzky-Kiefer-Wolfowitz bands.
 """
 
 from __future__ import annotations
@@ -150,8 +153,9 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     report's values are those numerators over d**n, rounded once.  In float
     mode, any apparent violation is automatically rechecked the same exact
     way before being reported (a true violation would falsify the dominance
-    theorem, so a float-mode artifact must not survive); a bias shared by
-    two escalated pairs runs its exact DP once.
+    theorem, so a float-mode artifact must not survive).  Each mode's curves
+    come from one DP over the biases it needs, so a bias shared by two
+    escalated pairs is computed exactly once.
     """
     ps = list(ps)
     floats = [_parse_bias(p) for p in ps]

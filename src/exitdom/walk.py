@@ -9,7 +9,12 @@ the closed forms are shared.  In rational mode, with p = a/d, the recurrence
 runs fraction-free on the integer vectors d^n * u_n (Bareiss, Math. Comp. 22,
 1968) and a Fraction is formed only for a returned value.  The exact routes
 of ``dominance`` and ``walk_girsanov`` read those integers themselves, through
-``_survival_entries`` and ``_joint_entries``, and decide on them.
+``_survival_entries`` and ``_joint_entries``, and decide on them.  One DP
+runs a whole grid of biases that share k: each bias owns a segment of one
+flat row, fenced by exit cells of weight 0, so the grid costs the numpy
+calls of one bias and each bias keeps the bits of a run of its own; a block
+holds max(1, 64 // biases) steps, so the buffer stays the size of one
+bias's.
 
 ``survival_at`` gives float survival probabilities at selected steps
 without running the recurrence: the interior matrix is tridiagonal Toeplitz,
@@ -42,7 +47,8 @@ _MODES = (MODE_RATIONAL, MODE_FLOAT)
 # was 1.8e-14 up to 2000, 8.0e-14 up to 8000 and 2.6e-13 up to 16000.
 _MAX_CONDITION = 2000.0
 
-# steps per block of the walk DP's row buffer
+# steps per block of the walk DP's row buffer for one bias; a grid of g
+# biases takes max(1, _DP_BLOCK // g) steps per block
 _DP_BLOCK = 64
 
 
@@ -194,8 +200,6 @@ def _dp(specs: list, horizon: int, mode: str) -> list:
     horizon or the grid.
     """
     k = specs[0].k
-    if any(spec.k != k for spec in specs):
-        raise ValueError("the specs of one DP must share their half-width k")
     weights = [spec.pq(mode) for spec in specs]
     if mode == MODE_RATIONAL:  # p = a/d and q = (d - a)/d, both in lowest terms
         scales = [p.denominator for p, _ in weights]

@@ -17,6 +17,13 @@ tables keyed on (bias as a float, k, truncation), so a grid of calls that
 shares a bias builds its table once: the desk battery's three float walk
 checks read 20 tables.  The table is a pure function of that key and no
 reader changes it, so every value is the same bit for bit, cold or warm.
+
+``reweighted_survival_walk`` stops its sum at the first row after which no
+term can change it: from the table's log exit masses, numpy caps every term
+from each row on, and once the cap is below a quarter ulp of the running
+sum the loop ends, with the bits of the full sum (the proof is in the
+function's docstring).  Of the nonzero terms up to the truncation, the
+desk's reweighting check evaluates 58% and the ``exact-routes`` grid 44%.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
 from . import walk
 from .walk import (MODE_FLOAT, MODE_RATIONAL, JointExitTable, WalkSpec,
                    _parse_bias, exit_joint)
@@ -100,7 +108,7 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int,
     for the caller to compare with its tolerance.
 
     The sum stops at the first row after which no term can change it.  Every
-    term is exp(m log r + log mass + -k log z), and the table's log masses
+    term is exp(m log r +- k log z + log mass), and the table's log masses
     (``_log_exits``, formed once per table) give numpy a cap for each row
     m: exp of the suffix maximum, over rows m' >= m, of
     m' log r + max(log up + k log z, log down - k log z), plus a margin of
@@ -115,8 +123,9 @@ def reweighted_survival_walk(p_from, p_to, k: int, n: int,
     est * 2^-55 < 2^(e-54), a quarter of est's ulp 2^(e-52) (below the
     normal range, est * 2^-55 is below a quarter of the least ulp too).  So
     est + t rounds back to est, est stays as it is, and the same holds for
-    every later term: the result is the full sum's bit for bit, and an
-    overflowing term still raises OverflowError.
+    every later term; est never falls, as no term is negative.  The result
+    is the full sum's bit for bit, and an overflowing term still raises
+    OverflowError.
     """
     pf = _parse_bias(p_from, "p_from")
     pt = _parse_bias(p_to, "p_to")

@@ -399,8 +399,3 @@ def test_grid_dp_matches_one_run_per_spec(ps, k, horizon):
         *columns, scale = walk._dp([spec], horizon, MODE_FLOAT)[0]
         assert got[3] == scale == 1
         assert [bits(c) for c in got[:3]] == [bits(c) for c in columns]
-
-
-def test_grid_dp_needs_one_half_width():
-    with pytest.raises(ValueError, match="share their half-width"):
-        walk._dp([WalkSpec(0.6, 2), WalkSpec(0.7, 3)], 10, MODE_FLOAT)
