@@ -21,7 +21,7 @@ study can see a bias of dt / 2.
 
 With the mode ``battery`` the script instead runs the whole desk battery
 (``verify.run_battery``) at master seeds 1..N and counts the seeds on which
-some check fails, with a Clopper-Pearson 95% interval for the rate.
+some check fails, with a Clopper-Pearson 95% interval and the stated rate.
 
 Run from the root of a checkout:
 
@@ -107,13 +107,14 @@ def battery(n_seeds):
     k = len(failed)
     lo = float(beta.ppf(0.025, k, n_seeds - k + 1)) if k else 0.0
     hi = float(beta.ppf(0.975, k + 1, n_seeds - k))
+    stated = sum(check.rate for check in verify.CHECKS)
     print(f"desk battery, seeds 1..{n_seeds}: {k} failing seeds, rate "
           f"{k / n_seeds:.4f}, 95% interval [{lo:.4f}, {hi:.4f}] "
-          "(nominal 0.014)")
+          f"(stated {stated:.3f})")
     for seed, names in failed.items():
         print(f"  seed {seed}: {', '.join(names)}")
-    return {"seeds": n_seeds, "failing_seeds": k, "rate": k / n_seeds,
-            "ci95": [lo, hi], "failed": {str(s): n for s, n in failed.items()}}
+    return {"seeds": n_seeds, "failing_seeds": k, "rate": k / n_seeds, "ci95": [lo, hi],
+            "stated": stated, "failed": {str(s): n for s, n in failed.items()}}
 
 
 def main():

@@ -120,8 +120,8 @@ def _cmd_rw_independence(cfg: dict) -> tuple[dict, str, bool]:
 def _cmd_rw_reweight(cfg: dict) -> tuple[dict, str, bool]:
     est, bound = walk_girsanov.reweighted_survival_walk(
         cfg["p-from"], cfg["p-to"], cfg["k"], cfg["n"], cfg["truncation"])
-    direct = float(walk.survival_pmf(WalkSpec(cfg["p-to"], cfg["k"]),
-                                     cfg["n"]).values[cfg["n"]])
+    direct = float(walk_girsanov._float_exit_table(
+        walk._parse_bias(cfg["p-to"]), cfg["k"], cfg["truncation"]).residual[cfg["n"]])
     diff = abs(est - direct)
     text = (f"reweighted {est:.12g}  direct {direct:.12g}  "
             f"diff {diff:.3e}  tail bound {bound:.3e}")

@@ -1,27 +1,27 @@
 """Bundled verification battery behind the ``verify-all`` command.
 
-This module is the one home of each check: its sizes per profile
-(``SIZES``), its threshold (a constant below, which the matching CLI
-subcommand, where there is one, reads too) and its pass rule.  The one
-exception is the tie tolerance of the continuous dominance scan,
-``bm.DOMINANCE_TIE_TOL``, which lives beside the scan as its default.  The
-battery returns one ``CheckResult`` per check for the CLI and the test suite
-to render or assert.  The three float walk checks read every table from one
-memo, ``walk_girsanov._float_exit_table``, at the profile's ``trunc``: 20
-tables on the desk, 10 on quick.  All Monte Carlo is seeded from one master
-seed and reduced in fixed batch order, so the results are a pure function of
+This module is the one home of each check: its record in ``CHECKS``, its
+sizes per profile (``SIZES``), its threshold constants below, from which the
+record's threshold string is formed and which the matching CLI subcommand,
+where there is one, reads too, and its pass rule.  The one exception is the
+tie tolerance of the continuous dominance scan, ``bm.DOMINANCE_TIE_TOL``,
+which lives beside the scan as its default.  The battery returns one
+``CheckResult`` per check for the CLI and the test suite to render or
+assert.  The three float walk checks read every table from one memo,
+``walk_girsanov._float_exit_table``, at the profile's ``trunc``: 20 tables
+on the desk, 10 on quick.  All Monte Carlo is seeded from one master seed
+and reduced in fixed batch order, so the results are a pure function of
 (profile, seed), whatever the thread count.
 
-Two checks are statistical.  ``mc-survival-consistency`` makes 5 comparisons
-at 3 standard errors (0.27% each) and ``continuous-exit-independence`` one
-chi-square test at level 1e-3, so a correct desk run fails by chance on
-about 1.4% of seeds (5 x 0.27% + 0.1%).  Measured over master seeds 1 to
-200 at the exit step dt = 1e-2 (``demos/04_exit_time_seed_study.py``), 2
-seeds failed: a rate of 1.0%, binomial 95% interval 0.1% to 3.6%.  Seed 139
-failed ``mc-survival-consistency`` (lam = 1, t = 0.5, z = 3.22) and seed 57
-``coupled-sde-ordering``, whose refinement ordering the nominal rate leaves
-out: its violation fractions at dt = 1e-3 and 2.5e-4 came out in the wrong
-order.
+Three checks are statistical, and their records state their rates.
+``mc-survival-consistency`` makes 5 comparisons at 3 standard errors
+(0.27% each) and ``continuous-exit-independence`` one chi-square test at
+level 1e-3.  ``coupled-sde-ordering``'s refinement rule has no nominal rate:
+at desk sizes it failed on 4 of 410 seeds, about 1.0% (Clopper-Pearson 95%:
+0.27% to 2.5%).  So a correct desk run fails by chance on about 2.4% of
+seeds.  Over master seeds 1 to 200 (``demos/04_exit_time_seed_study.py``)
+2 failed, 1.0% (95%: 0.1% to 3.6%): seed 139 ``mc-survival-consistency``
+and seed 57 the refinement rule.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +54,8 @@ SIZES = {
 _TRUNC_EXACT = 60
 # the biases of the reweighting and factorization grids
 _GRID_PS = (0.5, 0.6, 0.7, 0.8, 0.9)
+# the shared exit samples of the statistical checks: (drift, substream)
+_EXITS = {"exits0": (0.0, 101), "exits1": (1.0, 202)}
 
 # Thresholds, each shared by a battery check and the CLI subcommand named.
 MAX_VIOLATIONS = 0            # rw-dominance, bm-dominance: dominance violations
@@ -78,15 +81,35 @@ class CheckResult:
     threshold: str
     detail: str = ""
 
-    def __post_init__(self):
-        self.passed = bool(self.passed)
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         out = f"[{status}] {self.name}: {self.value} (require {self.threshold})"
         if self.detail:
             out += f" -- {self.detail}"
         return out
+
+
+@dataclass(frozen=True)
+class Check:
+    """One battery check: its verdict line's name and threshold, the
+    ``check_*`` function that runs it on the named inputs of ``_run_checks``,
+    and its false-alarm rate at desk sizes: 0 for a deterministic check."""
+
+    name: str
+    threshold: str
+    function: Callable
+    inputs: tuple = ()
+    rate: float = 0.0
+
+    def result(self, passed, value: str, detail: str = "",
+               threshold: str | None = None) -> CheckResult:
+        return CheckResult(self.name, bool(passed), value, threshold or self.threshold, detail)
+
+
+def _num(x) -> str:
+    """A constant as the verdict lines state it: 3, 1e-6, 2e-3 (not 1e-06, 0.002)."""
+    return str(x) if isinstance(x, int) else np.format_float_scientific(
+        x, trim="-", exp_digits=1)
 
 
 def reweight_within(diff: float, bound: float, floor: float = REWEIGHT_FLOOR) -> bool:
@@ -104,9 +127,8 @@ def check_discrete_dominance_exact(ks, horizon) -> CheckResult:
     ps = [Fraction(1, 2) + Fraction(i, 20) for i in range(10)]  # 0.5, 0.55, ..., 0.95
     total = sum(dominance.dominance_scan_discrete(ps, k, horizon, MODE_RATIONAL)
                 .n_violations for k in ks)
-    return CheckResult(
-        "discrete-exact-dominance", total <= MAX_VIOLATIONS, f"{total} violations",
-        "0 violations",
+    return _EXACT_DOMINANCE.result(
+        total <= MAX_VIOLATIONS, f"{total} violations",
         f"k in {list(ks)}, {len(ps)}-point bias grid, horizon {horizon}, exact arithmetic")
 
 
@@ -115,11 +137,9 @@ def check_discrete_independence(ks_float, truncation, ks_exact, trunc_exact) -> 
                   for k in ks_float for p in [0.6, 0.7, 0.8, 0.9])
     worst_x = max(walk_girsanov.check_independence_discrete(p, k, trunc_exact, MODE_RATIONAL)
                   for k in ks_exact for p in ["3/5", "7/10", "4/5", "9/10"])
-    ok = worst_f <= INDEPENDENCE_TOL and worst_x == 0
-    return CheckResult(
-        "discrete-exit-independence", ok,
-        f"float max dev {_fmt(worst_f)}, exact max dev {worst_x}",
-        "float <= 1e-12, exact == 0")
+    return _WALK_INDEPENDENCE.result(
+        worst_f <= INDEPENDENCE_TOL and worst_x == 0,
+        f"float max dev {_fmt(worst_f)}, exact max dev {worst_x}")
 
 
 def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
@@ -135,27 +155,21 @@ def check_discrete_reweighting(ks, ns, truncation) -> CheckResult:
                     diff = abs(est - direct[n])
                     worst = max(worst, diff)
                     ok &= reweight_within(diff, bound)
-    return CheckResult(
-        "discrete-girsanov-reweighting", ok,
-        f"max |reweighted - direct| {_fmt(worst)}",
-        "within max(tail bound, 1e-10) everywhere")
+    return _REWEIGHTING.result(ok, f"max |reweighted - direct| {_fmt(worst)}")
 
 
 def check_discrete_factorization(ks, ns, truncation) -> CheckResult:
     worst = max(walk_girsanov.factorization_check_discrete(p1, p2, k, n, truncation)
                 for k in ks for i, p1 in enumerate(_GRID_PS[:-1])
                 for p2 in _GRID_PS[i + 1:] for n in ns)
-    return CheckResult(
-        "discrete-factorization-identity", worst <= FACTORIZATION_TOL,
-        f"max deviation {_fmt(worst)}", "<= 1e-10")
+    return _FACTORIZATION.result(worst <= FACTORIZATION_TOL,
+                                 f"max deviation {_fmt(worst)}")
 
 
 def check_sech_identity() -> CheckResult:
     worst = max(abs(bm.drifted_survival_quad(DriftSpec(lam, b), 0.0)[0] - 1.0)
                 for lam in [0.0, 0.5, 1.0, 2.0, 3.0] for b in [0.5, 1.0, 2.0])
-    return CheckResult(
-        "laplace-sech-identity", worst <= SECH_TOL,
-        f"max |cosh * integral - 1| {_fmt(worst)}", "<= 1e-6")
+    return _SECH.result(worst <= SECH_TOL, f"max |cosh * integral - 1| {_fmt(worst)}")
 
 
 def check_donsker_series(k: int) -> CheckResult:
@@ -169,45 +183,36 @@ def check_donsker_series(k: int) -> CheckResult:
                                    [int(t * k * k) for t in DONSKER_TIMES])
     worst = max(abs(value - bm.driftless_survival(1.0, t))
                 for t, value in zip(DONSKER_TIMES, walk_values))
-    return CheckResult(
-        "donsker-series-crosscheck", worst <= DONSKER_TOL,
-        f"max |walk DP - series| {_fmt(worst)}", "<= 2e-3",
-        f"walk half-width {k}")
+    return _DONSKER.result(worst <= DONSKER_TOL, f"max |walk DP - series| {_fmt(worst)}",
+                           f"walk half-width {k}")
 
 
 def check_continuous_dominance() -> CheckResult:
     lambdas = [0.25 * i for i in range(9)]
     rep = bm.dominance_scan_continuous(lambdas, 1.0, [0.25, 0.5, 1.0, 2.0])
-    return CheckResult(
-        "continuous-analytic-dominance", rep.n_violations <= MAX_VIOLATIONS,
-        f"{rep.n_violations} violations", "0 violations",
+    return _ANALYTIC_DOMINANCE.result(
+        rep.n_violations <= MAX_VIOLATIONS, f"{rep.n_violations} violations",
         "lambda 0..2 step 0.25, b=1")
 
 
-def _mc_samples(lam, seed_offset, n_paths, dt, threads, rng_base):
-    rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + seed_offset)
-    return mc.simulate_exit_bm(DriftSpec(lam, 1.0), dt, 30.0, n_paths, rng,
-                               threads=threads)
-
-
 def check_mc_consistency(samples0, samples1) -> CheckResult:
+    se_label = f"{_num(CONSISTENCY_SE)}se"
     msgs = []
     ok = True
     et = samples0.exit_times()
     se = et.std(ddof=1) / math.sqrt(et.size)
     dev = abs(et.mean() - 1.0)
     ok &= dev <= CONSISTENCY_SE * se
-    msgs.append(f"E[tau] dev {_fmt(dev)} vs 3se {_fmt(CONSISTENCY_SE * se)}")
+    msgs.append(f"E[tau] dev {_fmt(dev)} vs {se_label} {_fmt(CONSISTENCY_SE * se)}")
     for s, lam in ((samples0, 0.0), (samples1, 1.0)):
         for t in (0.5, 1.0):
             an = bm.drifted_survival(DriftSpec(lam, 1.0), t)
             se = math.sqrt(max(an * (1 - an), 1e-12) / s.n)
             dev = abs(s.empirical_survival(t) - an)
             ok &= dev <= CONSISTENCY_SE * se
-            msgs.append(f"lam={lam} t={t} dev {_fmt(dev)} vs 3se "
+            msgs.append(f"lam={lam} t={t} dev {_fmt(dev)} vs {se_label} "
                         f"{_fmt(CONSISTENCY_SE * se)}")
-    return CheckResult("mc-survival-consistency", ok, "; ".join(msgs),
-                       "within 3 standard errors")
+    return _MC_CONSISTENCY.result(ok, "; ".join(msgs))
 
 
 def check_continuous_independence(samples1) -> CheckResult:
@@ -217,11 +222,9 @@ def check_continuous_independence(samples1) -> CheckResult:
     med = np.median(control.times[nc])
     control.sides[nc] = np.where(control.times[nc] > med, 1, -1).astype(np.int8)
     res_bad = mc.check_independence_continuous(control, time_bins=10)
-    ok = res.p_value >= INDEPENDENCE_ALPHA and res_bad.p_value < CONTROL_P_MAX
-    return CheckResult(
-        "continuous-exit-independence", ok,
-        f"p {_fmt(res.p_value)}, control p {_fmt(res_bad.p_value)}",
-        "p >= 1e-3 and control p < 1e-6")
+    return _EXIT_INDEPENDENCE.result(
+        res.p_value >= INDEPENDENCE_ALPHA and res_bad.p_value < CONTROL_P_MAX,
+        f"p {_fmt(res.p_value)}, control p {_fmt(res_bad.p_value)}")
 
 
 def check_coupled_ordering(rng_base, n_paths, with_refinement: bool) -> CheckResult:
@@ -236,34 +239,72 @@ def check_coupled_ordering(rng_base, n_paths, with_refinement: bool) -> CheckRes
     dts = (1e-4, 1e-3, 2.5e-4, 6.25e-5) if with_refinement else (1e-4,)
     main, *refined = mc.simulate_y_coupled_runs(lambdas, 0.0, dts, 1.0, n_paths, rng)
     ok = main.violation_fraction <= COUPLED_TOL
-    msg = f"fraction {_fmt(main.violation_fraction)} at dt=1e-4"
+    msg = f"fraction {_fmt(main.violation_fraction)} at dt={_num(dts[0])}"
     if with_refinement:
         fracs = [s.violation_fraction for s in refined]
         ok = ok and fracs[0] > fracs[1] > fracs[2]
         msg += "; refinement " + " > ".join(_fmt(f) for f in fracs)
-    return CheckResult(
-        "coupled-sde-ordering", ok, msg,
-        "<= 1e-3 and decreasing under refinement" if with_refinement else "<= 1e-3")
+        return _COUPLED.result(ok, msg)
+    # without the refinement, the threshold's first clause is the whole rule
+    return _COUPLED.result(ok, msg, threshold=_COUPLED.threshold.partition(" and ")[0])
+
+
+# The battery, in run order.  Each record is the one place that states its
+# check's name and threshold; the check_* functions above report through it.
+_EXACT_DOMINANCE = Check("discrete-exact-dominance", f"{_num(MAX_VIOLATIONS)} violations",
+                         check_discrete_dominance_exact, ("ks", "horizon"))
+_WALK_INDEPENDENCE = Check(
+    "discrete-exit-independence", f"float <= {_num(INDEPENDENCE_TOL)}, exact == 0",
+    check_discrete_independence, ("ks", "trunc", "ks_exact", "trunc_exact"))
+_REWEIGHTING = Check("discrete-girsanov-reweighting",
+                     f"within max(tail bound, {_num(REWEIGHT_FLOOR)}) everywhere",
+                     check_discrete_reweighting, ("ks", "ns", "trunc"))
+_FACTORIZATION = Check("discrete-factorization-identity", f"<= {_num(FACTORIZATION_TOL)}",
+                       check_discrete_factorization, ("ks", "ns", "trunc"))
+_SECH = Check("laplace-sech-identity", f"<= {_num(SECH_TOL)}", check_sech_identity)
+_DONSKER = Check("donsker-series-crosscheck", f"<= {_num(DONSKER_TOL)}",
+                 check_donsker_series, ("donsker_k",))
+_ANALYTIC_DOMINANCE = Check("continuous-analytic-dominance",
+                            f"{_num(MAX_VIOLATIONS)} violations", check_continuous_dominance)
+# five comparisons: E[tau], and the survival at two times for each drift
+_MC_CONSISTENCY = Check(
+    "mc-survival-consistency", f"within {_num(CONSISTENCY_SE)} standard errors",
+    check_mc_consistency, ("exits0", "exits1"),
+    rate=5 * math.erfc(CONSISTENCY_SE / math.sqrt(2.0)))
+_EXIT_INDEPENDENCE = Check(
+    "continuous-exit-independence",
+    f"p >= {_num(INDEPENDENCE_ALPHA)} and control p < {_num(CONTROL_P_MAX)}",
+    check_continuous_independence, ("exits1",), rate=INDEPENDENCE_ALPHA)
+# the refinement rule's measured rate: 4 failing seeds of 410 at desk sizes
+_COUPLED = Check(
+    "coupled-sde-ordering", f"<= {_num(COUPLED_TOL)} and decreasing under refinement",
+    check_coupled_ordering, ("rng", "coupled_paths", "refinement"), rate=4 / 410)
+CHECKS = (_EXACT_DOMINANCE, _WALK_INDEPENDENCE, _REWEIGHTING, _FACTORIZATION, _SECH,
+          _DONSKER, _ANALYTIC_DOMINANCE, _MC_CONSISTENCY, _EXIT_INDEPENDENCE, _COUPLED)
+
+
+def _run_checks(checks, profile: str, seed: int, threads: int) -> list:
+    """Run ``checks`` at the profile's sizes, each on its named inputs: a
+    ``SIZES`` key, ``trunc_exact``, the master stream ``rng``, or an exit
+    sample of ``_EXITS``, drawn on first use and shared.  Each ``check_*`` is
+    called through the module's binding of its name, so a function that has
+    replaced it there (the benchmark's tracer, a test) is the one called."""
+    sizes = SIZES[profile]
+    values = dict(sizes, trunc_exact=_TRUNC_EXACT, rng=mc.RngStreamSpec(seed))
+
+    def value(name):
+        if name not in values:
+            lam, substream = _EXITS[name]
+            values[name] = mc.simulate_exit_bm(
+                DriftSpec(lam, 1.0), 1e-2, 30.0, sizes["n_paths"],
+                mc.RngStreamSpec(seed, substream), threads=threads)
+        return values[name]
+
+    return [globals()[c.function.__name__](*map(value, c.inputs)) for c in checks]
 
 
 def run_battery(profile: str = DESK, seed: int = 20240817, threads: int = 1):
-    """Run every check for the given profile; returns a list of CheckResult."""
+    """Run every check of ``CHECKS`` at the profile; returns a list of CheckResult."""
     if profile not in SIZES:
         raise ValueError(f"unknown profile {profile!r}")
-    s = SIZES[profile]
-    rng_base = mc.RngStreamSpec(seed)
-    results = [
-        check_discrete_dominance_exact(s["ks"], s["horizon"]),
-        check_discrete_independence(s["ks"], s["trunc"], s["ks_exact"], _TRUNC_EXACT),
-        check_discrete_reweighting(s["ks"], s["ns"], s["trunc"]),
-        check_discrete_factorization(s["ks"], s["ns"], s["trunc"]),
-        check_sech_identity(),
-        check_donsker_series(s["donsker_k"]),
-        check_continuous_dominance(),
-    ]
-    samples0 = _mc_samples(0.0, 101, s["n_paths"], 1e-2, threads, rng_base)
-    samples1 = _mc_samples(1.0, 202, s["n_paths"], 1e-2, threads, rng_base)
-    results.append(check_mc_consistency(samples0, samples1))
-    results.append(check_continuous_independence(samples1))
-    results.append(check_coupled_ordering(rng_base, s["coupled_paths"], s["refinement"]))
-    return results
+    return _run_checks(CHECKS, profile, seed, threads)

@@ -1,19 +1,17 @@
 """End-to-end acceptance battery: one test (and one printed verdict line) per
-release criterion.  Run with ``pytest -v -s tests/test_acceptance.py`` to see
-the verdict lines alongside the pytest status.
-
-Criteria 1-10 are the ten checks of the desk battery, whose sizes,
-thresholds and pass rules live in ``exitdom.verify`` alone.  Each reads its
-entry from the desk run that criterion 11 makes through the CLI, so no check
-is computed twice here.
+check of ``verify.CHECKS``, each read from the desk run that criterion 11
+makes through the CLI, plus the criteria below.  Run with
+``pytest -v -s tests/test_acceptance.py`` to see the verdict lines alongside
+the pytest status.  Each check's name, threshold, sizes and pass rule live in
+``exitdom.verify`` alone.
 """
 
 import filecmp
 import json
-import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -27,11 +25,6 @@ THREADS = (1, 4)
 def verdict(ok: bool, name: str, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def check_verdict(criterion: int, result: dict, ok: bool = True, note: str = "") -> None:
-    verdict(result["passed"] and ok, f"criterion-{criterion} {result['name']}",
-            f"{result['value']} (require {result['threshold']}){note}")
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +58,13 @@ def battery(desk_runs):
         return {r["name"]: r for r in json.load(fh)["results"]}
 
 
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda check: check.name)
+def test_desk_check(battery, check):
+    result = battery[check.name]
+    assert result["threshold"] == check.threshold
+    verdict(result["passed"], check.name, f"{result['value']} (require {check.threshold})")
+
+
 def test_criterion_01_exact_discrete_dominance(battery):
     # the battery's check again, in process, against its 10 s budget
     desk = verify.SIZES[verify.DESK]
@@ -72,27 +72,10 @@ def test_criterion_01_exact_discrete_dominance(battery):
     result = verify.check_discrete_dominance_exact(desk["ks"], desk["horizon"])
     elapsed = time.perf_counter() - start
     assert result.value == battery[result.name]["value"]
-    check_verdict(1, battery[result.name], elapsed < 10.0,
-                  f", {elapsed:.2f}s (budget 10s)")
+    verdict(elapsed < 10.0, f"criterion-1 {result.name}", f"{elapsed:.2f}s (budget 10s)")
 
 
-def test_criterion_02_discrete_independence(battery):
-    check_verdict(2, battery["discrete-exit-independence"])
-
-
-def test_criterion_03_discrete_reweighting(battery):
-    check_verdict(3, battery["discrete-girsanov-reweighting"])
-
-
-def test_criterion_04_factorization_identity(battery):
-    check_verdict(4, battery["discrete-factorization-identity"])
-
-
-def test_criterion_05_sech_identity(battery):
-    check_verdict(5, battery["laplace-sech-identity"])
-
-
-def test_criterion_06_donsker_crosscheck(battery):
+def test_criterion_06_donsker_crosscheck():
     # the battery reads the walk law from the closed form; the DP curve at
     # the desk half-width is its independent reference
     spec = WalkSpec(0.5, verify.SIZES[verify.DESK]["donsker_k"])
@@ -100,23 +83,6 @@ def test_criterion_06_donsker_crosscheck(battery):
     curve = survival_pmf(spec, max(steps))
     assert survival_at(spec, steps) == pytest.approx(
         [curve.values[n] for n in steps], rel=0, abs=1e-14)
-    check_verdict(6, battery["donsker-series-crosscheck"])
-
-
-def test_criterion_07_analytic_drift_scan(battery):
-    check_verdict(7, battery["continuous-analytic-dominance"])
-
-
-def test_criterion_08_mc_consistency(battery):
-    check_verdict(8, battery["mc-survival-consistency"])
-
-
-def test_criterion_09_continuous_independence(battery):
-    check_verdict(9, battery["continuous-exit-independence"])
-
-
-def test_criterion_10_coupled_sde_ordering(battery):
-    check_verdict(10, battery["coupled-sde-ordering"])
 
 
 # value strings of the battery's checks at SEED: a change that moves any of
@@ -140,6 +106,7 @@ def test_criterion_11_deterministic_battery(desk_runs, battery):
     (status1, _, dir1), (status4, _, dir4) = desk_runs[1], desk_runs[4]
     same = all(filecmp.cmp(dir1 / f, dir4 / f, shallow=False)
                for f in ("verify_all.txt", "verify_all.json"))
+    assert list(battery) == [check.name for check in verify.CHECKS]
     assert {name: battery[name]["value"] for name in DETERMINISTIC_VALUES} == \
         DETERMINISTIC_VALUES
     verdict(status1 == 0 and status4 == 0 and same,
@@ -148,28 +115,16 @@ def test_criterion_11_deterministic_battery(desk_runs, battery):
             f"(threads 1 vs 4), output files byte-identical: {same}")
 
 
-# the constants each check's pass rule reads
-RULE_CONSTANTS = {
-    "discrete-exact-dominance": ("MAX_VIOLATIONS",),
-    "discrete-exit-independence": ("INDEPENDENCE_TOL",),
-    "discrete-girsanov-reweighting": ("REWEIGHT_FLOOR",),
-    "discrete-factorization-identity": ("FACTORIZATION_TOL",),
-    "laplace-sech-identity": ("SECH_TOL",),
-    "donsker-series-crosscheck": ("DONSKER_TOL",),
-    "continuous-analytic-dominance": ("MAX_VIOLATIONS",),
-    "mc-survival-consistency": ("CONSISTENCY_SE",),
-    "continuous-exit-independence": ("INDEPENDENCE_ALPHA", "CONTROL_P_MAX"),
-    "coupled-sde-ordering": ("COUPLED_TOL",),
-}
-
-
-def test_thresholds_state_the_constants_their_rules_read():
-    # the threshold strings are literals, so a constant changed alone would
-    # leave its check reporting the old value
+def test_quick_battery_reaches_each_check_through_the_module(monkeypatch):
+    # the benchmark's tracer times each check by rebinding verify.check_*,
+    # so the battery must call the module's binding, once per record
+    spies = [mock.Mock(wraps=check.function) for check in verify.CHECKS]
+    for check, spy in zip(verify.CHECKS, spies):
+        monkeypatch.setattr(verify, check.function.__name__, spy)
     results = verify.run_battery(verify.QUICK)
-    assert [r.name for r in results] == list(RULE_CONSTANTS)
-    for r in results:
-        stated = {float(x) for x in re.findall(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?",
-                                               r.threshold)}
-        for name in RULE_CONSTANTS[r.name]:
-            assert getattr(verify, name) in stated, (r.name, name, r.threshold)
+    assert [spy.call_count for spy in spies] == [1] * len(verify.CHECKS)
+    assert [r.name for r in results] == [check.name for check in verify.CHECKS]
+    assert all(r.passed for r in results)
+    # quick sizes skip the coupled refinement, and its threshold's clause
+    assert all(check.threshold.startswith(r.threshold)
+               for check, r in zip(verify.CHECKS, results))

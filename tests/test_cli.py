@@ -267,6 +267,8 @@ def test_rw_reweight_and_factorization(tmp_path):
     assert run(["rw-reweight", "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "rw_reweight.json"))
     assert doc["abs_diff"] <= max(doc["tail_bound"], 1e-10)
+    # the direct value is the table's residual, which holds the survival DP's bits
+    assert doc["direct"] == walk.survival_pmf(walk.WalkSpec(0.7, 3), 10).values[10]
     assert run(["rw-factorization", "--outdir", str(tmp_path)]) == 0
 
 

@@ -254,12 +254,11 @@ def test_identities_read_the_same_bits_cold_and_warm():
     assert _float_exit_table.cache_info().misses == 10
 
 
-@pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 58 / 61])
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 58 / 61, 31 / 61, 0.99])
 def test_table_residual_is_the_survival_curve_bit_for_bit(p):
-    # the factorization's direct side reads the residual of the exit table
-    # at p2 where it once ran its own survival DP to n
-    truncation = 300
-    for k in range(1, 9):
+    # the factorization's direct side and rw-reweight's direct value read the
+    # residual of the exit table where each once ran its own survival DP to n
+    for truncation, k in itertools.product((300, 400, 600), (*range(1, 9), 20)):
         residual = ed.exit_joint(WalkSpec(p, k), truncation).residual
         for n in (0, 1, 63, 64, 65, truncation - 1):
             curve = ed.survival_pmf(WalkSpec(p, k), n).values
