@@ -27,6 +27,9 @@ and ``_gk21`` a panel's integral and error estimate, keyed on
 [0.05 b^2, b^2] and [b^2, T_cut] for many (lam, t), so most panels repeat.
 Both are pure functions of their keys, so a cached value is the computed
 value bit for bit.
+``drifted_survival_quad`` clamps the sum to [0, 1]; the battery's Laplace
+check reads it before the clamp (``_survival_quad``), so that an integrand
+too large shows there as a value above 1.
 
 Phi and log Phi come from ``math.erf`` and ``math.erfc``, so the module
 needs no scipy.  ``_ndtr`` takes Cephes's split: 1/2 + erf(x) / 2 for
@@ -337,32 +340,31 @@ def _quad(b: float, pieces: list, lam: float) -> float:
     The panel with the largest error estimate is bisected until the
     estimates sum to at most max(SERIES_TOL, _QUAD_EPSREL |value|) or
     ``_QUAD_LIMIT`` panels are in use; the panels are then added exactly
-    rounded.
+    rounded.  Each heap entry is (-error, lo, hi, value), and the sums read
+    its fields through ``operator.itemgetter`` in heap order, without
+    unpacking an entry.
     """
-    heap = []  # (-error, lo, hi, value)
+    heap = []
     for lo, hi in zip(pieces, pieces[1:]):
         val, err = _gk21(b, lo, hi, lam)
         heap.append((-err, lo, hi, val))
     heapq.heapify(heap)
+    errors, values = operator.itemgetter(0), operator.itemgetter(3)
     while len(heap) < _QUAD_LIMIT:
-        total = math.fsum(v for *_, v in heap)
-        if -sum(e for e, *_ in heap) <= max(SERIES_TOL, _QUAD_EPSREL * abs(total)):
+        total = math.fsum(map(values, heap))
+        if -sum(map(errors, heap)) <= max(SERIES_TOL, _QUAD_EPSREL * abs(total)):
             break
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for a, z in ((lo, mid), (mid, hi)):
             val, err = _gk21(b, a, z, lam)
             heapq.heappush(heap, (-err, a, z, val))
-    return math.fsum(v for *_, v in heap)
+    return math.fsum(map(values, heap))
 
 
-def drifted_survival_quad(spec: DriftSpec, t: float):
-    """Quadrature route for P(tau > t): independent of the termwise series.
-
-    Returns (value, cutoff_bound) where cutoff_bound dominates the mass of
-    the integrand beyond the truncation time.  The value is clamped to
-    [0, 1]; ValueError where cosh(lam*b) overflows.
-    """
+def _survival_quad(spec: DriftSpec, t: float):
+    """``drifted_survival_quad`` before its clamp: the quadrature sum as it
+    came, which reads above 1 where the integrand is too large."""
     _check_time(t)
     lam = abs(spec.lam)
     b = spec.b
@@ -378,6 +380,17 @@ def drifted_survival_quad(spec: DriftSpec, t: float):
     pieces = [s for s in pieces if t <= s <= T_cut]
     total = _quad(b, pieces, lam)
     cutoff_bound = cosh_lb * math.exp(-(g + a0) * T_cut) * (4.0 / math.pi)
+    return total, cutoff_bound
+
+
+def drifted_survival_quad(spec: DriftSpec, t: float):
+    """Quadrature route for P(tau > t): independent of the termwise series.
+
+    Returns (value, cutoff_bound) where cutoff_bound dominates the mass of
+    the integrand beyond the truncation time.  The value is clamped to
+    [0, 1]; ValueError where cosh(lam*b) overflows.
+    """
+    total, cutoff_bound = _survival_quad(spec, t)
     return min(1.0, max(0.0, total)), cutoff_bound
 
 

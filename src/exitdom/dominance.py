@@ -7,9 +7,9 @@ compares those integers, cross-multiplied by powers of the scales when two
 biases differ in d.  A Fraction is formed only at a point where the order
 fails.  The scan reads every curve of one mode from one DP over the grid
 (``walk._survival_entries``): the float scan makes one float call, decides
-which adjacent pairs escalate, and makes one exact call for the union of
-their biases.  Monte Carlo data is certified only up to simultaneous
-one-sided Dvoretzky-Kiefer-Wolfowitz bands.
+from step k on which adjacent pairs escalate, and makes one exact call for
+the union of their biases.  Monte Carlo data is certified only up to
+simultaneous one-sided Dvoretzky-Kiefer-Wolfowitz bands.
 """
 
 from __future__ import annotations
@@ -153,9 +153,13 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     report's values are those numerators over d**n, rounded once.  In float
     mode, any apparent violation is automatically rechecked the same exact
     way before being reported (a true violation would falsify the dominance
-    theorem, so a float-mode artifact must not survive).  Each mode's curves
-    come from one DP over the biases it needs, so a bias shared by two
-    escalated pairs is computed exactly once.
+    theorem, so a float-mode artifact must not survive).  The float
+    comparison starts at step k: no path reaches +-k in fewer steps, so both
+    exact survivals are 1 there (as ``walk.survival_at`` returns), and a
+    float gap of an ulp or two before step k is round-off that needs no
+    recheck.  The report keeps the float values at every step.  Each mode's
+    curves come from one DP over the biases it needs, so a bias shared by
+    two escalated pairs is computed exactly once.
     """
     ps = list(ps)
     floats = [_parse_bias(p) for p in ps]
@@ -170,8 +174,9 @@ def dominance_scan_discrete(ps, k: int, horizon: int,
     else:
         values = [[float(v) for v in residual] for residual, _
                   in walk._survival_entries(specs, horizon, mode)]
+        # before step k no path has exited: both exact survivals are 1
         escalated = {i for i in range(len(ps) - 1)
-                     if _worst_gap(values[i], values[i + 1], steps) is not None}
+                     if _worst_gap(values[i][k:], values[i + 1][k:], steps[k:]) is not None}
         need = sorted({j for i in escalated for j in (i, i + 1)})
     # one exact DP for every bias that an exact comparison reads
     exact = dict(zip(need, walk._survival_entries([specs[j] for j in need], horizon,

@@ -155,10 +155,11 @@ class JointExitTable:
         return self.up[n] + self.down[n]
 
     @functools.cached_property
-    def _exit_pmfs(self) -> list:
-        """exit_pmf(n) for n = 0..horizon, formed on the first read; the
-        readers never change a table, so the list stays its exit law."""
-        return [u + d for u, d in zip(self.up, self.down)]
+    def _exit_pmfs(self) -> np.ndarray:
+        """exit_pmf(n) for n = 0..horizon as an array, formed on the first
+        read like ``_log_exits``; the readers never change a table, so the
+        array stays its exit law.  Only float tables are read."""
+        return np.add(self.up, self.down)
 
     @functools.cached_property
     def _log_exits(self) -> tuple:
@@ -168,8 +169,9 @@ class JointExitTable:
             return np.log(self.up), np.log(self.down)
 
 
-def _dp(specs: list, horizon: int, mode: str) -> list:
-    """(up, down, residual, scale) for steps 0..horizon, one per spec.
+def _dp(specs: list, horizon: int, mode: str, exits: bool = True) -> list:
+    """(up, down, residual, scale) for steps 0..horizon, one per spec, or
+    (residual, scale) without ``exits``.
 
     The specs share one half-width k.  Entry n of each list is the step-n
     value times scale**n.  One recurrence serves both modes and every spec:
@@ -192,12 +194,14 @@ def _dp(specs: list, horizon: int, mode: str) -> list:
     neighbour's product or an exact 0 from a cell of weight 0, so each spec
     gets the same bits as alone; a grid of biases costs the numpy calls of
     one bias, each on one flat row.  Once per block, the exit columns are
-    copied out and the residuals are np.add.reduce(..., axis=2) over each
-    spec's state cells, numpy's pairwise order of a 1-D u.sum(); the last
-    row then moves to row 0.  A block is max(1, ``_DP_BLOCK`` // len(specs))
-    steps, so the buffer holds about as many cells as one spec's buffer of
-    ``_DP_BLOCK`` steps: the memory is bounded by the block, not by the
-    horizon or the grid.
+    copied out, unless ``exits`` is false, and the residuals are
+    np.add.reduce(..., axis=2) over each spec's state cells, numpy's
+    pairwise order of a 1-D u.sum(); the last row then moves to row 0.
+    Without the exit columns, rational mode keeps no exit integer past its
+    block.  A block is max(1, ``_DP_BLOCK`` // len(specs)) steps, so the
+    buffer holds about as many cells as one spec's buffer of ``_DP_BLOCK``
+    steps: the memory is bounded by the block, not by the horizon or the
+    grid.
     """
     k = specs[0].k
     weights = [spec.pq(mode) for spec in specs]
@@ -221,8 +225,9 @@ def _dp(specs: list, horizon: int, mode: str) -> list:
     down_part = np.empty(len(specs) * width - 1, dtype=dtype)
     cells = rows.reshape(block + 1, len(specs), width)
     mul, add = np.multiply, np.add  # a positional out= makes each call cheapest
-    # steps 1..horizon of each spec's up, down and residual columns
-    out = np.empty((len(specs), 3, horizon), dtype=dtype)
+    # steps 1..horizon of each spec's up and down columns (with exits) and
+    # its residual column
+    out = np.empty((len(specs), 3 if exits else 1, horizon), dtype=dtype)
     for start in range(0, horizon, block or 1):
         steps = min(block, horizon - start)
         rows[1:, 0] = zero
@@ -232,16 +237,17 @@ def _dp(specs: list, horizon: int, mode: str) -> list:
             mul(u_tail, cell_down, down_part)
             add(new_head, down_part, new_head)
         done, new = slice(start, start + steps), cells[1:steps + 1]
-        out[:, 0, done] = new[:, :, -1].T
-        out[:, 1, done] = new[:, :, 0].T
-        out[:, 2, done] = np.add.reduce(new[:, :, 1:-1], axis=2).T
+        if exits:
+            out[:, 0, done] = new[:, :, -1].T
+            out[:, 1, done] = new[:, :, 0].T
+        out[:, -1, done] = np.add.reduce(new[:, :, 1:-1], axis=2).T
         rows[0] = rows[steps]
     tables = []
-    for (up, down, residual), scale in zip(out, scales):
+    for (*exit_columns, residual), scale in zip(out, scales):
         residual = [one, *residual]
         if mode == MODE_FLOAT:  # round-off in a long float run can lift the sum above 1
             residual = [min(r, one) for r in residual]
-        tables.append(([zero, *up], [zero, *down], residual, scale))
+        tables.append((*([zero, *column] for column in exit_columns), residual, scale))
     return tables
 
 
@@ -274,7 +280,7 @@ def _survival_entries(specs: list, horizon: int, mode: str) -> list:
     _check_mode(mode)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    return [(residual, scale) for _, _, residual, scale in _dp(specs, horizon, mode)]
+    return _dp(specs, horizon, mode, exits=False)
 
 
 def exit_joint(spec: WalkSpec, horizon: int, mode: str = MODE_FLOAT) -> JointExitTable:

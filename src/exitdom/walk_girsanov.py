@@ -29,6 +29,7 @@ desk's reweighting check evaluates 58% and the ``exact-routes`` grid 44%.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -172,6 +173,12 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     ``truncation``.  Requires 1/2 <= p1 < p2 < 1 so that r < 1; a pair so
     close that r rounds to 1 raises ValueError, and so does a pair whose
     r^sigma underflows on every truncated exit step.
+
+    The terms r^m P(sigma = m), m = 0..truncation, form one float array, and
+    both sums, over every m and over m > n, add them left to right from the
+    first (``np.cumsum``), the order of CPython 3.11's ``sum`` over a list.
+    The order is pinned here, so a ``sum`` that compensates (CPython 3.12)
+    moves no bit.
     """
     p1f = _parse_bias(p1, "p1")
     p2f = _parse_bias(p2, "p2")
@@ -186,14 +193,16 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
             f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
             "the identity needs r < 1")
     direct = _float_exit_table(p2f, k, truncation).residual[n]
-    terms = [r**m * pmf for m, pmf in
-             enumerate(_float_exit_table(p1f, k, truncation)._exit_pmfs)]
-    total = sum(terms)
+    # r^m by the builtin pow, whose bits numpy's power does not always match
+    terms = np.fromiter(map(pow, itertools.repeat(r), range(truncation + 1)), float,
+                        truncation + 1)
+    terms *= _float_exit_table(p1f, k, truncation)._exit_pmfs
+    total = np.cumsum(terms)[-1]
     if total == 0.0:
         raise ValueError(
             f"every term r^m P(sigma = m) underflows to 0 at p1={p1}, p2={p2}, "
             f"k={k}, so E_p1[r^sigma] reads 0")
-    return abs(direct - sum(terms[n + 1:]) / total)
+    return abs(direct - np.cumsum(terms[n + 1:])[-1] / total)
 
 
 def check_independence_discrete(p, k: int, truncation: int,

@@ -104,16 +104,13 @@ ROWS = [
     (first_exit_sides_swapped, {"discrete-exit-independence",
                                 "discrete-girsanov-reweighting"}),
     (exit_density_scaled(1 - 1e-5), {"laplace-sech-identity"}),
+    # the check reads the quadrature before its clamp to 1, so a density
+    # that is too large shows too
+    (exit_density_scaled(1 + 1e-5), {"laplace-sech-identity"}),
 ]
-# Known escapes.  drifted_survival_quad clamps its value to 1, so a density
-# that is too large reads exactly 1 at t = 0, where the identity is checked.
-ESCAPES = [(exit_density_scaled(1 + 1e-5), {"laplace-sech-identity"})]
 
 
-@pytest.mark.parametrize("plant, failing", ROWS + [
-    pytest.param(*row, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                                 reason="known escape"))
-    for row in ESCAPES], ids=[plant.__name__ for plant, _ in ROWS + ESCAPES])
+@pytest.mark.parametrize("plant, failing", ROWS, ids=[plant.__name__ for plant, _ in ROWS])
 def test_defect_fails_exactly_its_checks(monkeypatch, plant, failing):
     plant(monkeypatch)
     results = verify._run_checks(DETERMINISTIC, verify.QUICK, SEED, 1)

@@ -110,6 +110,55 @@ def _clear_panel_memos():
     bm._gk21.cache_clear()
 
 
+# (b, lam, t, value, cut-off bound) of drifted_survival_quad, as the route
+# read before its heap sums moved to operator.itemgetter: t = 0, short times
+# below 0.05 b^2, times around b^2 and past it, and lam b up to 300
+_QUAD_PINNED = [
+    (1.0, 0.0, 0.0, '0x1.0000000000000p+0', '0x1.380293e123f1bp-54'),
+    (1.0, 0.5, 0.0, '0x1.0000000000000p+0', '0x1.f94d8acdc7336p-60'),
+    (0.5, 6.0, 0.0, '0x1.fffffffffffe2p-1', '0x1.08b5eea93a095p-46'),
+    (2.0, 1.0, 0.0, '0x1.0000000000000p+0', '0x1.36ae3959cb375p-61'),
+    (1.0, 300.0, 0.0, '0x1.0000000000000p+0', '0x0.0p+0'),
+    (1.0, 0.0, 0.01, '0x1.0000000000000p+0', '0x1.380293e123f1bp-54'),
+    (1.0, 1.5, 0.03, '0x1.fffffed018f44p-1', '0x1.8ff40b702b0f8p-45'),
+    (0.5, 16.0, 0.00125, '0x1.0000000000000p+0', '0x1.13750c523aee0p-181'),
+    (2.0, 10.0, 0.08, '0x1.fffde828bb506p-1', '0x0.0p+0'),
+    (1.0, 100.0, 0.0001, '0x1.0000000000000p+0', '0x0.0p+0'),
+    (1.0, 300.0, 0.001, '0x1.0000000000000p+0', '0x0.0p+0'),
+    (0.5, 40.0, 0.01, '0x1.a12ac53d43fabp-1', '0x0.0p+0'),
+    (1.0, 0.7, 0.5, '0x1.4501ee1a5b6fdp-1', '0x1.d6262527296dfp-65'),
+    (0.5, 3.0, 0.125, '0x1.eb34b35f75a7fp-2', '0x1.8ff40b702b0f8p-45'),
+    (1.0, 20.0, 0.2, '0x1.0fbfdd51ab558p-38', '0x0.0p+0'),
+    (1.0, 1.0, 1.0, '0x1.f9ba949b1938fp-3', '0x1.40ae3c57e30bcp-50'),
+    (1.0, 8.0, 1.0, '0x1.247c59c07bfeep-42', '0x1.13750c523aee0p-181'),
+    (1.0, 2.0, 2.0, '0x1.740fc0c252c3dp-9', '0x1.36ae3959cb375p-61'),
+    (1.0, 5.0, 3.0, '0x1.90404b2dee920p-57', '0x1.3ce6103f4e7c3p-73'),
+    (1.0, 2.0, 10.0, '0x1.1dea03fb12663p-46', '0x1.ebf5ca03e4b35p-50'),
+    (2.0, 0.25, 12.0, '0x1.6a898b84a613bp-6', '0x1.f94d8acdc7336p-60'),
+    (1.0, 300.0, 2.0, '0x0.0p+0', '0x0.0p+0'),
+]
+
+
+def test_quadrature_keeps_its_pinned_bits():
+    _clear_panel_memos()
+    got = [(b, lam, t, *_quad_bits(DriftSpec(lam, b), t)) for b, lam, t, *_ in _QUAD_PINNED]
+    assert got == _QUAD_PINNED
+
+
+def test_unclamped_quadrature_shows_an_integrand_too_large(monkeypatch):
+    # a density 1e-5 too large lifts the integral above 1: the public route
+    # clamps it to 1, the sum before the clamp keeps it
+    real = bm._exit_density
+    monkeypatch.setattr(bm, "_exit_density", lambda b, t: real(b, t) * (1 + 1e-5))
+    _clear_panel_memos()
+    try:
+        spec = DriftSpec(1.0, 1.0)
+        assert ed.drifted_survival_quad(spec, 0.0)[0] == 1.0
+        assert bm._survival_quad(spec, 0.0)[0] == pytest.approx(1 + 1e-5, rel=1e-9)
+    finally:
+        _clear_panel_memos()  # no panel built on the scaled density outlives it
+
+
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 1])
 def test_density_memo_keeps_every_bit(b):
     # t = 0, one short time below 0.05 b^2 and two from b^2 on

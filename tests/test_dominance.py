@@ -87,9 +87,9 @@ def test_worst_gap_rejects_negative_or_nan_tolerance(tie_tol):
         dominance._worst_gap([0.5], [0.4], [0], tie_tol)
 
 
-def _corrupting_scan(monkeypatch, ps, lift):
-    """The float scan of ``ps`` at k = 2 up to step 20, its float curves
-    lifted at step 3 by lift(p), with the biases whose exact numerators it
+def _corrupting_scan(monkeypatch, ps, lift, k=2, horizon=20, step=3):
+    """The float scan of ``ps`` at ``k`` up to ``horizon``, its float curves
+    lifted at ``step`` by lift(p), with the biases whose exact numerators it
     computes, in order."""
     real_entries = dominance.walk._survival_entries
     exact = []
@@ -100,11 +100,11 @@ def _corrupting_scan(monkeypatch, ps, lift):
             exact.extend(spec.p for spec in specs)
         else:
             for spec, (residual, _) in zip(specs, curves):
-                residual[3] += lift(spec.p_float())  # inject a fake crossing
+                residual[step] += lift(spec.p_float())  # inject a fake crossing
         return curves
 
     monkeypatch.setattr(dominance.walk, "_survival_entries", corrupting)
-    return ed.dominance_scan_discrete(ps, 2, 20, MODE_FLOAT), exact
+    return ed.dominance_scan_discrete(ps, k, horizon, MODE_FLOAT), exact
 
 
 def test_float_violation_escalates_to_exact(monkeypatch):
@@ -113,6 +113,27 @@ def test_float_violation_escalates_to_exact(monkeypatch):
     rep, exact = _corrupting_scan(monkeypatch, [0.5, 0.6],
                                   lambda p: 0.1 if p > 0.55 else 0.0)
     assert exact == [0.5, 0.6]
+    assert rep.n_violations == 0
+
+
+@pytest.mark.parametrize("step, escalates", [(0, False), (1, False), (2, True)])
+def test_float_crossing_escalates_only_from_step_k(monkeypatch, step, escalates):
+    # no path exits before step k = 2, where both exact survivals are 1, so
+    # a float gap there is round-off and needs no exact recheck
+    rep, exact = _corrupting_scan(monkeypatch, [0.5, 0.6],
+                                  lambda p: 0.1 if p > 0.55 else 0.0, step=step)
+    assert exact == ([0.5, 0.6] if escalates else [])
+    assert rep.n_violations == 0
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_float_scan_of_the_benchmark_grid_runs_no_exact_dp(monkeypatch, k):
+    # on 1/2, 11/20, ..., 19/20 the float DP reads the survival 1 of steps
+    # below k an ulp or two apart; from step k on no pair crosses, so no
+    # pair escalates (4 of 9 once did at k = 8, in one exact DP over 7 biases)
+    ps = [Fraction(1, 2) + Fraction(i, 20) for i in range(10)]
+    rep, exact = _corrupting_scan(monkeypatch, ps, lambda p: 0.0, k=k, horizon=400)
+    assert exact == []
     assert rep.n_violations == 0
 
 

@@ -390,12 +390,19 @@ def grid_examples(test):
 @grid_examples
 def test_grid_dp_matches_one_run_per_spec(ps, k, horizon):
     # one recurrence over a grid of biases gives each spec the values of a
-    # run of its own: the same reprs in rational mode, the same bits in float
+    # run of its own: the same reprs in rational mode, the same bits in
+    # float; without its exit columns it gives the same residuals
     specs = [WalkSpec(p, k) for p in ps]
     exact = walk._dp(specs, horizon, MODE_RATIONAL)
     assert repr(exact) == repr([walk._dp([spec], horizon, MODE_RATIONAL)[0]
                                 for spec in specs])
-    for got, spec in zip(walk._dp(specs, horizon, MODE_FLOAT), specs):
+    assert repr(walk._dp(specs, horizon, MODE_RATIONAL, exits=False)) == \
+        repr([(residual, scale) for _, _, residual, scale in exact])
+    floats = walk._dp(specs, horizon, MODE_FLOAT)
+    for got, spec in zip(floats, specs):
         *columns, scale = walk._dp([spec], horizon, MODE_FLOAT)[0]
         assert got[3] == scale == 1
         assert [bits(c) for c in got[:3]] == [bits(c) for c in columns]
+    for (residual, scale), full in zip(walk._dp(specs, horizon, MODE_FLOAT, exits=False),
+                                       floats):
+        assert scale == 1 and bits(residual) == bits(full[2])

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import sys
 import warnings
 from fractions import Fraction
@@ -327,17 +329,29 @@ def test_desk_float_walk_checks_run_twenty_dps_then_none(monkeypatch):
     assert all(result.passed for result in cold)
 
 
+def _left_to_right(terms):
+    """The sum of ``terms`` added in order from the first, as CPython 3.11's
+    ``sum`` adds a list of floats."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 def test_factorization_reads_the_exit_law_bit_for_bit():
-    # the sum as it once read the table: one exit_pmf call per step, against
-    # a direct survival DP to n
-    table = ed.exit_joint(WalkSpec(0.6, 3), 300)
-    for p2, n in ((0.65, 0), (0.7, 10), (0.95, 50)):
-        r, _ = _rz(0.6, p2)
-        terms = [r**m * table.exit_pmf(m) for m in range(len(table.residual))]
-        direct = ed.survival_pmf(WalkSpec(p2, 3), n).values[n]
-        want = abs(direct - sum(terms[n + 1:]) / sum(terms))
-        got = ed.factorization_check_discrete(0.6, p2, 3, n, 300)
-        assert got.hex() == want.hex()
+    # the sum as it once read the table: a list of r^m times one exit_pmf
+    # call per step, added left to right, against a direct survival DP to n
+    biases = [0.5, Fraction(31, 61), 0.6, 0.75, Fraction(58, 61), 0.99]
+    for truncation, k in itertools.product((300, 600), range(1, 9)):
+        tables = {p: ed.exit_joint(WalkSpec(float(p), k), truncation) for p in biases}
+        for p1, p2 in itertools.combinations(biases, 2):
+            table = tables[p1]
+            r, _ = _rz(float(p1), float(p2))
+            terms = [r**m * table.exit_pmf(m) for m in range(truncation + 1)]
+            total = _left_to_right(terms)
+            for n in sorted({0, 1, k - 1, k, k + 1, 2 * k + 1, 50, truncation // 2,
+                             truncation - 2, truncation - 1}):
+                direct = tables[p2].residual[n]
+                want = abs(direct - _left_to_right(terms[n + 1:]) / total)
+                got = ed.factorization_check_discrete(p1, p2, k, n, truncation)
+                assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("n, truncation", [(-5, 400), (-1, 400), (400, 400),
