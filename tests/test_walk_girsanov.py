@@ -337,7 +337,7 @@ def _left_to_right(terms):
 
 def test_factorization_reads_the_exit_law_bit_for_bit():
     # the sum as it once read the table: a list of r^m times one exit_pmf
-    # call per step, added left to right, against a direct survival DP to n
+    # call per step, added left to right, against the p2 table's residual
     biases = [0.5, Fraction(31, 61), 0.6, 0.75, Fraction(58, 61), 0.99]
     for truncation, k in itertools.product((300, 600), range(1, 9)):
         tables = {p: ed.exit_joint(WalkSpec(float(p), k), truncation) for p in biases}
