@@ -37,7 +37,6 @@ from .mc import (
     reweighted_survival_bm,
     simulate_exit_bm,
     simulate_y_coupled,
-    simulate_y_coupled_runs,
 )
 from .dominance import (
     CONSISTENT,

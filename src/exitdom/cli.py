@@ -283,9 +283,9 @@ _SUBCOMMANDS: dict[str, tuple] = {
                 "tie tolerance for survival comparisons (probability)"),
     }),
     "bm-couple": (_cmd_bm_couple, {
-        "lambdas": ("0,0.5,1", _floats, "ascending drift rates (1/time)"),
+        "lambdas": ("0,0.5,1", _floats, "ascending nonnegative drift rates (1/time)"),
         "y0": (0.0, _finite, "initial squared position (length^2)"),
-        "dt": (1e-4, _finite, "Euler step (time)"),
+        "dt": (1e-4, _finite, "step (time)"),
         "time-horizon": (1.0, _finite, "simulation horizon (time)"),
         "n-paths": (1000, int, "number of coupled paths (count)"),
         "level": (1.0, _finite, "first-hitting level for Y (length^2)"),

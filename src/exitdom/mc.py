@@ -54,15 +54,14 @@ _BATCH_PATHS = 4096
 _MIN_CHUNK = 16
 _MAX_CHUNK = 128
 _BLOCK_CELLS = 1 << 15
-_Y_BLOCK_CELLS = 1 << 16
-# steps a uint8 tally of the coupled-SDE loop counts before it is emptied
-_TALLY_STEPS = 255
+# the coupled-SDE loop keeps R for a block of at most _Y_BLOCK_STEPS steps
+# and _Y_BLOCK_CELLS cells
+_Y_BLOCK_STEPS = 16
+_Y_BLOCK_CELLS = 1 << 18
 # exp(-2 q / dt) >= 2**-53  <=>  q <= (53 ln 2 / 2) dt
 _Q_CUT = 53.0 * math.log(2.0) / 2.0
 # largest admitted bound on the chance that one exit step reaches both barriers
 _BOTH_BARRIERS_MAX = 1e-9
-# coupled-SDE ordering slack, in units of sqrt(dt) times the diffusion scale
-_ORDER_SLACK = 0.5
 # smallest expected count per cell of the exit time-by-side chi-square table
 _MIN_EXPECTED = 20.0
 
@@ -537,174 +536,126 @@ class CoupledStats:
 def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
                        n_paths: int, rng: RngStreamSpec,
                        level: float = 1.0) -> CoupledStats:
-    """Full-truncation Euler for dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y) tanh(lam sqrt(Y))) dt.
+    """Shared-noise simulation of Y = R^2, R = |B_t + lam t|, for each drift of
+    an ascending grid of nonnegative drifts, from Y = y0 over
+    round(horizon / dt) steps.
 
-    The one-run case of ``simulate_y_coupled_runs``, which states the scheme,
-    its ordering slack and the draws it takes.
-    """
-    return simulate_y_coupled_runs(lambdas, y0, (dt,), horizon, n_paths, rng,
-                                   level)[0]
+    R is a diffusion with drift lam tanh(lam R), reflected at 0 (Rogers and
+    Pitman, 1981), so Y solves dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y)
+    tanh(lam sqrt(Y))) dt.  The law depends on |lam| only, so a negative
+    drift is refused.  R starts at sqrt(y0), and one step, with z and U
+    shared by every drift of a path, is
 
+        dX = (lam dt) tanh(lam R) + sqrt(dt) z
+        R' = max(R + dX, (dX + sqrt(dX^2 - 2 dt ln(1 - U))) / 2).
 
-def simulate_y_coupled_runs(lambdas, y0: float, dts, horizon: float,
-                            n_paths: int, rng: RngStreamSpec,
-                            level: float = 1.0) -> list:
-    """Full-truncation Euler runs of the squared-modulus SDE, one per step size.
+    The second term is the exact Skorokhod reflection over the step: the
+    maximum over a Brownian bridge from 0 to dX, sampled by inversion.  Both
+    terms increase in dX, and dX increases in R and in lam, so R, and Y, stay
+    ordered across the grid at every step; ``violation_fraction`` counts the
+    (step, path, adjacent pair) cells where they are not.  A drift not yet at
+    the level a = sqrt(level) hits it in the step when
+    q = (a - R)(a - R') <= _Q_CUT dt and V < exp(-2 q / dt), capped at 1,
+    the bridge's crossing probability, with V shared by the drifts of the
+    path; the hit time is (step + 1) dt.  Leaving out q > _Q_CUT dt, where
+    that probability is below 2**-53, is the rule of ``simulate_exit_bm``.
+    A path that starts at or above the level hits it in the first step.
 
-    Returns one ``CoupledStats`` per entry of ``dts``, in the order given.
-    Each run simulates dY = 2 sqrt(Y) dW + (1 + 2 lam sqrt(Y) tanh(lam sqrt(Y))) dt
-    from Y = y0 over round(horizon / dt) steps.  Every drift value consumes
-    the identical Gaussian increments, so the continuum comparison theorem
-    predicts pathwise ordering across the ascending drift grid; the scheme
-    is allowed a slack of 0.5 sqrt(dt) (``_ORDER_SLACK``) times the local
-    diffusion scale, and slack exceedances are counted as ordering
-    violations.  First hits of ``level`` are recorded per drift.
+    Draws, each from its own stream:
 
-    One step of one run, with w = sqrt(dt) z, computes in this order
+    1. ``rng.child(0)``: one standard normal z per path and step, drawn as a
+       (steps, n_paths) array per block of steps, step-major;
+    2. ``rng.child(1)``: at each step, one U for each path whose lowest drift
+       has R (R + dX) <= _Q_CUT dt, in path order.  As the drifts are
+       ordered, that drift has the path's largest chance exp(-2 R (R + dX)
+       / dt) of reaching 0 in the step.  Any other path steps to R + dX, as
+       its reflection could act only on 1 - U < 2**-53, which cannot occur;
+    3. ``rng.child(2)``: one V per path and step, drawn like z, while some
+       drift of some path is below the level.
 
-        s = sqrt(Y)
-        Y = max(Y + (1 + (2 lam s) tanh(lam s)) dt + (2 s) w, 0)
-        tol = (0.5 sqrt(dt) 2) sqrt(max(Y[1:], dt))
-        violation where Y[:-1] > Y[1:] + tol
-
-    and every output is bit-identical to that sequence.  The loop rewrites
-    it in two exact ways.  It takes one sqrt per step: for a correctly
-    rounded sqrt, sqrt(max(Y, dt)) = max(sqrt(Y), sqrt(dt)), so the new
-    step's s serves this step's tolerance and the next step's drift.  It
-    moves the factors 2, computing (2 lam s) tanh(lam s) as
-    2 ((lam s) tanh(lam s)) and (2 s) w as s (2 w): doubling a double is
-    exact, and where the drift product is so small that rounding it differs,
-    1 + ... is 1 either way.  Rows with lam = 0 at either end of the grid
-    skip the tanh, since their drift factor is exactly 1.
-
-    All runs read one generator, ``rng.generator()``: step j of every run
-    uses the same row z_j of n_paths standard normals, the numbers one
-    ``standard_normal(n_paths)`` call per step would give.  They are drawn
-    as one (block, n_paths) array per block of steps, as far as the longest
-    run needs, and each run's 2 w = z (2 sqrt(dt)) is formed once per block.
-    A run alone would draw only its own first rows, which are the same
-    numbers, so passing several dts gives each run the result of its own
-    single-dt call.
-
-    The runs step in lockstep on a drift-major (drift, run, path) state,
-    sorted by step count, longest first; dt, sqrt(dt) and the slack are
-    per-run arrays of the state's full size.  Every operation is
-    elementwise, so each element sees the operations and operands of its
-    own run alone.  When a run takes its last step its statistics are
-    written and the state of the runs still live is copied into smaller
-    buffers.
+    The loop keeps R for a block of steps and then finds the hits of the
+    whole block.  Only a drift that is below the level at the block's start
+    and comes within 2 sqrt(_Q_CUT dt) of it in the block can have q <=
+    _Q_CUT dt, so only those drifts are tested.
     """
     lambdas = [float(l) for l in lambdas]
-    dts = list(dts)
     if not lambdas:
         raise ValueError("need at least one drift")
+    if not all(0.0 <= l < math.inf for l in lambdas):
+        raise ValueError("drifts must be finite and nonnegative: the law of "
+                         f"|B_t + lam t| depends on |lam| only, got {lambdas}")
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("drift grid must be ascending")
     if not 0.0 <= y0 < math.inf:
         raise ValueError("initial value must be finite and nonnegative")
-    if not dts:
-        raise ValueError("need at least one dt")
-    for dt in dts:
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not horizon > 0.0 or n_paths < 1:
         raise ValueError("horizon and n_paths must be positive")
-    if any(dt > horizon for dt in dts):
+    if dt > horizon:
         raise ValueError("dt must not exceed the horizon")
     if math.isnan(level):
         raise ValueError("level must be a number")
-    L = len(lambdas)
-    steps = [_step_count(dt, horizon) for dt in dts]
-    order = sorted(range(len(dts)), key=lambda i: -steps[i])
-    run_dt = [dts[i] for i in order]
-    run_steps = [steps[i] for i in order]
-    sqdts = np.array([math.sqrt(dt) for dt in run_dt])[:, None]
-    R = len(order)
-    gen = rng.generator()
+    n_steps = _step_count(dt, horizon)
+    L, n = len(lambdas), n_paths
     lam = np.array(lambdas)
-    nonzero = np.flatnonzero(lam)
-    rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
-
-    def full(values, n_rows):
-        # full arrays: numpy multiplies far faster without a stride-0 operand
-        return np.broadcast_to(values, (n_rows, R, n_paths)).copy()
-
-    lam_rows = full(lam[rows][:, None, None], rows.stop - rows.start)
-    dt_rows = full(np.array(run_dt)[:, None], lam_rows.shape[0])
-    sqdt = full(sqdts, L - 1)
-    slack = full(_ORDER_SLACK * sqdts * 2.0, L - 1)
-    two_sqdt = 2.0 * sqdts
-    Y = np.full((L, R, n_paths), float(y0))
-    sq = np.sqrt(Y)
-    drift_dt = full(np.array(run_dt)[:, None], L)  # rows outside `rows` keep 1 * dt
-    # flags[:L] marks the cells not yet at the level, flags[L:] the pairs
-    # violating the order at this step; per-cell uint8 tallies count both
-    # with one add, up to _TALLY_STEPS steps, and then empty into the int64
-    # totals
-    flags = np.ones((2 * L - 1, R, n_paths), dtype=bool)
-    tally = np.zeros(flags.shape, dtype=np.uint8)
-    totals = np.zeros(flags.shape, dtype=np.int64)
-    block = max(1, _Y_BLOCK_CELLS // n_paths)
-    draws = np.empty((block, n_paths))
-    w2 = np.empty((block, R, n_paths))
-    out = [None] * R
-    step = 0
-    while R:
-        part, sq_rows = drift_dt[rows], sq[rows]
-        lower, upper, sq_upper = Y[:-1], Y[1:], sq[1:]
-        unhit, over, flags_u8 = flags[:L], flags[L:], flags.view(np.uint8)
-        tanh, noise = np.empty_like(part), np.empty_like(Y)
-        below, tol = np.empty(Y.shape, dtype=bool), np.empty_like(upper)
-        end = run_steps[R - 1]
-        for step in range(step, end):
-            if step % block == 0:
-                z = draws[:run_steps[0] - step]
-                gen.standard_normal(out=z)
-                np.multiply(z[:, None], two_sqdt[:R], out=w2[:z.shape[0], :R])
-            if step % _TALLY_STEPS == 0:
-                totals += tally
-                tally.fill(0)
-            np.multiply(lam_rows, sq_rows, out=part)
-            np.tanh(part, out=tanh)
-            part *= tanh
-            part += part
-            part += 1.0
-            part *= dt_rows
-            Y += drift_dt
-            np.multiply(sq, w2[step % block, :R], out=noise)
-            Y += noise
-            np.maximum(Y, 0.0, out=Y)
-            np.sqrt(Y, out=sq)
-            np.less(Y, level, out=below)
-            unhit &= below
-            np.maximum(sq_upper, sqdt, out=tol)
-            tol *= slack
-            tol += upper
-            np.greater(lower, tol, out=over)
-            tally += flags_u8
-        step = end
-        while R and run_steps[R - 1] == end:
-            R -= 1
-            out[order[R]] = _coupled_stats(
-                lambdas, run_dt[R], end, n_paths, level, Y[:, R], unhit[:, R],
-                totals[:, R] + tally[:, R])
-        (lam_rows, dt_rows, sqdt, slack, Y, sq, drift_dt, flags, tally,
-         totals) = (a[:, :R].copy() for a in (lam_rows, dt_rows, sqdt, slack, Y,
-                                              sq, drift_dt, flags, tally, totals))
-    return out
-
-
-def _coupled_stats(lambdas, dt, n_steps, n_paths, level, final, unhit, counts):
-    """``CoupledStats`` of one run from its final state and its step counts:
-    ``counts[:L]`` the steps each cell stayed below the level, ``counts[L:]``
-    each pair's violating steps."""
-    L = len(lambdas)
-    # a path first reaching the level at step s stayed unhit for s - 1 steps
-    hit = np.where(unhit, np.nan, (counts[:L] + 1) * dt)
-    comparisons = n_steps * n_paths
-    pair_counts = counts[L:].sum(axis=1)
+    rows = slice(int(np.count_nonzero(lam == 0.0)), L)  # the drifting rows
+    # full arrays: numpy multiplies far faster without a stride-0 operand
+    lam_r = np.repeat(lam[rows], n).reshape(-1, n)
+    lam_dt = lam_r * dt
+    sqdt, q_cut = math.sqrt(dt), _Q_CUT * dt
+    gen_z, gen_u, gen_v = (rng.child(i).generator() for i in range(3))
+    block = max(1, min(_Y_BLOCK_STEPS, n_steps, _Y_BLOCK_CELLS // (L * n)))
+    path = np.empty((block + 1, L, n))  # R at the start and after each step
+    path[0] = math.sqrt(y0)
+    dX, drift = np.empty((L, n)), np.empty_like(lam_r)
+    pair_counts = np.zeros(L - 1, dtype=np.int64)
+    hit = np.full((L, n), np.nan)
+    unhit = np.full((L, n), level > y0)
+    a = math.sqrt(max(level, 0.0))
+    near = a - 2.0 * math.sqrt(q_cut)
+    if level <= y0:
+        hit.fill(dt)
+    for start in range(0, n_steps, block):
+        steps = min(block, n_steps - start)
+        w = gen_z.standard_normal((steps, n))
+        w *= sqdt
+        for s in range(steps):
+            R, R1, w_s = path[s], path[s + 1], w[s]
+            np.multiply(lam_r, R[rows], out=drift)
+            np.tanh(drift, out=drift)
+            drift *= lam_dt
+            np.add(drift, w_s, out=dX[rows])
+            dX[:rows.start] = w_s
+            np.add(R, dX, out=R1)
+            refl = np.flatnonzero(R[0] * R1[0] <= q_cut)
+            if refl.size:
+                d = dX[:, refl]
+                c = np.log1p(-gen_u.random(refl.size))
+                c *= -2.0 * dt
+                g = d * d
+                g += c
+                np.sqrt(g, out=g)
+                g += d
+                g *= 0.5
+                R1[:, refl] = np.maximum(R1[:, refl], g)
+        run = path[:steps + 1]
+        if unhit.any():
+            v = gen_v.random((steps, n))
+            cells = np.flatnonzero((np.max(run, axis=0) >= near) & unhit)
+            gap = a - run.reshape(steps + 1, -1)[:, cells]
+            q = gap[:-1] * gap[1:]
+            fired = (q <= q_cut) & (v[:, cells % n] < _bridge_prob(q, dt))
+            done = fired.any(axis=0)
+            cells = cells[done]
+            hit.ravel()[cells] = (start + 1 + fired[:, done].argmax(axis=0)) * dt
+            unhit.ravel()[cells] = False
+        over = np.greater(run[1:, :-1], run[1:, 1:])
+        if over.any():
+            pair_counts += np.count_nonzero(over, axis=(0, 2))
+        path[0] = run[-1]
+    comparisons = n_steps * n
     return CoupledStats(
-        list(lambdas), dt, n_steps * dt, n_paths, level,
+        lambdas, dt, n_steps * dt, n, level,
         float(pair_counts.sum()) / (comparisons * max(L - 1, 1)),
-        [float(v) / comparisons for v in pair_counts],
-        hit, final.copy())
+        [float(v) / comparisons for v in pair_counts], hit, path[0] * path[0])

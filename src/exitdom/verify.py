@@ -15,13 +15,10 @@ and reduced in fixed batch order, so the results are a pure function of
 
 Three checks are statistical, and their records state their rates.
 ``mc-survival-consistency`` makes 5 comparisons at 3 standard errors
-(0.27% each) and ``continuous-exit-independence`` one chi-square test at
-level 1e-3.  ``coupled-sde-ordering``'s refinement rule has no nominal rate:
-at desk sizes it failed on 4 of 410 seeds, about 1.0% (Clopper-Pearson 95%:
-0.27% to 2.5%).  So a correct desk run fails by chance on about 2.4% of
-seeds.  Over master seeds 1 to 200 (``demos/04_exit_time_seed_study.py``)
-2 failed, 1.0% (95%: 0.1% to 3.6%): seed 139 ``mc-survival-consistency``
-and seed 57 the refinement rule.
+(0.27% each), ``continuous-exit-independence`` one chi-square test at
+level 1e-3, and ``coupled-sde-ordering`` one DKW band at level 1e-3 on the
+hit law of each of its 3 drifts.  So a correct desk run fails by chance on
+at most about 1.75% of seeds.
 """
 
 from __future__ import annotations
@@ -45,10 +42,10 @@ QUICK = "quick"
 SIZES = {
     DESK: dict(ks=range(1, 5), ks_exact=range(1, 4), horizon=200,
                ns=[0, 10, 50, 100], trunc=600, donsker_k=400,
-               n_paths=100_000, coupled_paths=1000, refinement=True),
+               n_paths=100_000, coupled_paths=1000),
     QUICK: dict(ks=range(1, 3), ks_exact=range(1, 3), horizon=60,
                 ns=[0, 10], trunc=300, donsker_k=100,
-                n_paths=20_000, coupled_paths=300, refinement=False),
+                n_paths=20_000, coupled_paths=300),
 }
 # truncation of the exact-arithmetic independence tables, in both profiles
 _TRUNC_EXACT = 60
@@ -62,15 +59,19 @@ MAX_VIOLATIONS = 0            # rw-dominance, bm-dominance: dominance violations
 INDEPENDENCE_TOL = 1e-12      # rw-independence: float joint-vs-product deviation
 REWEIGHT_FLOOR = 1e-10        # rw-reweight: floor under the tail bound
 FACTORIZATION_TOL = 1e-10     # rw-factorization: identity deviation
-COUPLED_TOL = 1e-3            # bm-couple: ordering-violation step fraction
+COUPLED_TOL = 0               # bm-couple: ordering-violation step fraction
 INDEPENDENCE_ALPHA = 1e-3     # bm-independence: chi-square rejection level
 # Thresholds of battery checks that no subcommand runs.
 SECH_TOL = 1e-6               # |cosh * integral - 1| of the Laplace identity
 DONSKER_TOL = 2e-3            # |walk - series| on the diffusive scale
 CONSISTENCY_SE = 3            # MC survival deviation, in standard errors
 CONTROL_P_MAX = 1e-6          # largest p the dependent control may reach
+COUPLED_ALPHA = 1e-3          # DKW level of each coupled drift's hit-law band
 
 DONSKER_TIMES = (0.25, 0.5, 1.0, 2.0)
+# the step of the battery's coupled run: the largest of 1e-3, 5e-4 and
+# 2.5e-4 whose band failures over desk seeds 1 to 1000 agree with its alpha
+_COUPLED_DT = 1e-3
 
 
 @dataclass
@@ -230,26 +231,47 @@ def check_continuous_independence(samples1) -> CheckResult:
         f"p {_fmt(res.p_value)}, control p {_fmt(res_bad.p_value)}")
 
 
-def check_coupled_ordering(rng_base, n_paths, with_refinement: bool) -> CheckResult:
-    """Ordering violations of the coupled SDE at dt = 1e-4, and with
-    ``with_refinement`` their decrease over dt = 1e-3, 2.5e-4, 6.25e-5.
+def _hit_law_deviation(hit_times, lam: float, horizon: float) -> float:
+    """sup over t <= horizon of |ECDF(t) - P(tau <= t)| for the first hits of
+    level 1 by |B_t + lam t|, where tau is the exit time of B_t + lam t from
+    (-1, 1).  A path that has not hit counts as not hit at every t.
 
-    All step sizes run in one ``mc.simulate_y_coupled_runs`` call on one
-    stream, so step j of every run uses the same normal row.
+    The ECDF steps only at the hit times and the law is continuous and
+    increasing, so the sup is reached on either side of a step or at the
+    horizon.
+    """
+    times, counts = np.unique(hit_times[~np.isnan(hit_times)], return_counts=True)
+    # the ECDF just before each hit time, then at the horizon
+    ecdf = np.concatenate(([0.0], np.cumsum(counts) / hit_times.size))
+    law = np.array([1.0 - bm.drifted_survival(DriftSpec(lam, 1.0), t)
+                    for t in (*times.tolist(), horizon)])
+    return float(max(np.max(np.abs(law - ecdf)),
+                     np.max(np.abs(law[:-1] - ecdf[1:]), initial=0.0)))
+
+
+def check_coupled_ordering(rng_base, n_paths) -> CheckResult:
+    """The coupled SDE on lam = 0, 0.5, 1 at dt = ``_COUPLED_DT``: no
+    ordering violation, and each drift's first hits of level 1 within the
+    DKW band sqrt(ln(2 / alpha) / 2n) of the exit law of drifted Brownian
+    motion from (-1, 1), ``bm.drifted_survival``, over t <= 1.
+
+    The step keeps the order by construction, so the band is the check's
+    test of the law: an SDE with a wrong drift keeps the order but moves
+    the hits.  The hits are recorded at the end of their step, late by less
+    than dt, which moves the ECDF by at most about the law's density times
+    dt, under 2e-3 here.
     """
     lambdas = [0.0, 0.5, 1.0]
     rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + 901)
-    dts = (1e-4, 1e-3, 2.5e-4, 6.25e-5) if with_refinement else (1e-4,)
-    main, *refined = mc.simulate_y_coupled_runs(lambdas, 0.0, dts, 1.0, n_paths, rng)
-    ok = main.violation_fraction <= COUPLED_TOL
-    msg = f"fraction {_fmt(main.violation_fraction)} at dt={_num(dts[0])}"
-    if with_refinement:
-        fracs = [s.violation_fraction for s in refined]
-        ok = ok and fracs[0] > fracs[1] > fracs[2]
-        msg += "; refinement " + " > ".join(_fmt(f) for f in fracs)
-        return _COUPLED.result(ok, msg)
-    # without the refinement, the threshold's first clause is the whole rule
-    return _COUPLED.result(ok, msg, threshold=_COUPLED.threshold.partition(" and ")[0])
+    stats = mc.simulate_y_coupled(lambdas, 0.0, _COUPLED_DT, 1.0, n_paths, rng)
+    half_width = math.sqrt(math.log(2.0 / COUPLED_ALPHA) / (2.0 * n_paths))
+    devs = [_hit_law_deviation(hits, lam, stats.horizon)
+            for lam, hits in zip(lambdas, stats.hit_times)]
+    return _COUPLED.result(
+        stats.violation_fraction <= COUPLED_TOL and max(devs) <= half_width,
+        f"fraction {_fmt(stats.violation_fraction)} at dt={_num(_COUPLED_DT)}; "
+        f"hit law max |ECDF - law| {', '.join(map(_fmt, devs))} "
+        f"against DKW half-width {_fmt(half_width)}")
 
 
 # The battery, in run order.  Each record is the one place that states its
@@ -278,10 +300,12 @@ _EXIT_INDEPENDENCE = Check(
     "continuous-exit-independence",
     f"p >= {_num(INDEPENDENCE_ALPHA)} and control p < {_num(CONTROL_P_MAX)}",
     check_continuous_independence, ("exits1",), rate=INDEPENDENCE_ALPHA)
-# the refinement rule's measured rate: 4 failing seeds of 410 at desk sizes
+# one band per drift
 _COUPLED = Check(
-    "coupled-sde-ordering", f"<= {_num(COUPLED_TOL)} and decreasing under refinement",
-    check_coupled_ordering, ("rng", "coupled_paths", "refinement"), rate=4 / 410)
+    "coupled-sde-ordering",
+    f"<= {_num(COUPLED_TOL)} and each hit law within its DKW band at alpha "
+    f"{_num(COUPLED_ALPHA)}",
+    check_coupled_ordering, ("rng", "coupled_paths"), rate=3 * COUPLED_ALPHA)
 CHECKS = (_EXACT_DOMINANCE, _WALK_INDEPENDENCE, _REWEIGHTING, _FACTORIZATION, _SECH,
           _DONSKER, _ANALYTIC_DOMINANCE, _MC_CONSISTENCY, _EXIT_INDEPENDENCE, _COUPLED)
 

@@ -197,11 +197,12 @@ def _dp(specs: list, horizon: int, mode: str, exits: bool = True) -> list:
     copied out, unless ``exits`` is false, and the residuals are
     np.add.reduce(..., axis=2) over each spec's state cells, numpy's
     pairwise order of a 1-D u.sum(); the last row then moves to row 0.
-    Without the exit columns, rational mode keeps no exit integer past its
-    block.  A block is max(1, ``_DP_BLOCK`` // len(specs)) steps, so the
-    buffer holds about as many cells as one spec's buffer of ``_DP_BLOCK``
-    steps: the memory is bounded by the block, not by the horizon or the
-    grid.
+    Without the exit columns, the last state cell of each spec moves up and
+    its first moves down with the weight 0, so the exit cells stay 0 and
+    rational mode multiplies no integer into them.  A block is max(1,
+    ``_DP_BLOCK`` // len(specs)) steps, so the buffer holds about as many
+    cells as one spec's buffer of ``_DP_BLOCK`` steps: the memory is bounded
+    by the block, not by the horizon or the grid.
     """
     k = specs[0].k
     weights = [spec.pq(mode) for spec in specs]
@@ -216,6 +217,9 @@ def _dp(specs: list, horizon: int, mode: str, exits: bool = True) -> list:
     cell_up, cell_down = (np.array([w for pair in weights
                                     for w in (zero, *[pair[side]] * (width - 2), zero)],
                                    dtype=dtype) for side in (0, 1))
+    if not exits:  # no move into an exit cell: its products would be discarded
+        cell_up[width - 2::width] = zero
+        cell_down[1::width] = zero
     cell_up, cell_down = cell_up[:-1], cell_down[1:]
     block = min(horizon, max(1, _DP_BLOCK // len(specs)))
     rows = np.full((block + 1, len(specs) * width), zero, dtype=dtype)

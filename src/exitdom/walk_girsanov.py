@@ -174,9 +174,10 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
     close that r rounds to 1 raises ValueError, and so does a pair whose
     r^sigma underflows on every truncated exit step.
 
-    The terms r^m P(sigma = m), m = 0..truncation, form one float array, and
-    both sums, over every m and over m > n, add them left to right from the
-    first (``np.cumsum``), the order of CPython 3.11's ``sum`` over a list.
+    The terms r^m P(sigma = m), m = 0..truncation, form one float array, 0
+    where the walk cannot exit, and both sums, over every m and over m > n,
+    add them left to right from the first (``np.cumsum``), the order of
+    CPython 3.11's ``sum`` over a list.
     The order is pinned here, so a ``sum`` that compensates (CPython 3.12)
     moves no bit.
     """
@@ -193,10 +194,13 @@ def factorization_check_discrete(p1, p2, k: int, n: int, truncation: int) -> flo
             f"p1={p1} and p2={p2} are so close that r rounds to {r!r}; "
             "the identity needs r < 1")
     direct = _float_exit_table(p2f, k, truncation).residual[n]
-    # r^m by the builtin pow, whose bits numpy's power does not always match
-    terms = np.fromiter(map(pow, itertools.repeat(r), range(truncation + 1)), float,
-                        truncation + 1)
-    terms *= _float_exit_table(p1f, k, truncation)._exit_pmfs
+    # P(sigma = m) is 0 for m < k and for m of the other parity than k, so
+    # those terms are 0 without r^m; the others take r^m by the builtin pow,
+    # whose bits numpy's power does not always match
+    exits = range(k, truncation + 1, 2)
+    terms = np.zeros(truncation + 1)
+    terms[k::2] = np.fromiter(map(pow, itertools.repeat(r), exits), float, len(exits))
+    terms[k::2] *= _float_exit_table(p1f, k, truncation)._exit_pmfs[k::2]
     total = np.cumsum(terms)[-1]
     if total == 0.0:
         raise ValueError(

@@ -97,8 +97,9 @@ DETERMINISTIC_VALUES = {
     "laplace-sech-identity": "max |cosh * integral - 1| 2.331468e-14",
     "donsker-series-crosscheck": "max |walk DP - series| 4.333627e-06",
     "continuous-analytic-dominance": "0 violations",
-    "coupled-sde-ordering": "fraction 5.496500e-04 at dt=1e-4; refinement "
-                            "1.017500e-03 > 6.400000e-04 > 2.990625e-04",
+    "coupled-sde-ordering": "fraction 0.000000e+00 at dt=1e-3; hit law max |ECDF - law| "
+                            "2.108191e-02, 1.996970e-02, 2.820449e-02 "
+                            "against DKW half-width 6.164780e-02",
 }
 
 
@@ -125,6 +126,4 @@ def test_quick_battery_reaches_each_check_through_the_module(monkeypatch):
     assert [spy.call_count for spy in spies] == [1] * len(verify.CHECKS)
     assert [r.name for r in results] == [check.name for check in verify.CHECKS]
     assert all(r.passed for r in results)
-    # quick sizes skip the coupled refinement, and its threshold's clause
-    assert all(check.threshold.startswith(r.threshold)
-               for check, r in zip(verify.CHECKS, results))
+    assert [r.threshold for r in results] == [check.threshold for check in verify.CHECKS]

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from exitdom import bm, verify, walk, walk_girsanov
+import numpy as np
+
+from exitdom import bm, mc, verify, walk, walk_girsanov
 from exitdom.bm import DriftSpec
 from exitdom.walk import MODE_RATIONAL, WalkSpec
 
@@ -132,3 +134,29 @@ def test_analytic_drift_2_percent_high_fails_mc_consistency(monkeypatch):
     check = next(c for c in verify.CHECKS if c.name == "mc-survival-consistency")
     [result] = verify._run_checks([check], verify.QUICK, SEED, 1)
     assert not result.passed
+
+
+def tanh_replaced_by_1(mp):
+    def ones(x, out):
+        out.fill(1.0)
+        return out
+    mp.setattr(np, "tanh", ones)
+
+
+# The coupled check is statistical.  With tanh replaced by 1, the hit law at
+# lam = 1 lies D >= 0.135 from the true law over t <= 1 (0.147 from 50,000
+# paths, whose DKW half-width at 1e-6 is 0.012).  At 2000 paths the band's
+# half-width is 0.044, so the check misses the defect with probability at
+# most 2 exp(-2 * 2000 * (0.135 - 0.044)^2) < 1e-14, and the fixed seed makes
+# the row deterministic.
+COUPLED_PATHS = 2000
+COUPLED_ROWS = [(no_defect, True), (tanh_replaced_by_1, False)]
+
+
+@pytest.mark.parametrize("plant, passes", COUPLED_ROWS,
+                         ids=[plant.__name__ for plant, _ in COUPLED_ROWS])
+def test_coupled_check_fails_on_a_wrong_drift(monkeypatch, plant, passes):
+    plant(monkeypatch)
+    result = verify.check_coupled_ordering(mc.RngStreamSpec(SEED), COUPLED_PATHS)
+    assert result.passed == passes
+    assert result.value.startswith("fraction 0.000000e+00")

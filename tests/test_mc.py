@@ -478,83 +478,97 @@ def test_drift_y():
 
 
 def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
-    """The loop simulate_y_coupled replaced: one draw call and fresh arrays
-    per step.  Returns final values, hit times and per-pair violation counts.
-    """
-    gen = rng.generator()
-    lam_arr = np.array(lambdas)[:, None]
-    sqdt = math.sqrt(dt)
-    Y = np.full((len(lambdas), n_paths), y0)
-    hit = np.full(Y.shape, np.nan)
+    """The modulus step of simulate_y_coupled, one step at a time with fresh
+    arrays and one draw call per stream and step.  Returns final values,
+    hit times and per-pair violation counts."""
+    gen_z, gen_u, gen_v = (rng.child(i).generator() for i in range(3))
+    lam = np.array(lambdas, dtype=float)[:, None]
+    q_cut = mc._Q_CUT * dt
+    a = math.sqrt(max(level, 0.0))
+    R = np.full((len(lambdas), n_paths), math.sqrt(y0))
+    hit = np.full(R.shape, dt if level <= y0 else np.nan)
     viol = np.zeros(len(lambdas) - 1, dtype=np.int64)
-    for step in range(1, n_steps + 1):
-        z = gen.standard_normal(n_paths)
-        sq = np.sqrt(np.maximum(Y, 0.0))
-        Y = np.maximum(Y + drift_y(lam_arr, Y) * dt + 2.0 * sq * (sqdt * z), 0.0)
-        hit[(Y >= level) & np.isnan(hit)] = step * dt
-        tol = mc._ORDER_SLACK * sqdt * 2.0 * np.sqrt(np.maximum(Y[1:], dt))
-        viol += np.count_nonzero(Y[:-1] > Y[1:] + tol, axis=1)
-    return Y, hit, viol
-
-
-def _assert_same_stats(got, want):
-    for f in dataclasses.fields(mc.CoupledStats):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert np.array_equal(a, b, equal_nan=True), f.name
+    for step in range(n_steps):
+        dX = (lam * dt) * np.tanh(lam * R) + gen_z.standard_normal(n_paths) * math.sqrt(dt)
+        R1 = R + dX
+        refl = np.flatnonzero(R[0] * R1[0] <= q_cut)
+        c = np.log1p(-gen_u.random(refl.size)) * (-2.0 * dt)
+        d = dX[:, refl]
+        R1[:, refl] = np.maximum(R1[:, refl], (d + np.sqrt(d * d + c)) * 0.5)
+        q = (a - R) * (a - R1)
+        fired = (q <= q_cut) & (gen_v.random(n_paths) < mc._bridge_prob(q, dt))
+        hit[fired & np.isnan(hit)] = (step + 1) * dt
+        viol += np.count_nonzero(R1[:-1] > R1[1:], axis=1)
+        R = R1
+    return R * R, hit, viol
 
 
 def test_coupled_blocked_draws_match_per_step_draws():
-    # (lambdas, y0, dts, horizon, n_paths, level); one dt per case, then
-    # several: dts out of order and repeated.  1000 paths draw normals in
-    # blocks of 65 steps: in the first multi-dt case the 274-step run ends
-    # inside a block, after the first 255-step tally, and the 100-step run
-    # before it.  The last case reaches the level on step 1.
+    # (lambdas, y0, dt, horizon, n_paths, level): zero and repeated drifts,
+    # a single drift, step counts that end inside a block, a start at the
+    # level, a level of 0 and the drift grid of mc-drift-grid
     cases = [
-        ([0.0, 1.5], 0.2, [1e-3], 0.301, 1000, 1.0),  # 301 = 4 * 65 + 41
-        ([1.0], 0.0, [1e-3], 0.2, 50, 0.5),           # a single drift
-        ([-1.0, -0.5, 0.0, 0.0, 2.0], 0.3, [1e-3], 0.3, 333, 0.6),  # inner zeros
-        ([0.0, 0.7, 0.8], 0.0, [1e-3], 0.7, 100, 0.3),  # over 255 steps in a block
-        ([0.0, 0.5, 1.0], 0.0, [1e-3, 1.1e-3, 3.01e-3, 1e-3, 2e-3], 0.301, 1000, 1.0),
-        ([0.0, 1.0], 0.9, [2e-3, 1e-3, 5e-3], 0.2, 400, 0.9),
+        ([0.0, 1.5], 0.2, 1e-3, 0.301, 1000, 1.0),
+        ([1.0], 0.0, 1e-3, 0.2, 50, 0.5),
+        ([0.0, 0.0, 0.5, 0.5, 2.0], 0.3, 1e-3, 0.3, 333, 0.6),
+        ([0.7, 0.8], 0.0, 1e-3, 0.7, 100, 0.3),
+        ([0.0, 1.0], 0.9, 2e-3, 0.2, 400, 0.9),
+        ([0.0, 1.0], 0.9, 2e-3, 0.2, 40, 0.0),
+        ([0.0, 8.0], 0.0, 1e-2, 0.5, 7, 1.0),
+        ([float(i) for i in range(9)], 0.0, 1e-3, 1.0, 100, 1.0),
     ]
-    for lambdas, y0, dts, horizon, n_paths, level in cases:
+    for lambdas, y0, dt, horizon, n_paths, level in cases:
         rng = RngStreamSpec(SEED, 14)
-        runs = mc.simulate_y_coupled_runs(lambdas, y0, dts, horizon, n_paths,
-                                          rng, level=level)
-        assert len(runs) == len(dts)
-        for dt, stats in zip(dts, runs):
-            n_steps = int(round(horizon / dt))
-            assert stats.dt == dt and stats.horizon == n_steps * dt
-            Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths,
-                                             rng, level)
-            cells = n_steps * n_paths
-            pairs = [float(v) / cells for v in viol]
-            overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
-            for got, want in [(stats.final_values, Y), (stats.hit_times, hit),
-                              (stats.pair_violation_fractions, pairs),
-                              (stats.violation_fraction, overall)]:
-                assert np.array_equal(got, want, equal_nan=True), (lambdas, dt)
-            _assert_same_stats(stats, ed.simulate_y_coupled(
-                lambdas, y0, dt, horizon, n_paths, rng, level=level))
-    assert sorted({round(0.301 / dt) for dt in cases[4][2]}) == [100, 150, 274, 301]
-    assert np.any(hit == dt) and np.any(hit > dt)  # the step-1 case is one
+        stats = ed.simulate_y_coupled(lambdas, y0, dt, horizon, n_paths, rng, level=level)
+        n_steps = int(round(horizon / dt))
+        assert stats.dt == dt and stats.horizon == n_steps * dt
+        Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level)
+        cells = n_steps * n_paths
+        pairs = [float(v) / cells for v in viol]
+        overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
+        for got, want in [(stats.final_values, Y), (stats.hit_times, hit),
+                          (stats.pair_violation_fractions, pairs),
+                          (stats.violation_fraction, overall)]:
+            assert np.array_equal(got, want, equal_nan=True), (lambdas, dt)
+        assert np.any(~np.isnan(hit)), lambdas
 
 
-def test_coupled_runs_match_single_dt_calls_at_the_desk_seed():
-    # the four step sizes of the desk battery's coupled-sde-ordering check
-    lambdas, dts = [0.0, 0.5, 1.0], (1e-4, 1e-3, 2.5e-4, 6.25e-5)
-    rng = RngStreamSpec(SEED, 901)
-    runs = mc.simulate_y_coupled_runs(lambdas, 0.0, dts, 1.0, 1000, rng)
-    for dt, stats in zip(dts, runs):
-        _assert_same_stats(stats, ed.simulate_y_coupled(lambdas, 0.0, dt, 1.0,
-                                                        1000, rng))
+def test_coupled_paths_and_hits_are_ordered_by_drift():
+    # repeated drifts included: the order holds pathwise, by construction
+    lambdas = [0.0, 0.0, 0.25, 1.0, 1.0, 3.0, 8.0]
+    stats = ed.simulate_y_coupled(lambdas, 0.0, 1e-3, 1.0, 500, RngStreamSpec(SEED, 15))
+    assert stats.violation_fraction == 0.0
+    assert np.all(np.diff(stats.final_values, axis=0) >= 0.0)
+    hits = np.where(np.isnan(stats.hit_times), np.inf, stats.hit_times)
+    assert np.all(hits[1:] <= hits[:-1])
+    for i, j in [(0, 1), (3, 4)]:
+        assert np.array_equal(stats.final_values[i], stats.final_values[j])
+
+
+def test_modulus_step_has_the_squared_modulus_drift():
+    # one step from Y = y with shared noise: E[Y'_lam - Y'_0] / dt is
+    # drift_y(lam, y) - drift_y(0, y) up to (lam tanh(lam sqrt y))^2 dt
+    y, dt, n = 1.0, 1e-4, 10_000
+    lambdas = [0.0, 0.5, 1.0, 2.0]
+    stats = ed.simulate_y_coupled(lambdas, y, dt, dt, n, RngStreamSpec(SEED, 16))
+    for i, lam in enumerate(lambdas[1:], 1):
+        got = np.mean(stats.final_values[i] - stats.final_values[0]) / dt
+        want = float(drift_y(lam, y) - drift_y(0.0, y))
+        assert got == pytest.approx(want, abs=1e-3), lam
+
+
+def test_coupled_refuses_negative_and_non_finite_drifts():
+    rng = RngStreamSpec(SEED)
+    for lambdas in ([-1.0, 0.0], [-0.5], [0.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ed.simulate_y_coupled(lambdas, 0.0, 1e-3, 1.0, 10, rng)
 
 
 def test_coupled_ordering_small_violation_fraction():
     stats = ed.simulate_y_coupled([0.0, 0.5, 1.0], 0.0, 1e-4, 1.0, 400,
                                   RngStreamSpec(SEED, 12))
-    assert stats.violation_fraction <= 1e-3
-    assert len(stats.pair_violation_fractions) == 2
+    assert stats.violation_fraction == 0.0
+    assert stats.pair_violation_fractions == [0.0, 0.0]
 
 
 def test_coupled_hitting_times_ordered_by_drift():
@@ -599,32 +613,19 @@ def test_coupled_domain_checks():
         ed.simulate_y_coupled([0.0], math.inf, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError, match="level"):
         ed.simulate_y_coupled([0.0], 0.0, 1e-3, 1.0, 10, rng, level=math.nan)
+    for dt in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            ed.simulate_y_coupled([0.0, 1.0], 0.0, dt, 1.0, 10, rng)
     # one drift has no adjacent pair to compare
     single = ed.simulate_y_coupled([1.0], 0.0, 1e-3, 0.1, 10, rng)
     assert single.pair_violation_fractions == []
     assert single.violation_fraction == 0.0
 
 
-def test_coupled_runs_domain_checks():
-    rng = RngStreamSpec(SEED)
-
-    def runs(dts, horizon=1.0):
-        return mc.simulate_y_coupled_runs([0.0, 1.0], 0.0, dts, horizon, 10, rng)
-
-    with pytest.raises(ValueError, match="at least one dt"):
-        runs([])
-    for dt in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
-            runs([1e-3, dt])
-    with pytest.raises(ValueError, match="dt must not exceed the horizon"):
-        runs([1e-3, 2.0])
-
-
 def test_step_count_overflow_is_a_value_error():
     # horizon / dt is inf: the step count once failed with an OverflowError
     rng = RngStreamSpec(SEED)
     calls = [
-        lambda: mc.simulate_y_coupled_runs([0.0], 0.0, [1e-3, 1e-300], 1e300, 10, rng),
         lambda: ed.simulate_y_coupled([0.0], 0.0, 1e-300, 1e300, 10, rng),
         lambda: ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 1e-300, 1e300, 10, rng),
     ]
