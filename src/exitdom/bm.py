@@ -10,7 +10,8 @@ is the image series (Feller, Vol. II, X.5), summed in closed form:
 From there on it is cosh(lam*b) * int_t^inf e^(-lam^2 s / 2) f(s) ds, with
 f the driftless exit density, integrated termwise along the eigenseries: it
 stops at its first term below ``SERIES_TOL`` (1e-12) and raises
-ArithmeticError past ``_MAX_TERMS`` (2000) terms.
+ArithmeticError past ``_MAX_TERMS`` (2000) terms; its error, scaled by
+cosh(lam*b), is bounded by ``survival_error_bound``.
 
 ``drifted_survival_quad`` integrates the same product, formed as
 1/2 (e^(lam b - lam^2 s / 2) + e^(-lam b - lam^2 s / 2)) f(s), by quadrature,
@@ -291,6 +292,14 @@ def drifted_survival(spec: DriftSpec, t: float) -> float:
     overflows.
     """
     return _survival(spec.b, t, abs(spec.lam))
+
+
+def survival_error_bound(spec: DriftSpec, t: float) -> float:
+    """Error bound of ``drifted_survival(spec, t)``: SERIES_TOL below _SMALL_T b^2,
+    then min(1, cosh(lam b) SERIES_TOL), as cosh scales the cut eigenseries."""
+    if t < _SMALL_T * spec.b * spec.b:
+        return SERIES_TOL
+    return min(1.0, _cosh_lambda_b(abs(spec.lam), spec.b) * SERIES_TOL)
 
 
 @functools.lru_cache(maxsize=_PANEL_CACHE)

@@ -142,9 +142,9 @@ def _cmd_rw_factorization(cfg: dict) -> tuple[dict, str, bool]:
 
 
 def _cmd_bm_survival(cfg: dict) -> tuple[dict, str, bool]:
-    rows = [(lam, t, bm.drifted_survival(DriftSpec(lam, cfg["b"]), t),
-             bm.SERIES_TOL)
-            for lam in cfg["lambdas"] for t in cfg["times"]]
+    specs = [DriftSpec(lam, cfg["b"]) for lam in cfg["lambdas"]]
+    rows = [(s.lam, t, bm.drifted_survival(s, t), bm.survival_error_bound(s, t))
+            for s in specs for t in cfg["times"]]
     columns = ["lambda", "t", "survival", "error_bound"]
     io.write_csv(_out(cfg, "bm_survival", "csv"), columns, rows, cfg)
     return {"rows": [dict(zip(columns, r)) for r in rows]}, "", True
@@ -168,7 +168,7 @@ def _cmd_bm_couple(cfg: dict) -> tuple[dict, str, bool]:
              "hit_stderr": [h[1] for h in hits],
              "hit_fraction": [h[2] for h in hits]},
             f"ordering-violation step fraction: {stats.violation_fraction:.6e}",
-            stats.violation_fraction <= cfg["tol"])
+            stats.violation_fraction <= verify.COUPLED_TOL)
 
 
 def _simulate_exits(cfg: dict, lam: float, stem: str):
@@ -290,8 +290,6 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "n-paths": (1000, int, "number of coupled paths (count)"),
         "level": (1.0, _finite, "first-hitting level for Y (length^2)"),
         "seed": _SEED,
-        "tol": (verify.COUPLED_TOL, _finite,
-                "max allowed ordering-violation step fraction"),
     }),
     "bm-independence": (_cmd_bm_independence, {
         "lam": (1.0, _finite, "drift rate (1/time)"),

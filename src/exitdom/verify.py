@@ -102,9 +102,8 @@ class Check:
     inputs: tuple = ()
     rate: float = 0.0
 
-    def result(self, passed, value: str, detail: str = "",
-               threshold: str | None = None) -> CheckResult:
-        return CheckResult(self.name, bool(passed), value, threshold or self.threshold, detail)
+    def result(self, passed, value: str, detail: str = "") -> CheckResult:
+        return CheckResult(self.name, bool(passed), value, self.threshold, detail)
 
 
 def _num(x) -> str:
@@ -264,7 +263,7 @@ def check_coupled_ordering(rng_base, n_paths) -> CheckResult:
     lambdas = [0.0, 0.5, 1.0]
     rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + 901)
     stats = mc.simulate_y_coupled(lambdas, 0.0, _COUPLED_DT, 1.0, n_paths, rng)
-    half_width = math.sqrt(math.log(2.0 / COUPLED_ALPHA) / (2.0 * n_paths))
+    half_width = dominance._dkw_half_width(COUPLED_ALPHA, n_paths)
     devs = [_hit_law_deviation(hits, lam, stats.horizon)
             for lam, hits in zip(lambdas, stats.hit_times)]
     return _COUPLED.result(

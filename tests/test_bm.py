@@ -579,3 +579,12 @@ def test_short_time_survival_matches_mpmath(b, log_t, lam_b):
     got = ed.drifted_survival(DriftSpec(lam_b / b, b), t)
     ref = mp_survival_images(b, t, lam_b / b)
     assert abs(got - ref) <= 1e-15 + 1e-11 * ref
+
+
+@pytest.mark.parametrize("lam, t", [(20.0, 0.2), (12.0, 0.05)])
+def test_survival_error_bound_holds_on_the_eigenseries(lam, t):
+    # the series is cut at SERIES_TOL and then scaled by cosh(lam b): the
+    # error exceeds SERIES_TOL (2.4e-12 and 1.8e-10), but not the bound
+    spec = DriftSpec(lam, 1.0)
+    err = abs(ed.drifted_survival(spec, t) - mp_survival_images(1.0, t, lam))
+    assert bm.SERIES_TOL < err <= bm.survival_error_bound(spec, t)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exitdom import cli, io, verify, walk
+from exitdom import bm, cli, io, verify, walk
 from exitdom.io import OUTDIR_ENV
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -348,6 +348,16 @@ def test_bm_survival_csv(tmp_path):
     assert data[2].startswith("1,1,0.24693790529559")
 
 
+def test_bm_survival_error_bound_scales_with_cosh(tmp_path):
+    # from t = 0.05 b^2 on the survival is cosh(lam b) times a series cut at
+    # SERIES_TOL: the column once read SERIES_TOL there too
+    assert run(["bm-survival", "--lambdas", "0,12", "--times", "0.04,0.05",
+                "--outdir", str(tmp_path)]) == 0
+    rows = json.loads(read(tmp_path / "bm_survival.json"))["rows"]
+    assert [r["error_bound"] for r in rows] == [
+        bm.SERIES_TOL, bm.SERIES_TOL, bm.SERIES_TOL, math.cosh(12.0) * bm.SERIES_TOL]
+
+
 def test_bm_survival_cosh_overflow_is_exit_1(tmp_path, capsys):
     assert run(["bm-survival", "--lambdas", "800", "--outdir", str(tmp_path)]) == 1
     assert ("error: lambda*b = 800 exceeds 710.48, above which cosh(lambda*b) "
@@ -432,8 +442,16 @@ def test_bm_couple(tmp_path):
     assert run(["bm-couple", "--n-paths", "100", "--dt", "1e-3",
                 "--time-horizon", "0.2", "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "bm_couple.json"))
-    assert doc["violation_fraction"] <= 1e-3
+    assert doc["violation_fraction"] == 0  # the modulus step keeps the order
     assert len(doc["hit_mean"]) == 3
+    assert "tol" not in doc["config"]
+
+
+def test_bm_couple_has_no_tolerance_flag(tmp_path, capsys):
+    # every nonnegative --tol gave the verdict of verify.COUPLED_TOL, 0
+    assert run(["bm-couple", "--tol", "0", "--outdir", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --tol=0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bm_couple_dt_above_horizon_is_exit_1(tmp_path, capsys):

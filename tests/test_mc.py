@@ -114,6 +114,15 @@ def test_reweight_overflowing_weight_fails_cleanly():
         mc._girsanov_weights(40.0, 0.0, 1.0, samples.times, samples.sides)
 
 
+@pytest.mark.parametrize("lam_to", [math.nan, math.inf])
+def test_reweight_refuses_a_non_finite_target_drift(samples1, lam_to):
+    # a NaN target once warned and then reported an overflowing nan weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target drift must be finite"):
+            ed.reweighted_survival_bm(samples1, lam_to, 0.5)
+
+
 def test_reweight_uses_the_likelihood_ratio_weights(samples1):
     t = 0.5
     est, _, _ = ed.reweighted_survival_bm(samples1, 0.0, t)
@@ -180,6 +189,23 @@ def test_independence_detects_dependence(samples1):
     control.sides[nc] = np.where(control.times[nc] > med, 1, -1).astype(np.int8)
     res = ed.check_independence_continuous(control, time_bins=10)
     assert res.p_value < 1e-10
+
+
+def test_independence_table_matches_an_independent_count():
+    # exit times on a coarse grid, so that many fall on the bin edges
+    gen = np.random.default_rng(SEED)
+    times = np.round(gen.exponential(1.0, 5000), 1) + 0.1
+    sides = gen.choice(np.array([-1, 0, 1], dtype=np.int8), 5000, p=[0.3, 0.1, 0.6])
+    samples = ExitSamples(DriftSpec(0.0, 1.0), 1e-3, 30.0, times, sides,
+                          np.zeros(5000))
+    res = ed.check_independence_continuous(samples, time_bins=10)
+    taus = times[sides != 0]
+    edges = np.unique(np.quantile(taus, np.linspace(0.0, 1.0, 11)))
+    # np.histogram's bins are [e_j, e_j+1), the last one closed, as are the table's
+    want = np.stack([np.histogram(times[sides == side], edges)[0] for side in (1, -1)],
+                    axis=1)
+    assert res.table.shape == (edges.size - 1, 2)
+    assert np.array_equal(res.table, want)
 
 
 def test_independence_rejects_tiny_sample():
@@ -581,22 +607,43 @@ def test_coupled_hitting_times_ordered_by_drift():
     assert m1 + 3 * (se0 + se1) < m0
 
 
+_GRID = "dt and horizon must be finite and positive"
+
+
+@pytest.mark.parametrize("dt, horizon, n_paths, message", [
+    (0.0, 1.0, 10, _GRID),
+    (-1e-3, 1.0, 10, _GRID),
+    (math.nan, 1.0, 10, _GRID),
+    (math.inf, 1.0, 10, _GRID),
+    (-math.inf, 1.0, 10, _GRID),
+    (1e-3, 0.0, 10, _GRID),
+    (1e-3, -1.0, 10, _GRID),
+    (1e-3, math.nan, 10, _GRID + ", got dt=0.001, horizon=nan"),
+    (1e-3, math.inf, 10, _GRID + ", got dt=0.001, horizon=inf"),
+    (2.0, 1.0, 10, "dt must not exceed the horizon"),
+    (0.1, 1.0, 0, "n_paths must be a positive integer, got 0"),
+    (0.1, 1.0, -1, "n_paths must be a positive integer"),
+    (0.1, 1.0, 2.5, "n_paths must be a positive integer, got 2.5"),
+    (0.1, 1.0, 10.0, "n_paths must be a positive integer"),
+])
+def test_both_samplers_reject_a_bad_grid_with_one_message(dt, horizon, n_paths, message):
+    # a NaN horizon once read "horizon and n_paths must be positive" in the
+    # coupled sampler, and 2.5 paths was a TypeError in both; an infinite
+    # step count is test_step_count_overflow_is_a_value_error's
+    rng = RngStreamSpec(SEED)
+    with pytest.raises(ValueError, match=message) as exits:
+        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, n_paths, rng)
+    with pytest.raises(ValueError, match=message) as coupled:
+        ed.simulate_y_coupled([0.0, 1.0], 0.0, dt, horizon, n_paths, rng)
+    assert str(exits.value) == str(coupled.value)
+
+
 def test_simulation_input_validation():
     rng = RngStreamSpec(SEED)
-    with pytest.raises(ValueError):
-        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.0, 1.0, 10, rng)
-    with pytest.raises(ValueError):
-        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 2.0, 1.0, 10, rng)
-    with pytest.raises(ValueError):
-        ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.1, 1.0, 0, rng)
     for threads in (0, -1):  # once taken as one thread
         with pytest.raises(ValueError, match="at least one thread"):
             ed.simulate_exit_bm(DriftSpec(0.0, 1.0), 0.1, 1.0, 10, rng,
                                 threads=threads)
-    for dt, horizon in [(math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf),
-                        (math.inf, 1.0)]:
-        with pytest.raises(ValueError, match="dt and horizon must be finite"):
-            ed.simulate_exit_bm(DriftSpec(0.0, 1.0), dt, horizon, 10, rng)
     with pytest.raises(ValueError):
         ed.simulate_y_coupled([1.0, 0.0], 0.0, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError):
@@ -605,17 +652,12 @@ def test_simulation_input_validation():
 
 def test_coupled_domain_checks():
     rng = RngStreamSpec(SEED)
-    with pytest.raises(ValueError, match="dt must not exceed the horizon"):
-        ed.simulate_y_coupled([0.0, 1.0], 0.0, 3.0, 1.0, 10, rng)
     with pytest.raises(ValueError, match="at least one drift"):
         ed.simulate_y_coupled([], 0.0, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError, match="finite"):
         ed.simulate_y_coupled([0.0], math.inf, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError, match="level"):
         ed.simulate_y_coupled([0.0], 0.0, 1e-3, 1.0, 10, rng, level=math.nan)
-    for dt in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
-            ed.simulate_y_coupled([0.0, 1.0], 0.0, dt, 1.0, 10, rng)
     # one drift has no adjacent pair to compare
     single = ed.simulate_y_coupled([1.0], 0.0, 1e-3, 0.1, 10, rng)
     assert single.pair_violation_fractions == []
@@ -633,8 +675,6 @@ def test_step_count_overflow_is_a_value_error():
         with pytest.raises(ValueError,
                            match=r"not a finite step count: dt=1e-300, horizon=1e\+300"):
             call()
-    with pytest.raises(ValueError, match="horizon=inf"):
-        ed.simulate_y_coupled([0.0], 0.0, 1e-3, math.inf, 10, rng)
 
 
 def test_coupled_hit_summary_without_hits():
@@ -643,6 +683,6 @@ def test_coupled_hit_summary_without_hits():
         stats = ed.simulate_y_coupled([0.0, 1.0], 0.0, 1e-3, 0.01, 50,
                                       RngStreamSpec(SEED), level=100.0)
         assert [stats.hit_summary(i) for i in range(2)] == [(None, None, 0.0)] * 2
-        one_hit = mc.CoupledStats([0.0], 0.1, 1.0, 2, 1.0, 0.0, [],
+        one_hit = mc.CoupledStats([0.0], 0.1, 1.0, 2, 0.0, [],
                                   np.array([[0.5, np.nan]]), np.zeros((1, 2)))
         assert one_hit.hit_summary(0) == (0.5, None, 0.5)
