@@ -158,17 +158,19 @@ def _cmd_bm_dominance(cfg: dict) -> tuple[dict, str, bool]:
 
 
 def _cmd_bm_couple(cfg: dict) -> tuple[dict, str, bool]:
-    stats = mc.simulate_y_coupled(
-        cfg["lambdas"], cfg["y0"], cfg["dt"], cfg["time-horizon"],
-        cfg["n-paths"], mc.RngStreamSpec(cfg["seed"]), level=cfg["level"])
+    stats = mc.simulate_y_coupled(cfg["lambdas"], 0.0, cfg["dt"], cfg["time-horizon"],
+                                  cfg["n-paths"], mc.RngStreamSpec(cfg["seed"]))
+    passed, devs, half_width = verify.coupled_verdict(stats)
     hits = [stats.hit_summary(i) for i in range(len(stats.lambdas))]
     return ({"violation_fraction": stats.violation_fraction,
              "pair_violation_fractions": stats.pair_violation_fractions,
              "hit_mean": [h[0] for h in hits],
              "hit_stderr": [h[1] for h in hits],
-             "hit_fraction": [h[2] for h in hits]},
-            f"ordering-violation step fraction: {stats.violation_fraction:.6e}",
-            stats.violation_fraction <= verify.COUPLED_TOL)
+             "hit_fraction": [h[2] for h in hits],
+             "hit_law_deviation": devs, "dkw_half_width": half_width},
+            f"ordering-violation step fraction: {stats.violation_fraction:.6e}\n"
+            f"hit law max |ECDF - law|: {', '.join(f'{d:.6e}' for d in devs)} "
+            f"against DKW half-width {half_width:.6e}", passed)
 
 
 def _simulate_exits(cfg: dict, lam: float, stem: str):
@@ -284,17 +286,15 @@ _SUBCOMMANDS: dict[str, tuple] = {
     }),
     "bm-couple": (_cmd_bm_couple, {
         "lambdas": ("0,0.5,1", _floats, "ascending nonnegative drift rates (1/time)"),
-        "y0": (0.0, _finite, "initial squared position (length^2)"),
         "dt": (1e-4, _finite, "step (time)"),
         "time-horizon": (1.0, _finite, "simulation horizon (time)"),
         "n-paths": (1000, int, "number of coupled paths (count)"),
-        "level": (1.0, _finite, "first-hitting level for Y (length^2)"),
         "seed": _SEED,
     }),
     "bm-independence": (_cmd_bm_independence, {
         "lam": (1.0, _finite, "drift rate (1/time)"),
         "b": (1.0, _finite, "barrier half-width (length)"),
-        "dt": (1e-3, _finite, "Euler step (time)"),
+        "dt": (1e-3, _finite, "exact Gaussian step, with a bridge exit test (time)"),
         "time-horizon": (30.0, _finite, "simulation horizon (time)"),
         "n-paths": (100000, int, "number of paths (count)"),
         "bins": (10, int, "equal-probability exit-time bins (count)"),
@@ -309,7 +309,7 @@ _SUBCOMMANDS: dict[str, tuple] = {
         "lambda-to": (1.0, _finite, "target drift (1/time)"),
         "b": (1.0, _finite, "barrier half-width (length)"),
         "t": (0.5, _finite, "survival evaluation time (time)"),
-        "dt": (1e-3, _finite, "Euler step (time)"),
+        "dt": (1e-3, _finite, "exact Gaussian step, with a bridge exit test (time)"),
         "time-horizon": (30.0, _finite, "simulation horizon (time)"),
         "n-paths": (100000, int, "number of paths (count)"),
         "z-tol": (4.0, _finite,

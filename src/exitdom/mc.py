@@ -518,9 +518,9 @@ class CoupledStats:
     final_values: np.ndarray       # shape (n_lambdas, n_paths)
 
     def hit_summary(self, i: int):
-        """(mean, stderr, hit fraction) of the level-hitting time for lambda i.
+        """(mean, stderr, hit fraction) of the time Y first hits 1 for lambda i.
 
-        The mean is None when no path hit the level, the stderr when fewer
+        The mean is None when no path hit 1, the stderr when fewer
         than two did.
         """
         h = self.hit_times[i][~np.isnan(self.hit_times[i])]
@@ -530,8 +530,7 @@ class CoupledStats:
 
 
 def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
-                       n_paths: int, rng: RngStreamSpec,
-                       level: float = 1.0) -> CoupledStats:
+                       n_paths: int, rng: RngStreamSpec) -> CoupledStats:
     """Shared-noise simulation of Y = R^2, R = |B_t + lam t|, for each drift of
     an ascending grid of nonnegative drifts, from Y = y0 over
     round(horizon / dt) steps.
@@ -550,8 +549,8 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     terms increase in dX, and dX increases in R and in lam, so R, and Y, stay
     ordered across the grid at every step; ``violation_fraction`` counts the
     (step, path, adjacent pair) cells where they are not.  A drift not yet at
-    the level a = sqrt(level) hits it in the step when
-    q = (a - R)(a - R') <= _Q_CUT dt and V < exp(-2 q / dt), capped at 1,
+    level 1, where Y = R = 1, hits it in the step when
+    q = (1 - R)(1 - R') <= _Q_CUT dt and V < exp(-2 q / dt), capped at 1,
     the bridge's crossing probability, with V shared by the drifts of the
     path; the hit time is (step + 1) dt.  Leaving out q > _Q_CUT dt, where
     that probability is below 2**-53, is the rule of ``simulate_exit_bm``.
@@ -585,8 +584,6 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
         raise ValueError("drift grid must be ascending")
     if not 0.0 <= y0 < math.inf:
         raise ValueError("initial value must be finite and nonnegative")
-    if math.isnan(level):
-        raise ValueError("level must be a number")
     n_steps = _step_count(dt, horizon, n_paths)
     L, n = len(lambdas), n_paths
     lam = np.array(lambdas)
@@ -601,9 +598,8 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
     path[0] = math.sqrt(y0)
     dX, drift = np.empty((L, n)), np.empty_like(lam_r)
     pair_counts = np.zeros(L - 1, dtype=np.int64)
-    hit = np.full((L, n), np.nan if level > y0 else dt)  # nan: not yet hit
-    a = math.sqrt(max(level, 0.0))
-    near = a - 2.0 * math.sqrt(q_cut)
+    hit = np.full((L, n), np.nan if y0 < 1.0 else dt)  # nan: not yet hit
+    near = 1.0 - 2.0 * math.sqrt(q_cut)
     for start in range(0, n_steps, block):
         steps = min(block, n_steps - start)
         w = gen_z.standard_normal((steps, n))
@@ -632,7 +628,7 @@ def simulate_y_coupled(lambdas, y0: float, dt: float, horizon: float,
         if unhit.any():
             v = gen_v.random((steps, n))
             cells = np.flatnonzero((np.max(run, axis=0) >= near) & unhit)
-            gap = a - run.reshape(steps + 1, -1)[:, cells]
+            gap = 1.0 - run.reshape(steps + 1, -1)[:, cells]
             q = gap[:-1] * gap[1:]
             fired = (q <= q_cut) & (v[:, cells % n] < _bridge_prob(q, dt))
             done = fired.any(axis=0)

@@ -60,13 +60,13 @@ INDEPENDENCE_TOL = 1e-12      # rw-independence: float joint-vs-product deviatio
 REWEIGHT_FLOOR = 1e-10        # rw-reweight: floor under the tail bound
 FACTORIZATION_TOL = 1e-10     # rw-factorization: identity deviation
 COUPLED_TOL = 0               # bm-couple: ordering-violation step fraction
+COUPLED_ALPHA = 1e-3          # bm-couple: DKW level of each drift's hit-law band
 INDEPENDENCE_ALPHA = 1e-3     # bm-independence: chi-square rejection level
 # Thresholds of battery checks that no subcommand runs.
 SECH_TOL = 1e-6               # |cosh * integral - 1| of the Laplace identity
 DONSKER_TOL = 2e-3            # |walk - series| on the diffusive scale
 CONSISTENCY_SE = 3            # MC survival deviation, in standard errors
 CONTROL_P_MAX = 1e-6          # largest p the dependent control may reach
-COUPLED_ALPHA = 1e-3          # DKW level of each coupled drift's hit-law band
 
 DONSKER_TIMES = (0.25, 0.5, 1.0, 2.0)
 # the step of the battery's coupled run: the largest of 1e-3, 5e-4 and
@@ -248,26 +248,35 @@ def _hit_law_deviation(hit_times, lam: float, horizon: float) -> float:
                      np.max(np.abs(law[:-1] - ecdf[1:]), initial=0.0)))
 
 
-def check_coupled_ordering(rng_base, n_paths) -> CheckResult:
-    """The coupled SDE on lam = 0, 0.5, 1 at dt = ``_COUPLED_DT``: no
-    ordering violation, and each drift's first hits of level 1 within the
-    DKW band sqrt(ln(2 / alpha) / 2n) of the exit law of drifted Brownian
-    motion from (-1, 1), ``bm.drifted_survival``, over t <= 1.
+def coupled_verdict(stats) -> tuple:
+    """(passed, each drift's ``_hit_law_deviation``, the band's half-width)
+    of a ``mc.simulate_y_coupled`` run from Y = 0.  It passes with no
+    ordering violation and each drift's first hits of level 1 within the
+    DKW band sqrt(ln(2 / alpha) / 2n) at ``COUPLED_ALPHA`` of the exit law
+    of drifted Brownian motion from (-1, 1), ``bm.drifted_survival``.
 
-    The step keeps the order by construction, so the band is the check's
+    The step keeps the order by construction, so the band is the rule's
     test of the law: an SDE with a wrong drift keeps the order but moves
     the hits.  The hits are recorded at the end of their step, late by less
     than dt, which moves the ECDF by at most about the law's density times
-    dt, under 2e-3 here.
+    dt.
     """
+    half_width = dominance._dkw_half_width(COUPLED_ALPHA, stats.n_paths)
+    devs = [_hit_law_deviation(hits, lam, stats.horizon)
+            for lam, hits in zip(stats.lambdas, stats.hit_times)]
+    passed = stats.violation_fraction <= COUPLED_TOL and max(devs) <= half_width
+    return passed, devs, half_width
+
+
+def check_coupled_ordering(rng_base, n_paths) -> CheckResult:
+    """``coupled_verdict`` on lam = 0, 0.5, 1 at dt = ``_COUPLED_DT`` over
+    t <= 1, where the late record moves the ECDF by under 2e-3."""
     lambdas = [0.0, 0.5, 1.0]
     rng = mc.RngStreamSpec(rng_base.master_seed, rng_base.substream + 901)
     stats = mc.simulate_y_coupled(lambdas, 0.0, _COUPLED_DT, 1.0, n_paths, rng)
-    half_width = dominance._dkw_half_width(COUPLED_ALPHA, n_paths)
-    devs = [_hit_law_deviation(hits, lam, stats.horizon)
-            for lam, hits in zip(lambdas, stats.hit_times)]
+    passed, devs, half_width = coupled_verdict(stats)
     return _COUPLED.result(
-        stats.violation_fraction <= COUPLED_TOL and max(devs) <= half_width,
+        passed,
         f"fraction {_fmt(stats.violation_fraction)} at dt={_num(_COUPLED_DT)}; "
         f"hit law max |ECDF - law| {', '.join(map(_fmt, devs))} "
         f"against DKW half-width {_fmt(half_width)}")

@@ -20,9 +20,10 @@ bias's.
 without running the recurrence: the interior matrix is tridiagonal Toeplitz,
 so P(sigma > n) has the eigen-expansion sum_v c_v (2 sqrt(pq) cos(pi v/2k))^n
 (Feller, Vol. I, XIV.5), which costs O(k^2) once and O(k) per step count.
-Away from p = 1/2 the expansion is ill-conditioned; a gate on the spread of
-its similarity weights hands those inputs back to the DP, which stays the
-exact reference.
+Away from p = 1/2 the expansion is ill-conditioned, so each step count keeps
+its value only where the expansion's a-priori rounding bound is no larger
+than the float DP's, (2n + 2k) u: 2 roundings per step and 2k - 2 in the
+residual sum, all over nonnegative terms.  The others come from one DP run.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ import numpy as np
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
 _MODES = (MODE_RATIONAL, MODE_FLOAT)
-
-# survival_at uses its closed form only while (2k-1) * sqrt(R) is at most
-# this, where R = (max(p,q)/min(p,q))^(k-1) is the spread of the similarity
-# weights; the product bounds their sum relative to the centre weight, and
-# the rounding error of the expansion grows with it.  Against an
-# extended-precision DP over n <= 4k + 40 and k <= 2000, the worst error
-# was 1.8e-14 up to 2000, 8.0e-14 up to 8000 and 2.6e-13 up to 16000.
-_MAX_CONDITION = 2000.0
 
 # steps per block of the walk DP's row buffer for one bias; a grid of g
 # biases takes max(1, _DP_BLOCK // g) steps per block
@@ -306,19 +299,27 @@ def survival_at(spec: WalkSpec, ns) -> list:
 
     Evaluates the closed-form solution of the DP recurrence instead of
     running it.  The interior matrix is similar, through the diagonal
-    weights (p/q)^(j/2), to sqrt(pq) times the symmetric tridiagonal matrix
-    of ones, whose eigenpairs are known (Feller, Vol. I, XIV.5):
+    weights w_j = (p/q)^((j-k)/2), to sqrt(pq) times the symmetric
+    tridiagonal matrix of ones, whose eigenpairs are known (Feller, Vol. I,
+    XIV.5):
 
         P(sigma > n) = sum over odd v < 2k of c_v * lambda_v^n,
         lambda_v = 2*sqrt(pq)*cos(pi*v/(2k)),
-        c_v = (+-1/k) * sum_j sin(pi*v*j/(2k)) * (p/q)^((j-k)/2).
+        c_v = (+-1/k) * sum_j sin(pi*v*j/(2k)) * w_j.
 
     Each power is exp(n*log|lambda_v|) with the log formed through log1p,
     which keeps it accurate at large n; the sign of lambda_v for v > k is
-    applied separately.  Below k steps the survival is exactly 1.  Far from
-    p = 1/2 the weights make the sum ill-conditioned: where
-    (2k-1) * sqrt(R), with R = (max(p,q)/min(p,q))^(k-1), exceeds
-    ``_MAX_CONDITION``, the values come from the float DP instead.
+    applied separately.  Below k steps the survival is exactly 1.
+
+    Each value keeps the route with the smaller a-priori rounding bound, in
+    units of u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1 and 4.2).  The float DP's is 2n + 2k: it rounds each path
+    weight at most twice per step, a product and a sum, and its residual sums
+    2k - 1 entries with 2k - 2 more, all over nonnegative terms whose total is
+    at most 1.  The expansion's is sum_v (4k cbar_v + (n + 8)|c_v|)|lambda_v|^n
+    for c_v and the powers, cbar_v = sum_j |sin(pi*v*j/(2k))| w_j / k, plus
+    2k sum_v |c_v lambda_v^n| for the sum.  Step counts where it is larger, or
+    not finite (the weights overflow far from p = 1/2), are read from one DP.
     """
     try:
         ns = [operator.index(n) for n in ns]
@@ -328,32 +329,39 @@ def survival_at(spec: WalkSpec, ns) -> list:
         raise ValueError("step counts must be >= 0")
     p, q = spec.pq(MODE_FLOAT)
     k = spec.k
-    log_condition = math.log(2 * k - 1) + 0.5 * (k - 1) * abs(math.log(p / q))
-    if log_condition > math.log(_MAX_CONDITION):
-        values = survival_pmf(spec, max(ns, default=0), MODE_FLOAT).values
-        return [values[n] for n in ns]
     v = np.arange(1, 2 * k, 2)  # modes of even index carry no weight
     j = np.arange(1, 2 * k)
-    weights = (p / q) ** ((j - k) / 2)
-    sign = np.where(v % 4 == 1, 1.0, -1.0)  # sin(pi*v/2)
-    c = sign / k * (np.sin(np.outer(v, j) * (np.pi / (2 * k))) @ weights)
     m = np.minimum(v, 2 * k - v)
-    # log|cos(pi*m/(2k))| = log1p(-2 sin^2(pi*m/(4k))); lambda = 0 at m = k
-    log_mod = np.full(v.size, -np.inf)
-    live = m != k
-    if live.any():  # k > 1, so the gate has kept p away from 0 and 1
-        log_mod[live] = (0.5 * math.log1p(-(p - q) ** 2)  # log(2 sqrt(pq))
-                         + np.log1p(-2.0 * np.sin(np.pi * m[live] / (4 * k)) ** 2))
+    live = m != k  # lambda = 0 at m = k
     negative = v > k
-    out = []
-    for n in ns:
-        if n < k:  # no path reaches +-k in fewer than k steps
-            out.append(1.0)
-            continue
-        terms = c * np.exp(n * log_mod)
-        if n % 2:
-            terms[negative] = -terms[negative]
-        out.append(min(1.0, max(0.0, float(terms.sum()))))
+    out, from_dp = [], []
+    # overflow, inf * 0 and log1p(-1) make the bound not finite, not an error
+    with np.errstate(all="ignore"):
+        weights = (p / q) ** ((j - k) / 2)
+        sines = np.sin(np.outer(v, j) * (np.pi / (2 * k)))
+        sign = np.where(v % 4 == 1, 1.0, -1.0)  # sin(pi*v/2)
+        c = sign / k * (sines @ weights)
+        # the bound's coefficients without their n |c_v| part
+        fixed = 4 * (np.abs(sines) @ weights) + (2 * k + 8) * np.abs(c)
+        # log|cos(pi*m/(2k))| = log1p(-2 sin^2(pi*m/(4k)))
+        log_mod = np.full(v.size, -np.inf)
+        log_mod[live] = (0.5 * np.log1p(-(p - q) ** 2)  # log(2 sqrt(pq))
+                         + np.log1p(-2.0 * np.sin(np.pi * m[live] / (4 * k)) ** 2))
+        for i, n in enumerate(ns):
+            if n < k:  # no path reaches +-k in fewer than k steps
+                out.append(1.0)
+                continue
+            power = np.exp(n * log_mod)
+            terms = c * power
+            if n % 2:
+                terms[negative] = -terms[negative]
+            out.append(min(1.0, max(0.0, float(terms.sum()))))
+            if not (fixed + n * np.abs(c)) @ power <= 2 * n + 2 * k:
+                from_dp.append(i)
+    if from_dp:
+        values = survival_pmf(spec, max(ns[i] for i in from_dp), MODE_FLOAT).values
+        for i in from_dp:
+            out[i] = values[ns[i]]
     return out
 
 

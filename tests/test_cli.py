@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from exitdom import bm, cli, io, verify, walk
+from exitdom import bm, cli, dominance, io, verify, walk
 from exitdom.io import OUTDIR_ENV
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -444,7 +444,27 @@ def test_bm_couple(tmp_path):
     doc = json.loads(read(tmp_path / "bm_couple.json"))
     assert doc["violation_fraction"] == 0  # the modulus step keeps the order
     assert len(doc["hit_mean"]) == 3
-    assert "tol" not in doc["config"]
+    assert max(doc["hit_law_deviation"]) <= doc["dkw_half_width"]
+    assert doc["dkw_half_width"] == dominance._dkw_half_width(verify.COUPLED_ALPHA, 100)
+    assert not {"tol", "level", "y0"} & set(doc["config"])
+
+
+def test_bm_couple_fails_where_a_hit_law_leaves_its_band(tmp_path, capsys):
+    # five steps of 0.2 record the hits far late: the order holds, the band
+    # does not
+    assert run(["bm-couple", "--dt", "0.2", "--outdir", str(tmp_path)]) == 2
+    doc = json.loads(read(tmp_path / "bm_couple.json"))
+    assert doc["violation_fraction"] == 0
+    assert max(doc["hit_law_deviation"]) > doc["dkw_half_width"]
+    assert "against DKW half-width" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["level", "y0"])
+def test_bm_couple_has_no_level_or_start_flag(tmp_path, capsys, flag):
+    # the band is the exit law from (-1, 1) started at 0: level 1 from y0 = 0
+    assert run(["bm-couple", f"--{flag}", "1", "--outdir", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bm_couple_has_no_tolerance_flag(tmp_path, capsys):
@@ -472,7 +492,8 @@ def reject(name):
 
 
 def test_bm_couple_json_is_strict_without_hits(tmp_path):
-    assert run(["bm-couple", "--n-paths", "50", "--dt", "1e-3", "--level", "100",
+    # no path comes near level 1 in 10 steps of 1e-3
+    assert run(["bm-couple", "--n-paths", "50", "--dt", "1e-3",
                 "--time-horizon", "0.01", "--outdir", str(tmp_path)]) == 0
     doc = json.loads(read(tmp_path / "bm_couple.json"), parse_constant=reject)
     assert doc["hit_mean"] == doc["hit_stderr"] == [None, None, None]

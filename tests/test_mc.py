@@ -503,16 +503,15 @@ def test_drift_y():
         drift_y(1.0, -1.0)
 
 
-def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
+def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng):
     """The modulus step of simulate_y_coupled, one step at a time with fresh
     arrays and one draw call per stream and step.  Returns final values,
-    hit times and per-pair violation counts."""
+    hit times of level 1 and per-pair violation counts."""
     gen_z, gen_u, gen_v = (rng.child(i).generator() for i in range(3))
     lam = np.array(lambdas, dtype=float)[:, None]
     q_cut = mc._Q_CUT * dt
-    a = math.sqrt(max(level, 0.0))
     R = np.full((len(lambdas), n_paths), math.sqrt(y0))
-    hit = np.full(R.shape, dt if level <= y0 else np.nan)
+    hit = np.full(R.shape, dt if y0 >= 1.0 else np.nan)
     viol = np.zeros(len(lambdas) - 1, dtype=np.int64)
     for step in range(n_steps):
         dX = (lam * dt) * np.tanh(lam * R) + gen_z.standard_normal(n_paths) * math.sqrt(dt)
@@ -521,7 +520,7 @@ def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
         c = np.log1p(-gen_u.random(refl.size)) * (-2.0 * dt)
         d = dX[:, refl]
         R1[:, refl] = np.maximum(R1[:, refl], (d + np.sqrt(d * d + c)) * 0.5)
-        q = (a - R) * (a - R1)
+        q = (1.0 - R) * (1.0 - R1)
         fired = (q <= q_cut) & (gen_v.random(n_paths) < mc._bridge_prob(q, dt))
         hit[fired & np.isnan(hit)] = (step + 1) * dt
         viol += np.count_nonzero(R1[:-1] > R1[1:], axis=1)
@@ -530,25 +529,25 @@ def _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level):
 
 
 def test_coupled_blocked_draws_match_per_step_draws():
-    # (lambdas, y0, dt, horizon, n_paths, level): zero and repeated drifts,
-    # a single drift, step counts that end inside a block, a start at the
-    # level, a level of 0 and the drift grid of mc-drift-grid
+    # (lambdas, y0, dt, horizon, n_paths): zero and repeated drifts, a
+    # single drift, step counts that end inside a block, starts at and
+    # above level 1 and the drift grid of mc-drift-grid
     cases = [
-        ([0.0, 1.5], 0.2, 1e-3, 0.301, 1000, 1.0),
-        ([1.0], 0.0, 1e-3, 0.2, 50, 0.5),
-        ([0.0, 0.0, 0.5, 0.5, 2.0], 0.3, 1e-3, 0.3, 333, 0.6),
-        ([0.7, 0.8], 0.0, 1e-3, 0.7, 100, 0.3),
-        ([0.0, 1.0], 0.9, 2e-3, 0.2, 400, 0.9),
-        ([0.0, 1.0], 0.9, 2e-3, 0.2, 40, 0.0),
-        ([0.0, 8.0], 0.0, 1e-2, 0.5, 7, 1.0),
-        ([float(i) for i in range(9)], 0.0, 1e-3, 1.0, 100, 1.0),
+        ([0.0, 1.5], 0.2, 1e-3, 0.301, 1000),
+        ([1.0], 0.0, 1e-3, 0.5, 50),
+        ([0.0, 0.0, 0.5, 0.5, 2.0], 0.3, 1e-3, 0.3, 333),
+        ([0.7, 0.8], 0.0, 1e-3, 0.7, 100),
+        ([0.0, 1.0], 1.0, 2e-3, 0.2, 400),
+        ([0.0, 1.0], 1.5, 2e-3, 0.2, 40),
+        ([0.0, 8.0], 0.0, 1e-2, 0.5, 7),
+        ([float(i) for i in range(9)], 0.0, 1e-3, 1.0, 100),
     ]
-    for lambdas, y0, dt, horizon, n_paths, level in cases:
+    for lambdas, y0, dt, horizon, n_paths in cases:
         rng = RngStreamSpec(SEED, 14)
-        stats = ed.simulate_y_coupled(lambdas, y0, dt, horizon, n_paths, rng, level=level)
+        stats = ed.simulate_y_coupled(lambdas, y0, dt, horizon, n_paths, rng)
         n_steps = int(round(horizon / dt))
         assert stats.dt == dt and stats.horizon == n_steps * dt
-        Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng, level)
+        Y, hit, viol = _coupled_per_step(lambdas, y0, dt, n_steps, n_paths, rng)
         cells = n_steps * n_paths
         pairs = [float(v) / cells for v in viol]
         overall = float(viol.sum()) / (cells * max(len(lambdas) - 1, 1))
@@ -656,8 +655,6 @@ def test_coupled_domain_checks():
         ed.simulate_y_coupled([], 0.0, 1e-3, 1.0, 10, rng)
     with pytest.raises(ValueError, match="finite"):
         ed.simulate_y_coupled([0.0], math.inf, 1e-3, 1.0, 10, rng)
-    with pytest.raises(ValueError, match="level"):
-        ed.simulate_y_coupled([0.0], 0.0, 1e-3, 1.0, 10, rng, level=math.nan)
     # one drift has no adjacent pair to compare
     single = ed.simulate_y_coupled([1.0], 0.0, 1e-3, 0.1, 10, rng)
     assert single.pair_violation_fractions == []
@@ -680,8 +677,9 @@ def test_step_count_overflow_is_a_value_error():
 def test_coupled_hit_summary_without_hits():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # no path comes near level 1 in 10 steps of 1e-3
         stats = ed.simulate_y_coupled([0.0, 1.0], 0.0, 1e-3, 0.01, 50,
-                                      RngStreamSpec(SEED), level=100.0)
+                                      RngStreamSpec(SEED))
         assert [stats.hit_summary(i) for i in range(2)] == [(None, None, 0.0)] * 2
         one_hit = mc.CoupledStats([0.0], 0.1, 1.0, 2, 0.0, [],
                                   np.array([[0.5, np.nan]]), np.zeros((1, 2)))

@@ -249,21 +249,68 @@ def test_float_dp_matches_rounded_rational_dp(p, k):
 @given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        k=st.integers(1, 12), horizon=st.integers(0, 400))
 def test_survival_at_matches_float_dp(p, k, horizon):
-    # closed-form values lie within 1e-13 of the DP; gated ones equal it
+    # closed-form values lie within 1e-13 of the DP; the rest are the DP's
     spec = WalkSpec(p, k)
     dp = ed.survival_pmf(spec, horizon).values
     assert ed.survival_at(spec, range(horizon + 1)) == pytest.approx(
         dp, rel=0, abs=1e-13)
 
 
-def test_survival_at_above_the_gate_is_the_dp():
-    # at p = 0.95, k = 8 the similarity weights spread over 19^7, far past
-    # the conditioning gate, so the values come from the DP bit for bit
+def test_survival_at_takes_the_dp_where_its_bound_is_smaller(monkeypatch):
+    # at p = 0.95, k = 8 the similarity weights spread over 19^7, so at n = 8
+    # and 9 the expansion's rounding bound passes the DP's (2n + 2k) u and
+    # those values come from one DP run up to n = 9, bit for bit; by n = 50
+    # the powers have shrunk the bound below the DP's
     spec = WalkSpec(0.95, 8)
-    dp = ed.survival_pmf(spec, 200).values
-    ns = [0, 7, 8, 9, 50, 200, 3]
-    assert ed.survival_at(spec, ns) == [dp[n] for n in ns]
+    dp = ed.survival_pmf(spec, 50).values
+    horizons = []
+    real = walk.survival_pmf
+
+    def counted(spec, horizon, mode):
+        horizons.append(horizon)
+        return real(spec, horizon, mode)
+    monkeypatch.setattr(walk, "survival_pmf", counted)
+    ns = [0, 7, 8, 9, 50, 3]
+    got = ed.survival_at(spec, ns)
+    assert horizons == [9]
+    assert got[:4] + got[5:] == [1.0, 1.0, dp[8], dp[9], 1.0]
+    assert got[4] == pytest.approx(dp[50], rel=0, abs=(2 * 50 + 2 * 8) * 2.0**-53)
     assert ed.survival_at(spec, []) == []
+
+
+# the survival at the Donsker check's step counts, n = t k^2, desk and quick
+DONSKER_VALUES = {
+    400: ["0x1.d1680686e4635p-1", "0x1.5ef22df6620a9p-1", "0x1.7bac456e97162p-2",
+          "0x1.ba44d65acfd8cp-4"],
+    100: ["0x1.d162b762d4b68p-1", "0x1.5ee9a8a4ef486p-1", "0x1.7ba029441493ap-2",
+          "0x1.ba315661846a8p-4"],
+}
+
+
+@pytest.mark.parametrize("k", sorted(DONSKER_VALUES))
+def test_survival_at_donsker_points_stay_on_the_closed_form(monkeypatch, k):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+    monkeypatch.setattr(walk, "survival_pmf", no_dp)
+    ns = [int(t * k * k) for t in (0.25, 0.5, 1.0, 2.0)]
+    assert [v.hex() for v in ed.survival_at(WalkSpec(0.5, k), ns)] == DONSKER_VALUES[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.fractions(0, 1, max_denominator=97).filter(lambda p: 0 < p < 1),
+       k=st.integers(1, 12), horizon=st.integers(0, 300))
+@example(p=Fraction(59, 60), k=6, horizon=6)
+@example(p=Fraction(40, 41), k=6, horizon=6)
+def test_survival_at_is_within_the_dp_bound_of_the_exact_law(p, k, horizon):
+    # whichever route a step count takes, its value lies within the float
+    # DP's a-priori bound (2n + 2k) u of the rational DP; at the examples,
+    # an expansion bound without its cbar_v part keeps values 1.3 times
+    # that far off
+    spec = WalkSpec(p, k)
+    exact = ed.survival_pmf(spec, horizon, MODE_RATIONAL).values
+    got = ed.survival_at(spec, range(horizon + 1))
+    for n, (value, want) in enumerate(zip(got, exact)):
+        assert abs(Fraction(value) - want) <= Fraction(2 * n + 2 * k, 2**53), n
 
 
 def test_survival_at_selected_steps():
@@ -276,8 +323,8 @@ def test_survival_at_selected_steps():
 
 def test_float_dp_stays_at_most_one():
     # near p = 1/2 with a wide barrier, round-off once lifted the float
-    # survival to 1.0000000000000826 at n = 1500; survival_at's gate sends
-    # this input to the DP, so it read the same
+    # survival to 1.0000000000000826 at n = 1500; survival_at's rounding
+    # bound sends this input to the DP, so it read the same
     spec = WalkSpec(0.49748, 320)
     assert max(ed.survival_pmf(spec, 1500).values) == 1.0
     assert ed.survival_at(spec, [1500]) == [1.0]
